@@ -23,6 +23,8 @@ LIFTED_FEATURES = ("bias", "d_ae")
 
 PROB_EPS = 1e-6
 L2_WEIGHT = 1e-4
+# Detections encoded per `encode_batch` call in `latent_codes`.
+LATENT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -280,13 +282,22 @@ def edge_cost(p_same: float) -> float:
 
 
 def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
-    """Encode every detection image; requires images to be attached."""
-    codes = []
+    """Encode every detection image; requires images to be attached.
+
+    Images go through `encode_batch` LATENT_CHUNK at a time, which bounds
+    the memory of the stacked batch and its activations.
+    """
     for i, det in enumerate(detections):
         if det.image is None:
             raise ValueError(f"detection {i} has no image to encode")
-        codes.append(model.encode(det.image))
-    return np.array(codes)
+    if not detections:
+        return np.array([])
+    images = [det.image for det in detections]
+    chunks = [
+        model.encode_batch(np.stack(images[i:i + LATENT_CHUNK]))[0]
+        for i in range(0, len(images), LATENT_CHUNK)
+    ]
+    return np.concatenate(chunks)
 
 
 def assemble_costs(

@@ -318,8 +318,47 @@ def solve_gaec(
 
 
 # ---------------------------------------------------------------------------
-# Kernighan-Lin style local search with joins.
+# Steepest-descent local search: node moves, splits and cluster merges.
 # ---------------------------------------------------------------------------
+
+
+def _articulation_points(
+    cluster: Set[int], reg_adj: Sequence[Sequence[Tuple[int, float]]]
+) -> Set[int]:
+    """Nodes whose removal disconnects the regular-edge subgraph of `cluster`.
+
+    One iterative Tarjan low-link pass from the smallest node; `cluster`
+    must be connected through regular edges.
+    """
+    root = min(cluster)
+    disc = {root: 0}
+    low = {root: 0}
+    points: Set[int] = set()
+    root_children = 0
+    stack = [(root, -1, iter(reg_adj[root]))]
+    while stack:
+        x, parent, nbrs = stack[-1]
+        for y, _ in nbrs:
+            if y not in cluster:
+                continue
+            if y not in disc:
+                disc[y] = low[y] = len(disc)
+                stack.append((y, x, iter(reg_adj[y])))
+                break
+            if y != parent and disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
+                if low[x] >= disc[parent]:
+                    points.add(parent)
+    if root_children > 1:
+        points.add(root)
+    return points
 
 
 class _KLState:
@@ -361,6 +400,14 @@ class _KLState:
             self.members.setdefault(cid, set()).add(node)
         self.next_cid = len(roots)
         self.obj = self._full_objective()
+        # Lifted edge ids, listed at their smaller endpoint.
+        self.lif_out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for i, (u, v, _) in enumerate(instance.lifted_edges):
+            self.lif_out[u].append((i, v))
+        # Per cluster id: articulation node -> costs of the internal lifted
+        # edges its removal disconnects, in F order. Dropped when the
+        # cluster changes.
+        self._disconnection: Dict[int, Dict[int, List[float]]] = {}
 
     def _full_objective(self) -> float:
         total = 0.0
@@ -394,6 +441,36 @@ class _KLState:
             unseen -= seen
         return comps
 
+    def _disconnection_costs(self, cid: int) -> Dict[int, List[float]]:
+        """Lifted costs cut by removing each articulation node of a cluster.
+
+        A node whose removal leaves the cluster connected cuts no lifted
+        pair, so only articulation nodes appear, and only when the cluster
+        holds internal lifted edges at all.
+        """
+        cached = self._disconnection.get(cid)
+        if cached is not None:
+            return cached
+        cached = {}
+        cluster = self.members[cid]
+        ids = sorted(
+            i for x in cluster for i, y in self.lif_out[x] if self.comp[y] == cid
+        )
+        if ids:
+            internal = [self.instance.lifted_edges[i] for i in ids]
+            for node in _articulation_points(cluster, self.reg_adj):
+                where = {}
+                for k, part in enumerate(self._remainder_components(cluster, node)):
+                    for x in part:
+                        where[x] = k
+                cached[node] = [
+                    c
+                    for u, v, c in internal
+                    if u != node and v != node and where[u] != where[v]
+                ]
+        self._disconnection[cid] = cached
+        return cached
+
     def move_delta(self, node: int, target: Optional[int]) -> float:
         """Objective change for moving `node` to cluster `target` (None = new)."""
         src = self.comp[node]
@@ -408,28 +485,11 @@ class _KLState:
                 delta += c
             elif target is not None and self.comp[nbr] == target:
                 delta -= c
-        cluster = self.members[src]
-        if len(cluster) > 2:
-            # Removing the node may disconnect its old cluster, cutting
-            # lifted pairs that used to be linked through it.
-            internal_lifted = [
-                (u, v, c)
-                for u, v, c in self.instance.lifted_edges
-                if u != node
-                and v != node
-                and self.comp[u] == src
-                and self.comp[v] == src
-            ]
-            if internal_lifted:
-                comps = self._remainder_components(cluster, node)
-                if len(comps) > 1:
-                    where = {}
-                    for k, part in enumerate(comps):
-                        for x in part:
-                            where[x] = k
-                    for u, v, c in internal_lifted:
-                        if where[u] != where[v]:
-                            delta += c
+        # Removing the node may disconnect its old cluster, cutting lifted
+        # pairs that used to be linked through it. Added one by one so the
+        # sum rounds the same way for every target.
+        for c in self._disconnection_costs(src).get(node, ()):
+            delta += c
         return delta
 
     def apply_move(self, node: int, target: Optional[int], delta: float) -> None:
@@ -442,6 +502,8 @@ class _KLState:
             self.members[target] = set()
         self.members[target].add(node)
         self.comp[node] = target
+        self._disconnection.pop(src, None)
+        self._disconnection.pop(target, None)
         if not cluster:
             del self.members[src]
         elif len(cluster) > 1:
@@ -472,6 +534,8 @@ class _KLState:
         return delta
 
     def apply_merge(self, ca: int, cb: int, delta: float) -> None:
+        self._disconnection.pop(ca, None)
+        self._disconnection.pop(cb, None)
         for node in self.members[cb]:
             self.comp[node] = ca
         self.members[ca] |= self.members[cb]
@@ -487,13 +551,20 @@ def solve_kl(
     initial: Partition,
     trace: Optional[List[float]] = None,
 ) -> Tuple[Partition, float]:
-    """Local search over node moves, cluster merges, and single-node splits.
+    """Steepest descent over single-node moves, splits and cluster merges.
 
-    Repeatedly applies the best strictly improving move until none exists.
+    This is not the KLj solver of Keuper et al. (ICCV 2015): there are no
+    two-cluster move sequences and no rollback. Each sweep evaluates every
+    move and applies the best strictly improving one, until none exists.
     Move ties are broken by a fixed lexicographic move encoding: node moves
     (ordered by node, then target cluster representative), then splits,
     then merges (ordered by representative pair). The returned objective is
     never above the initial partition's.
+
+    Lifted pairs a node's removal would disconnect are cached per cluster
+    and recomputed only for clusters the previous move changed. With a
+    bounded number of clusters next to any node, a sweep costs
+    O(|E| + |F|) plus one BFS per articulation node of those clusters.
     """
     if initial.num_nodes != instance.num_nodes:
         raise ValueError("initial partition does not cover the instance nodes")

@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from liftedtrack.affinity import (
+    LATENT_CHUNK,
     LIFTED_FEATURES,
     NEARBY_FEATURES,
     AffinityConfig,
@@ -25,11 +26,13 @@ from liftedtrack.affinity import (
     fit_logistic,
     generate_labels,
     iou_match_table,
+    latent_codes,
     pair_probability,
     predict_p_same,
     read_match_table,
     write_match_table,
 )
+from liftedtrack.embedding import ArchConfig, AutoEncoder
 from liftedtrack.graph import BBox, Detection, build_graph
 from liftedtrack.solver import solve_bruteforce
 
@@ -352,3 +355,34 @@ class TestAssembleCosts:
         with pytest.raises(ValueError, match="latents"):
             assemble_costs(instance, dets, MatchTable({}), np.zeros((2, 4)),
                            nearby, lifted)
+
+
+class TestLatentCodes:
+    SMALL = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
+
+    def _detections(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            Detection(1 + i, BBox(0.0, 0.0, 8.0, 8.0),
+                      image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
+            for i in range(n)
+        ]
+
+    def test_matches_per_image_encode_across_chunks(self):
+        model = AutoEncoder(self.SMALL, seed=0)
+        dets = self._detections(LATENT_CHUNK + 6)
+        codes = latent_codes(model, dets)
+        single = np.array([model.encode(d.image) for d in dets])
+        assert codes.shape == (len(dets), 5)
+        np.testing.assert_allclose(codes, single, rtol=1e-12, atol=1e-12)
+
+    def test_missing_image_named(self):
+        model = AutoEncoder(self.SMALL, seed=0)
+        dets = self._detections(3)
+        dets[1] = Detection(2, BBox(0.0, 0.0, 8.0, 8.0))
+        with pytest.raises(ValueError, match="detection 1 has no image"):
+            latent_codes(model, dets)
+
+    def test_empty(self):
+        model = AutoEncoder(self.SMALL, seed=0)
+        assert latent_codes(model, []).shape == (0,)

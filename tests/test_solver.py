@@ -1,5 +1,8 @@
 """Solver tests: feasibility, exact oracle, GAEC, KL local search, instance IO.
 
+The local search is also run against `kl_reference`, a frozen copy of its
+uncached version, and must reproduce its traces exactly.
+
 The reference oracle here enumerates set partitions recursively in pure
 Python and charges lifted edges through BFS connectivity, independently of
 the vectorized implementation under test.
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import random_instance, random_labeling, random_partition
+from kl_reference import reference_solve_kl
 from liftedtrack.graph import (
     EdgeLabeling,
     MulticutInstance,
@@ -17,6 +21,8 @@ from liftedtrack.graph import (
 )
 from liftedtrack.solver import (
     BRUTEFORCE_MAX_NODES,
+    _articulation_points,
+    _KLState,
     _partition_table,
     is_feasible,
     objective,
@@ -385,6 +391,181 @@ class TestKl:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             solve_kl(TRIANGLE, Partition((0, 0)))
+
+
+def _from_pairs(n, pairs, lifted):
+    """Instance from {(u, v): cost} maps; lifted pairs keep insertion order."""
+    return MulticutInstance(
+        n,
+        tuple((u, v, c) for (u, v), c in sorted(pairs.items())),
+        tuple((u, v, c) for (u, v), c in lifted.items()),
+    )
+
+
+def _chain_instance(rng, n):
+    """A path 0-1-...-(n-1) with sparse chords and lifted pairs along it.
+
+    Most path nodes are articulation points of the one-block start, so
+    node moves there cut lifted pairs that span them.
+    """
+    pairs = {(i, i + 1): float(rng.normal(1.0, 1.0)) for i in range(n - 1)}
+    for _ in range(n // 4):
+        u = int(rng.integers(0, n - 2))
+        pairs.setdefault((u, u + 2), float(rng.normal()))
+    lifted = {}
+    for _ in range(n):
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        if (u, v) not in pairs:
+            lifted[(u, v)] = float(rng.normal(0.0, 2.0))
+    return _from_pairs(n, pairs, lifted)
+
+
+def _bridge_instance(rng, n):
+    """Two dense halves joined by one bridge edge, lifted pairs across it."""
+    half = n // 2
+    pairs = {}
+    for lo, hi in ((0, half), (half, n)):
+        for u in range(lo, hi):
+            for v in range(u + 1, hi):
+                if v == u + 1 or rng.random() < 0.5:
+                    pairs[(u, v)] = float(rng.normal(0.5, 1.0))
+    pairs[(half - 1, half)] = float(rng.normal(0.5, 1.0))
+    lifted = {}
+    for _ in range(n):
+        u = int(rng.integers(0, half))
+        v = int(rng.integers(half, n))
+        if (u, v) not in pairs:
+            lifted[(u, v)] = float(rng.normal(0.0, 2.0))
+    return _from_pairs(n, pairs, lifted)
+
+
+class _ExpectedTrace(list):
+    """A trace that fails on the first objective the reference did not record.
+
+    A search that diverges may cycle forever; this stops it at once.
+    """
+
+    def __init__(self, expected):
+        super().__init__()
+        self.expected = expected
+
+    def append(self, value):
+        step = len(self)
+        assert step < len(self.expected), f"extra step {step}: {value!r}"
+        assert value == self.expected[step], (
+            f"step {step}: {value!r} != {self.expected[step]!r}"
+        )
+        super().append(value)
+
+
+class TestKlMatchesReference:
+    """The cached local search against a frozen copy of the uncached one."""
+
+    @staticmethod
+    def _assert_same(inst, init):
+        ref_trace = []
+        ref_part, ref_value = reference_solve_kl(inst, init, trace=ref_trace)
+        got_trace = _ExpectedTrace(ref_trace)
+        got_part, got_value = solve_kl(inst, init, trace=got_trace)
+        assert got_trace == ref_trace
+        assert got_part.component_of == ref_part.component_of
+        assert got_value == ref_value
+        return len(got_trace) - 1
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(61)
+        moves = 0
+        for _ in range(300):
+            inst = random_instance(
+                rng,
+                max_nodes=14,
+                edge_prob=float(rng.uniform(0.15, 0.7)),
+                lifted_frac=0.4,
+            )
+            moves += self._assert_same(inst, random_partition(rng, inst.num_nodes))
+        assert moves > 300
+
+    def test_chain_and_bridge_clusters(self):
+        rng = np.random.default_rng(67)
+        moves = 0
+        charged = 0
+        for k in range(80):
+            make = _chain_instance if k % 2 == 0 else _bridge_instance
+            inst = make(rng, int(rng.integers(6, 25)))
+            starts = [Partition((0,) * inst.num_nodes), solve_gaec(inst)[0]]
+            for init in starts:
+                state = _KLState(inst, init)
+                charged += sum(
+                    1
+                    for cid in state.members
+                    for costs in state._disconnection_costs(cid).values()
+                    if costs
+                )
+                moves += self._assert_same(inst, init)
+        # Articulation nodes did carry lifted pairs, and the searches moved.
+        assert charged > 100
+        assert moves > 80
+
+
+# ---------------------------------------------------------------------------
+# articulation points
+# ---------------------------------------------------------------------------
+
+
+def _connected_subset(rng, state, size):
+    """Grow a node set from a random start along regular edges."""
+    start = int(rng.integers(0, len(state.reg_adj)))
+    nodes = {start}
+    frontier = [y for y, _ in state.reg_adj[start]]
+    while frontier and len(nodes) < size:
+        y = frontier.pop(int(rng.integers(0, len(frontier))))
+        if y not in nodes:
+            nodes.add(y)
+            frontier.extend(z for z, _ in state.reg_adj[y] if z not in nodes)
+    return nodes
+
+
+class TestArticulationPoints:
+    @staticmethod
+    def _by_removal(state, nodes):
+        return {
+            x for x in nodes if len(state._remainder_components(nodes, x)) > 1
+        }
+
+    def test_random_connected_sets(self):
+        rng = np.random.default_rng(71)
+        cut_vertices = 0
+        for _ in range(200):
+            inst = random_instance(
+                rng, max_nodes=16, edge_prob=float(rng.uniform(0.1, 0.5))
+            )
+            state = _KLState(inst, Partition((0,) * inst.num_nodes))
+            nodes = _connected_subset(rng, state, int(rng.integers(1, 17)))
+            expected = self._by_removal(state, nodes)
+            assert _articulation_points(nodes, state.reg_adj) == expected
+            cut_vertices += len(expected)
+        assert cut_vertices > 50
+
+    def test_path_like_sets(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            inst = _chain_instance(rng, int(rng.integers(2, 30)))
+            state = _KLState(inst, Partition((0,) * inst.num_nodes))
+            lo = int(rng.integers(0, inst.num_nodes))
+            hi = int(rng.integers(lo, inst.num_nodes)) + 1
+            nodes = set(range(lo, hi))
+            assert _articulation_points(nodes, state.reg_adj) == self._by_removal(
+                state, nodes
+            )
+
+    def test_cycle_has_none_and_path_interior_all(self):
+        ring = MulticutInstance(5, tuple((i, (i + 1) % 5, 1.0) for i in range(4))
+                                + ((0, 4, 1.0),))
+        state = _KLState(ring, Partition((0,) * 5))
+        assert _articulation_points(set(range(5)), state.reg_adj) == set()
+        path = MulticutInstance(5, tuple((i, i + 1, 1.0) for i in range(4)))
+        state = _KLState(path, Partition((0,) * 5))
+        assert _articulation_points(set(range(5)), state.reg_adj) == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
