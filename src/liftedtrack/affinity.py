@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .graph import Detection, Edge, MulticutInstance, canonical_edge, iou
+from .graph import Detection, Edge, MulticutInstance, canonical_edge, frame_pairs, iou
 
 FEATURE_NAMES = ("bias", "iou_dm", "d_ae", "product")
 NEARBY_FEATURES = ("bias", "iou_dm", "d_ae", "product")
@@ -73,16 +73,12 @@ def iou_match_table(
     detections: Sequence[Detection], max_frame_gap: int = 5
 ) -> MatchTable:
     """Fallback overlap estimate: box IoU for frame distances 1..max_frame_gap."""
+    frames = [det.frame for det in detections]
     entries = {}
-    for a, da in enumerate(detections):
-        for b in range(a + 1, len(detections)):
-            db = detections[b]
-            gap = abs(db.frame - da.frame)
-            if not 1 <= gap <= max_frame_gap:
-                continue
-            value = iou(da.box, db.box)
-            if value > 0.0:
-                entries[(a, b)] = value
+    for a, b in zip(*frame_pairs(frames, range(1, max_frame_gap + 1)).T.tolist()):
+        value = iou(detections[a].box, detections[b].box)
+        if value > 0.0:
+            entries[(a, b)] = value
     return MatchTable(entries)
 
 
@@ -147,21 +143,27 @@ def generate_labels(table: MatchTable, config: AffinityConfig = AffinityConfig()
     return labeled
 
 
-def feature_vector(iou_dm: float, d_ae: float, feature_config=NEARBY_FEATURES):
-    """Assemble the configured feature subset for one pair."""
-    values = {
-        "bias": 1.0,
-        "iou_dm": float(iou_dm),
-        "d_ae": float(d_ae),
-        "product": float(iou_dm) * float(d_ae),
-    }
+def feature_matrix(iou_dm, d_ae, feature_config=NEARBY_FEATURES) -> np.ndarray:
+    """One row per pair holding the configured feature subset, in order."""
+    iou_dm, d_ae = np.broadcast_arrays(np.asarray(iou_dm, dtype=float),
+                                       np.asarray(d_ae, dtype=float))
+    columns = {"bias": np.ones_like(d_ae), "iou_dm": iou_dm, "d_ae": d_ae,
+               "product": iou_dm * d_ae}
     try:
-        vec = np.array([values[name] for name in feature_config], dtype=float)
+        rows = np.column_stack([columns[name] for name in feature_config])
     except KeyError as exc:
         raise ValueError(f"unknown feature name {exc.args[0]!r}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"non-finite feature vector {vec}")
-    return vec
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite feature vector {rows[bad[0]]} in row {bad[0]}")
+    return rows
+
+
+def latent_distances(latents, pairs) -> np.ndarray:
+    """Euclidean distance d_ae between the latent codes of each (u, v) row."""
+    latents = np.asarray(latents, dtype=float)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.linalg.norm(latents[pairs[:, 0]] - latents[pairs[:, 1]], axis=1)
 
 
 def _nll(beta, features, labels, l2):
@@ -253,14 +255,14 @@ class AffinityModel:
 
 
 def fit_affinity_model(raw_pairs, labels, feature_config=NEARBY_FEATURES) -> AffinityModel:
-    """Fit from raw (iou_dm, d_ae) pairs under the given feature subset."""
-    rows = np.array([feature_vector(i, d, feature_config) for i, d in raw_pairs])
-    beta = fit_logistic(rows, labels)
+    """Fit from raw (iou_dm, d_ae) rows under the given feature subset."""
+    raw = np.asarray(raw_pairs, dtype=float).reshape(-1, 2)
+    beta = fit_logistic(feature_matrix(raw[:, 0], raw[:, 1], feature_config), labels)
     return AffinityModel(tuple(feature_config), tuple(beta))
 
 
-def predict_p_same(model: AffinityModel, features) -> float:
-    """Sigmoid of the fitted linear score, clamped strictly inside (0, 1)."""
+def predict_p_same(model: AffinityModel, features) -> np.ndarray:
+    """Sigmoid of the fitted linear score per row, clamped strictly inside (0, 1)."""
     features = np.asarray(features, dtype=float)
     beta = np.array(model.beta)
     if features.shape[-1] != beta.shape[0]:
@@ -271,14 +273,10 @@ def predict_p_same(model: AffinityModel, features) -> float:
     return np.clip(expit(features @ beta), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def pair_probability(model: AffinityModel, iou_dm: float, d_ae: float) -> float:
-    return float(predict_p_same(model, feature_vector(iou_dm, d_ae, model.feature_config)))
-
-
-def edge_cost(p_same: float) -> float:
-    """Signed cost logit(p), with p clamped to [1e-6, 1 - 1e-6]."""
-    p = min(max(float(p_same), PROB_EPS), 1.0 - PROB_EPS)
-    return float(np.log(p) - np.log1p(-p))
+def edge_cost(p_same):
+    """Signed cost logit(p), elementwise, with p clamped to [1e-6, 1 - 1e-6]."""
+    p = np.clip(p_same, PROB_EPS, 1.0 - PROB_EPS)
+    return np.log(p) - np.log1p(-p)
 
 
 def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
@@ -297,7 +295,11 @@ def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
         model.encode_batch(np.stack(images[i:i + LATENT_CHUNK]))[0]
         for i in range(0, len(images), LATENT_CHUNK)
     ]
-    return np.concatenate(chunks)
+    codes = np.concatenate(chunks)
+    bad = np.flatnonzero(~np.isfinite(codes).all(axis=1))
+    if bad.size:
+        raise ValueError(f"detection {bad[0]} has a non-finite latent code")
+    return codes
 
 
 def assemble_costs(
@@ -319,14 +321,19 @@ def assemble_costs(
             f"instance has {instance.num_nodes} nodes but only "
             f"{min(len(detections), latents.shape[0])} detections/latents"
         )
+    frames = np.array([det.frame for det in detections])
 
-    def cost_for(pair, model):
-        u, v = pair
-        if detections[u].frame == detections[v].frame:
-            return edge_cost(0.0)
-        d_ae = float(np.linalg.norm(latents[u] - latents[v]))
-        return edge_cost(pair_probability(model, table.get(u, v), d_ae))
+    def costed(group, model):
+        pairs = np.array([(u, v) for u, v, _ in group], dtype=np.int64).reshape(-1, 2)
+        cross = frames[pairs[:, 0]] != frames[pairs[:, 1]]
+        iou_dm = [table.entries.get(pair, 0.0) for pair in zip(*pairs[cross].T.tolist())]
+        d_ae = latent_distances(latents, pairs[cross])
+        p_same = np.full(len(pairs), PROB_EPS)
+        p_same[cross] = predict_p_same(model, feature_matrix(iou_dm, d_ae,
+                                                             model.feature_config))
+        costs = edge_cost(p_same).tolist()
+        # reuse the input's node id objects rather than allocate two ints per edge
+        return tuple((u, v, c) for (u, v, _), c in zip(group, costs))
 
-    regular = {(u, v): cost_for((u, v), model_nearby) for u, v, _ in instance.edges}
-    lifted = {(u, v): cost_for((u, v), model_lifted) for u, v, _ in instance.lifted_edges}
-    return instance.with_costs(regular, lifted)
+    return MulticutInstance(instance.num_nodes, costed(instance.edges, model_nearby),
+                            costed(instance.lifted_edges, model_lifted))

@@ -20,7 +20,6 @@ from .training import (
     combined_loss,
     compute_centroids,
     gradient_check,
-    latent_distance,
     reconstruction_loss,
     train,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "combined_loss",
     "compute_centroids",
     "gradient_check",
-    "latent_distance",
     "reconstruction_loss",
     "train",
     "xavier_uniform",

@@ -40,15 +40,12 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     lambda_schedule: Tuple[Tuple[int, float], ...] = ((0, 0.0),)
     seed: int = 0
-    batch_mode: str = "frame"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
-        if self.batch_mode != "frame":
-            raise ValueError(f"unsupported batch_mode {self.batch_mode!r}")
         prev = -1
         for epoch, lam in self.lambda_schedule:
             if epoch <= prev:
@@ -167,13 +164,6 @@ def compute_centroids(model: AutoEncoder, dataset, labels: Sequence[int]) -> Cen
     for label in table:
         table[label] /= counts[label]
     return table
-
-
-def latent_distance(model: AutoEncoder, x_i, x_j) -> float:
-    """Euclidean distance between the two images' latent codes."""
-    zi = model.encode(np.asarray(x_i))
-    zj = model.encode(np.asarray(x_j))
-    return float(np.linalg.norm(zi - zj))
 
 
 def _backward_losses(model, x, recon, z, cmat, lam, caches):

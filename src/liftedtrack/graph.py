@@ -156,19 +156,6 @@ class MulticutInstance:
             (u, v) for u, v, _ in self.lifted_edges
         ]
 
-    def with_costs(
-        self, regular: Mapping[Edge, float], lifted: Mapping[Edge, float]
-    ) -> "MulticutInstance":
-        """Same topology with costs replaced; every pair must be covered."""
-        try:
-            new_edges = tuple((u, v, float(regular[(u, v)])) for u, v, _ in self.edges)
-            new_lifted = tuple(
-                (u, v, float(lifted[(u, v)])) for u, v, _ in self.lifted_edges
-            )
-        except KeyError as exc:
-            raise KeyError(f"missing cost for pair {exc.args[0]}") from exc
-        return MulticutInstance(self.num_nodes, new_edges, new_lifted)
-
 
 @dataclass(frozen=True)
 class EdgeLabeling:
@@ -245,6 +232,31 @@ class Partition:
         return self.canonical() == other.canonical()
 
 
+def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
+    """Canonical pairs (u < v) whose frames lie exactly one of `gaps` (>= 0) apart.
+
+    Detections are bucketed by frame with one stable sort, and each gap's
+    partners are found by `searchsorted`: O(n log n) plus the pairs
+    returned. Rows are sorted by (u, v), as a double loop over u < v emits
+    them. Returns an (m, 2) int64 array.
+    """
+    frames = np.asarray(frames, dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    sorted_frames = frames[order]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for gap in np.unique(np.fromiter(gaps, dtype=np.int64)):
+        lo, hi = (np.searchsorted(sorted_frames, frames + gap, side=side)
+                  for side in ("left", "right"))
+        counts = hi - lo
+        first = np.repeat(np.arange(len(frames)), counts)
+        offset = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        second = order[np.arange(counts.sum()) + offset]
+        pair = np.sort(np.column_stack([first, second]), axis=1)
+        pairs.append(pair[first < second] if gap == 0 else pair)
+    pairs = np.concatenate(pairs)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def build_graph(
     detections: Sequence[Detection],
     max_frame_gap: int,
@@ -256,7 +268,7 @@ def build_graph(
     frame pairs are included; downstream costing gives them a strong cut
     prior). Lifted edges join pairs at exactly the given gaps, which must
     all exceed max_frame_gap so that F and E stay disjoint. Node ids follow
-    input order.
+    input order; both edge sets are sorted by (u, v).
     """
     if max_frame_gap < 1:
         raise ValueError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
@@ -266,19 +278,14 @@ def build_graph(
             raise ValueError(
                 f"lifted gap {g} must exceed max_frame_gap {max_frame_gap}"
             )
-    n = len(detections)
-    edges = []
-    lifted = []
-    gap_set = set(gaps)
-    for i in range(n):
-        fi = detections[i].frame
-        for j in range(i + 1, n):
-            dist = abs(detections[j].frame - fi)
-            if dist <= max_frame_gap:
-                edges.append((i, j, 0.0))
-            elif dist in gap_set:
-                lifted.append((i, j, 0.0))
-    return MulticutInstance(n, tuple(edges), tuple(lifted))
+    frames = [det.frame for det in detections]
+    nodes = list(range(len(detections)))  # edges share these ints: less memory
+    edges, lifted = (
+        tuple((nodes[u], nodes[v], 0.0)
+              for u, v in zip(*frame_pairs(frames, group).T.tolist()))
+        for group in (range(max_frame_gap + 1), gaps)
+    )
+    return MulticutInstance(len(detections), edges, lifted)
 
 
 def labeling_to_partition(

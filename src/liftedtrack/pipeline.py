@@ -8,6 +8,7 @@ solver partitions it, and clusters become interpolated tracks.
 """
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from .affinity import (
     fit_affinity_model,
     generate_labels,
     latent_codes,
+    latent_distances,
 )
 from .embedding import ArchConfig, AutoEncoder, TrainingConfig, train
 from .graph import BBox, Detection, Partition, UnionFind, build_graph
@@ -261,12 +263,10 @@ def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
                         ) -> Tuple[AffinityModel, AffinityModel]:
     """Fit the nearby and lifted regressors on self-labeled extreme pairs."""
     labeled = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
-    raw = []
-    labels = []
-    for (u, v), label in labeled:
-        d_ae = float(np.linalg.norm(latents[u] - latents[v]))
-        raw.append((table.entries[(u, v)], d_ae))
-        labels.append(label)
+    pairs = [pair for pair, _ in labeled]
+    labels = [label for _, label in labeled]
+    raw = np.column_stack([[table.entries[pair] for pair in pairs],
+                           latent_distances(latents, pairs)])
     nearby = fit_affinity_model(raw, labels, config.nearby_features)
     lifted = fit_affinity_model(raw, labels, LIFTED_FEATURES)
     return nearby, lifted
@@ -276,14 +276,19 @@ def _gate_lifted(instance, latents, percentile):
     """Keep only lifted pairs with latent distance below the percentile."""
     if not instance.lifted_edges:
         return instance
-    dists = np.array(
-        [np.linalg.norm(latents[u] - latents[v]) for u, v, _ in instance.lifted_edges]
-    )
-    cutoff = np.percentile(dists, percentile)
-    kept = tuple(
-        edge for edge, d in zip(instance.lifted_edges, dists) if d < cutoff
-    )
+    dists = latent_distances(latents, [(u, v) for u, v, _ in instance.lifted_edges])
+    keep = (dists < np.percentile(dists, percentile)).tolist()
+    kept = tuple(edge for edge, k in zip(instance.lifted_edges, keep) if k)
     return dataclasses.replace(instance, lifted_edges=kept)
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as PipelineError(name, cause)."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def run_tracking(detections: Sequence[Detection], table: MatchTable,
@@ -293,30 +298,20 @@ def run_tracking(detections: Sequence[Detection], table: MatchTable,
     if not detections:
         return TrackSet(())
     nearby, lifted_model = affinity_models
-    try:
+    with _stage("encode"):
         latents = latent_codes(model, detections)
-    except Exception as exc:
-        raise PipelineError("encode", exc) from exc
-    try:
+    with _stage("graph"):
         instance = build_graph(detections, max_frame_gap=config.max_frame_gap,
                                lifted_gaps=config.lifted_gaps)
         instance = _gate_lifted(instance, latents, config.lifted_percentile)
-    except Exception as exc:
-        raise PipelineError("graph", exc) from exc
-    try:
+    with _stage("costs"):
         costed = assemble_costs(instance, detections, table, latents,
                                 nearby, lifted_model)
-    except Exception as exc:
-        raise PipelineError("costs", exc) from exc
-    try:
+    with _stage("solve"):
         partition, _ = solve_gaec(costed)
         partition, _ = solve_kl(costed, partition)
-    except Exception as exc:
-        raise PipelineError("solve", exc) from exc
-    try:
+    with _stage("tracks"):
         return clusters_to_tracks(detections, partition, config.min_cluster_size)
-    except Exception as exc:
-        raise PipelineError("tracks", exc) from exc
 
 
 def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,

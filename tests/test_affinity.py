@@ -16,24 +16,24 @@ from liftedtrack.affinity import (
     LATENT_CHUNK,
     LIFTED_FEATURES,
     NEARBY_FEATURES,
+    PROB_EPS,
     AffinityConfig,
     AffinityModel,
     MatchTable,
     assemble_costs,
     edge_cost,
-    feature_vector,
+    feature_matrix,
     fit_affinity_model,
     fit_logistic,
     generate_labels,
     iou_match_table,
     latent_codes,
-    pair_probability,
     predict_p_same,
     read_match_table,
     write_match_table,
 )
 from liftedtrack.embedding import ArchConfig, AutoEncoder
-from liftedtrack.graph import BBox, Detection, build_graph
+from liftedtrack.graph import BBox, Detection, build_graph, iou
 from liftedtrack.solver import solve_bruteforce
 
 
@@ -89,6 +89,25 @@ class TestMatchTable:
         table = iou_match_table(dets)
         assert (0, 1) not in table.entries
         assert table.get(0, 2) == 1.0
+
+    def test_iou_table_matches_double_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            dets = [
+                det(int(f), left=float(x), top=float(y), size=float(s))
+                for f, x, y, s in zip(rng.integers(1, 10, 25), rng.uniform(0, 30, 25),
+                                      rng.uniform(0, 30, 25), rng.uniform(5, 15, 25))
+            ]
+            gap = int(rng.integers(1, 6))
+            expected = {}
+            for a, da in enumerate(dets):
+                for b in range(a + 1, len(dets)):
+                    if 1 <= abs(dets[b].frame - da.frame) <= gap:
+                        value = iou(da.box, dets[b].box)
+                        if value > 0.0:
+                            expected[(a, b)] = value
+            table = iou_match_table(dets, max_frame_gap=gap)
+            assert list(table.entries.items()) == list(expected.items())
 
     def test_text_roundtrip(self, tmp_path):
         dets = [det(1), det(1, left=20.0), det(2), det(3)]
@@ -149,23 +168,23 @@ class TestGenerateLabels:
 
 
 class TestFeatureVector:
+    """Each row of `feature_matrix` is one pair's feature vector."""
+
     def test_full_config_layout(self):
-        vec = feature_vector(0.5, 2.0, NEARBY_FEATURES)
-        assert np.array_equal(vec, [1.0, 0.5, 2.0, 1.0])
+        rows = feature_matrix([0.5, 0.25], [2.0, 4.0], NEARBY_FEATURES)
+        assert np.array_equal(rows, [[1.0, 0.5, 2.0, 1.0], [1.0, 0.25, 4.0, 1.0]])
 
     def test_lifted_config_ignores_overlap(self):
-        assert np.array_equal(
-            feature_vector(0.9, 2.0, LIFTED_FEATURES),
-            feature_vector(0.0, 2.0, LIFTED_FEATURES),
-        )
+        rows = feature_matrix([0.9, 0.0], [2.0, 2.0], LIFTED_FEATURES)
+        assert np.array_equal(rows, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown feature"):
-            feature_vector(0.5, 1.0, ("bias", "velocity"))
+            feature_matrix([0.5], [1.0], ("bias", "velocity"))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            feature_vector(0.5, math.inf, NEARBY_FEATURES)
+        with pytest.raises(ValueError, match="non-finite.*row 1"):
+            feature_matrix([0.5, 0.5], [1.0, math.inf], NEARBY_FEATURES)
 
 
 class TestFitLogistic:
@@ -235,8 +254,9 @@ class TestFitLogistic:
         raw = [(table.entries[pair], 0.0) for pair, _ in labeled]
         labels = [label for _, label in labeled]
         model = fit_affinity_model(raw, labels, ("bias", "iou_dm"))
-        grid = [pair_probability(model, v, 0.0) for v in np.linspace(0, 1, 11)]
-        assert all(a < b for a, b in zip(grid, grid[1:]))
+        grid = predict_p_same(model, feature_matrix(np.linspace(0, 1, 11), 0.0,
+                                                     model.feature_config))
+        assert np.all(np.diff(grid) > 0)
 
 
 class TestAffinityModel:
@@ -263,18 +283,20 @@ class TestAffinityModel:
 
     def test_zero_score_gives_half(self):
         model = AffinityModel(("bias", "d_ae"), (0.0, 0.0))
-        assert pair_probability(model, 0.3, 5.0) == 0.5
+        rows = feature_matrix(0.3, 5.0, model.feature_config)
+        assert predict_p_same(model, rows) == 0.5
 
     def test_probability_strictly_inside_unit_interval(self):
         model = AffinityModel(("bias", "d_ae"), (30.0, -50.0))
-        for d in (0.0, 1.0, 100.0):
-            p = pair_probability(model, 0.0, d)
-            assert 0.0 < p < 1.0
+        p = predict_p_same(model, feature_matrix(0.0, [0.0, 1.0, 100.0],
+                                                 model.feature_config))
+        assert np.all((0.0 < p) & (p < 1.0))
 
     def test_sigmoid_monotone_in_score(self):
         model = AffinityModel(("bias", "d_ae"), (0.0, 1.0))
-        probs = [pair_probability(model, 0.0, d) for d in np.linspace(-5, 5, 21)]
-        assert all(a < b for a, b in zip(probs, probs[1:]))
+        probs = predict_p_same(model, feature_matrix(0.0, np.linspace(-5, 5, 21),
+                                                     model.feature_config))
+        assert np.all(np.diff(probs) > 0)
 
 
 class TestEdgeCost:
@@ -299,6 +321,10 @@ class TestEdgeCost:
     def test_roundtrip_through_sigmoid(self):
         for p in (0.1, 0.5, 0.9):
             assert expit(edge_cost(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_elementwise_matches_scalar_calls(self):
+        probs = [-1.0, 0.0, 1e-7, 0.3, 0.5, 0.9, 1.0, 2.0]
+        assert edge_cost(np.array(probs)).tolist() == [edge_cost(p) for p in probs]
 
 
 class TestAssembleCosts:
@@ -348,6 +374,30 @@ class TestAssembleCosts:
         partition, _ = solve_bruteforce(costed)
         assert len(partition.blocks()) == 1
 
+    def test_matches_per_pair_scalar_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            dets = [det(int(f), left=float(x)) for f, x in
+                    zip(rng.integers(1, 16, n), rng.uniform(0, 20, n))]
+            instance = build_graph(dets, max_frame_gap=2, lifted_gaps=(5, 9))
+            # about half the regular pairs are missing from the table
+            table = MatchTable({
+                (u, v): float(rng.random())
+                for u, v, _ in instance.edges if rng.random() < 0.5
+            })
+            latents = rng.normal(size=(n, 6))
+            nearby = AffinityModel(NEARBY_FEATURES, tuple(rng.normal(size=4)))
+            lifted = AffinityModel(LIFTED_FEATURES, tuple(rng.normal(size=2)))
+            costed = assemble_costs(instance, dets, table, latents, nearby, lifted)
+            for got, model in ((costed.edges, nearby), (costed.lifted_edges, lifted)):
+                want = scalar_costs(dets, table, latents, model, got)
+                assert [(u, v) for u, v, _ in got] == [(u, v) for u, v, _ in want]
+                for (u, v, c), (_, _, w) in zip(got, want):
+                    if dets[u].frame == dets[v].frame:
+                        assert c == w
+                    assert abs(c - w) <= 1e-12 * max(1.0, abs(w))
+
     def test_missing_latents_rejected(self):
         nearby, lifted = self._models()
         dets = [det(1), det(2), det(3)]
@@ -355,6 +405,23 @@ class TestAssembleCosts:
         with pytest.raises(ValueError, match="latents"):
             assemble_costs(instance, dets, MatchTable({}), np.zeros((2, 4)),
                            nearby, lifted)
+
+
+def scalar_costs(dets, table, latents, model, edges):
+    """Per-pair reference: 1-D norm, scalar dot, logit; logit(eps) in-frame."""
+    out = []
+    for u, v, _ in edges:
+        if dets[u].frame == dets[v].frame:
+            p = PROB_EPS
+        else:
+            overlap = table.get(u, v)
+            d_ae = float(np.linalg.norm(latents[u] - latents[v]))
+            values = {"bias": 1.0, "iou_dm": overlap, "d_ae": d_ae,
+                      "product": overlap * d_ae}
+            x = np.array([values[name] for name in model.feature_config])
+            p = min(max(float(expit(x @ np.array(model.beta))), PROB_EPS), 1 - PROB_EPS)
+        out.append((u, v, math.log(p) - math.log1p(-p)))
+    return out
 
 
 class TestLatentCodes:
@@ -386,3 +453,11 @@ class TestLatentCodes:
     def test_empty(self):
         model = AutoEncoder(self.SMALL, seed=0)
         assert latent_codes(model, []).shape == (0,)
+
+    def test_non_finite_code_named(self):
+        model = AutoEncoder(self.SMALL, seed=0)
+        dets = self._detections(LATENT_CHUNK + 3)
+        dets[LATENT_CHUNK + 1].image[0, 2, 5] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"detection {LATENT_CHUNK + 1} has a non-finite"):
+            latent_codes(model, dets)

@@ -23,7 +23,6 @@ from liftedtrack.embedding import (
     combined_loss,
     compute_centroids,
     gradient_check,
-    latent_distance,
     reconstruction_loss,
     train,
     xavier_uniform,
@@ -430,23 +429,6 @@ class TestCentroids:
         model = AutoEncoder(SMALL, seed=0)
         with pytest.raises(ValueError):
             compute_centroids(model, np.zeros((0, 3, 8, 8)), [])
-
-
-class TestLatentDistance:
-    def test_identity_is_zero(self):
-        model = AutoEncoder(SMALL, seed=0)
-        img = np.random.default_rng(24).uniform(size=(3, 8, 8))
-        assert latent_distance(model, img, img) == 0.0
-
-    def test_symmetric_and_triangle(self):
-        model = AutoEncoder(SMALL, seed=0)
-        rng = np.random.default_rng(25)
-        for _ in range(10):
-            a, b, c = (rng.uniform(size=(3, 8, 8)) for _ in range(3))
-            dab = latent_distance(model, a, b)
-            assert dab == latent_distance(model, b, a)
-            assert dab <= latent_distance(model, a, c) + latent_distance(model, c, b) + 1e-12
-            assert dab >= 0.0
 
 
 def _toy_dataset(rng, frames=4, per_frame=1, shape=(3, 8, 8)):

@@ -12,6 +12,7 @@ from liftedtrack.graph import (
     UnionFind,
     build_graph,
     canonical_edge,
+    frame_pairs,
     iou,
     labeling_to_partition,
 )
@@ -118,14 +119,6 @@ class TestMulticutInstance:
         inst = MulticutInstance(4, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 3, 1.0),))
         assert inst.all_pairs() == [(0, 1), (1, 2), (0, 3)]
 
-    def test_with_costs_replaces_and_validates(self):
-        inst = MulticutInstance(3, ((0, 1, 0.0),), ((0, 2, 0.0),))
-        out = inst.with_costs({(0, 1): 2.5}, {(0, 2): -1.0})
-        assert out.edges == ((0, 1, 2.5),)
-        assert out.lifted_edges == ((0, 2, -1.0),)
-        with pytest.raises(KeyError):
-            inst.with_costs({}, {(0, 2): 0.0})
-
 
 class TestEdgeLabeling:
     def test_rejects_bad_value(self):
@@ -213,6 +206,55 @@ class TestBuildGraph:
             assert not reg & lif
             for u, v in reg | lif:
                 assert u < v
+
+    def test_matches_double_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            frames = rng.integers(1, 40, size=int(rng.integers(0, 40))).tolist()
+            dets = [Detection(frame=f, box=BBox(0, 0, 1, 1)) for f in frames]
+            max_gap = int(rng.integers(1, 4))
+            lifted = [int(g) for g in rng.choice(np.arange(max_gap + 1, 30), 3)]
+            inst = build_graph(dets, max_frame_gap=max_gap, lifted_gaps=lifted)
+            edges, lifted_edges = double_loop_graph(frames, max_gap, lifted)
+            assert inst.edges == edges
+            assert inst.lifted_edges == lifted_edges
+
+
+def double_loop_graph(frames, max_frame_gap, lifted_gaps):
+    """The O(n^2) construction frame bucketing replaced, kept as a reference."""
+    edges, lifted = [], []
+    for i in range(len(frames)):
+        for j in range(i + 1, len(frames)):
+            dist = abs(frames[j] - frames[i])
+            if dist <= max_frame_gap:
+                edges.append((i, j, 0.0))
+            elif dist in set(lifted_gaps):
+                lifted.append((i, j, 0.0))
+    return tuple(edges), tuple(lifted)
+
+
+class TestFramePairs:
+    def test_matches_double_loop_on_unsorted_repeated_frames(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            frames = rng.integers(1, 12, size=int(rng.integers(0, 30))).tolist()
+            gaps = rng.choice(np.arange(0, 8), size=int(rng.integers(0, 4))).tolist()
+            expected = [
+                [i, j]
+                for i in range(len(frames))
+                for j in range(i + 1, len(frames))
+                if abs(frames[j] - frames[i]) in gaps
+            ]
+            pairs = frame_pairs(frames, gaps)
+            assert pairs.shape == (len(expected), 2)
+            assert pairs.tolist() == expected
+
+    def test_gap_zero_pairs_each_frame_bucket(self):
+        assert frame_pairs([2, 1, 2, 2], [0]).tolist() == [[0, 2], [0, 3], [2, 3]]
+
+    def test_empty_inputs(self):
+        assert frame_pairs([], [0, 1]).shape == (0, 2)
+        assert frame_pairs([1, 2, 3], []).shape == (0, 2)
 
 
 class TestLabelingToPartition:

@@ -1,18 +1,29 @@
 """Tests for pre-grouping, track conversion, and pipeline configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from liftedtrack.affinity import MatchTable
+from liftedtrack.affinity import (
+    LIFTED_FEATURES,
+    NEARBY_FEATURES,
+    AffinityModel,
+    MatchTable,
+    iou_match_table,
+)
+from liftedtrack.embedding import ArchConfig, AutoEncoder
 from liftedtrack.graph import BBox, Detection, Partition, iou
 from liftedtrack.pipeline import (
     PipelineConfig,
+    PipelineError,
     Track,
     Tracklet,
     TrackSet,
     clusters_to_tracks,
     pregroup,
     read_config,
+    run_tracking,
     tracklet_labels,
     write_config,
 )
@@ -218,3 +229,56 @@ class TestConfigIO:
         assert training.learning_rate == 0.01
         assert training.lambda_schedule == ((0, 0.0),)
         assert training.seed == 3
+
+
+class TestRunTrackingStages:
+    """Each failure surfaces as PipelineError naming the stage it happened in."""
+
+    MODELS = (
+        AffinityModel(NEARBY_FEATURES, (-2.0, 6.0, -0.5, 0.0)),
+        AffinityModel(LIFTED_FEATURES, (1.0, -0.5)),
+    )
+
+    def _detections(self, n=12):
+        rng = np.random.default_rng(30)
+        return [
+            Detection(f, BBox(0.5 * f, 0.0, 10.0, 10.0),
+                      image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
+            for f in range(1, n + 1)
+        ]
+
+    def _track(self, dets, **overrides):
+        config = dataclasses.replace(PipelineConfig(), min_cluster_size=1, **overrides)
+        model = AutoEncoder(ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6),
+                                       latent_dim=5), seed=0)
+        return run_tracking(dets, iou_match_table(dets), model, self.MODELS, config)
+
+    def _failure(self, dets, **overrides):
+        with pytest.raises(PipelineError) as info:
+            self._track(dets, **overrides)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.cause is info.value.__cause__
+        return info.value
+
+    def test_valid_input_passes_every_stage(self):
+        tracks = self._track(self._detections(), lifted_gaps=(8,))
+        assert tracks.tracks
+
+    def test_missing_image_fails_at_encode(self):
+        dets = self._detections()
+        dets[3] = Detection(4, BBox(2.0, 0.0, 10.0, 10.0))
+        error = self._failure(dets)
+        assert error.stage == "encode"
+        assert "detection 3 has no image" in str(error)
+
+    def test_non_finite_patch_fails_at_encode(self):
+        dets = self._detections()
+        dets[5].image[1, 4, 4] = np.nan
+        error = self._failure(dets, lifted_gaps=(8,))
+        assert error.stage == "encode"
+        assert "detection 5 has a non-finite latent code" in str(error)
+
+    def test_lifted_gap_within_max_frame_gap_fails_at_graph(self):
+        error = self._failure(self._detections(), max_frame_gap=5, lifted_gaps=(5,))
+        assert error.stage == "graph"
+        assert "lifted gap 5" in str(error)
