@@ -324,16 +324,16 @@ def assemble_costs(
     frames = np.array([det.frame for det in detections])
 
     def costed(group, model):
-        pairs = np.array([(u, v) for u, v, _ in group], dtype=np.int64).reshape(-1, 2)
+        pairs = np.column_stack([group["u"], group["v"]])
         cross = frames[pairs[:, 0]] != frames[pairs[:, 1]]
         iou_dm = [table.entries.get(pair, 0.0) for pair in zip(*pairs[cross].T.tolist())]
         d_ae = latent_distances(latents, pairs[cross])
         p_same = np.full(len(pairs), PROB_EPS)
         p_same[cross] = predict_p_same(model, feature_matrix(iou_dm, d_ae,
                                                              model.feature_config))
-        costs = edge_cost(p_same).tolist()
-        # reuse the input's node id objects rather than allocate two ints per edge
-        return tuple((u, v, c) for (u, v, _), c in zip(group, costs))
+        out = group.copy()
+        out["c"] = edge_cost(p_same)
+        return out
 
     return MulticutInstance(instance.num_nodes, costed(instance.edges, model_nearby),
                             costed(instance.lifted_edges, model_lifted))

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 Edge = Tuple[int, int]
+# One row per edge: canonical endpoints u < v and the real cost c.
+EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("c", np.float64)])
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -42,9 +46,6 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
 
 
 @dataclass(frozen=True)
@@ -110,37 +111,58 @@ class Detection:
             raise ValueError("Detection.score must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MulticutInstance:
     """Graph G=(V, E) with an extra lifted edge set F and real edge costs.
 
     `edges` hold the connectivity-defining pairs, `lifted_edges` contribute
-    cost without connectivity. Pairs are canonical (u < v), unique within
-    and across the two sets.
+    cost without connectivity. Both are read-only EDGE_DTYPE arrays; any
+    sequence of (u, v, c) triples is converted. Pairs are canonical
+    (u < v), unique within and across the two sets.
     """
 
     num_nodes: int
-    edges: Tuple[Tuple[int, int, float], ...]
-    lifted_edges: Tuple[Tuple[int, int, float], ...] = ()
+    edges: np.ndarray
+    lifted_edges: np.ndarray = ()
 
     def __post_init__(self):
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be >= 0")
-        seen: set = set()
-        for group, name in ((self.edges, "edge"), (self.lifted_edges, "lifted edge")):
-            for u, v, c in group:
-                if u == v:
-                    raise ValueError(f"self-loop {name} ({u}, {v})")
-                if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                    raise ValueError(f"{name} ({u}, {v}) outside node range")
-                if u > v:
-                    raise ValueError(f"{name} ({u}, {v}) not canonical (need u < v)")
-                if not math.isfinite(c):
-                    raise ValueError(f"{name} ({u}, {v}) has non-finite cost {c!r}")
-                pair = (u, v)
-                if pair in seen:
-                    raise ValueError(f"duplicate pair {pair} across E and F")
-                seen.add(pair)
+        for name in ("edges", "lifted_edges"):
+            edges = getattr(self, name)
+            # numpy reads a tuple of tuples as one record, a list as rows
+            edges = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                             dtype=EDGE_DTYPE)
+            if edges.ndim != 1:
+                raise ValueError(f"{name} must be (u, v, c) triples, got {edges.shape}")
+            edges.flags.writeable = False
+            object.__setattr__(self, name, edges)
+        both = np.concatenate([self.edges, self.lifted_edges])
+        u, v, c, n = both["u"], both["v"], both["c"], self.num_nodes
+        repeat = np.ones(len(both), dtype=bool)
+        repeat[np.unique(both[["u", "v"]], return_index=True)[1]] = False
+        checks = (
+            (u == v, "self-loop {name} ({u}, {v})"),
+            ((u < 0) | (u >= n) | (v < 0) | (v >= n),
+             "{name} ({u}, {v}) outside node range"),
+            (u > v, "{name} ({u}, {v}) not canonical (need u < v)"),
+            (~np.isfinite(c), "{name} ({u}, {v}) has non-finite cost {c!r}"),
+            (repeat, "duplicate pair ({u}, {v}) across E and F"),
+        )
+        bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+        if bad.size:
+            i = bad[0]
+            message = next(text for mask, text in checks if mask[i])
+            name = "edge" if i < self.num_edges else "lifted edge"
+            raise ValueError(message.format(name=name, u=int(u[i]), v=int(v[i]),
+                                            c=float(c[i])))
+
+    def __eq__(self, other):
+        if not isinstance(other, MulticutInstance):
+            return NotImplemented
+        return (self.num_nodes == other.num_nodes
+                and np.array_equal(self.edges, other.edges)
+                and np.array_equal(self.lifted_edges, other.lifted_edges))
 
     @property
     def num_edges(self) -> int:
@@ -150,40 +172,38 @@ class MulticutInstance:
     def num_lifted(self) -> int:
         return len(self.lifted_edges)
 
-    def all_pairs(self) -> List[Edge]:
-        """Canonical pairs of E followed by F."""
-        return [(u, v) for u, v, _ in self.edges] + [
-            (u, v) for u, v, _ in self.lifted_edges
-        ]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeLabeling:
-    """0/1 labels over E and F; 1 marks a cut edge, 0 a joined one."""
+    """One label per edge of E, then of F, in instance order: 1 cut, 0 joined."""
 
-    labels: Mapping[Edge, int]
+    labels: np.ndarray
 
     def __post_init__(self):
-        for pair, value in self.labels.items():
-            if value not in (0, 1):
-                raise ValueError(f"label for {pair} must be 0 or 1, got {value!r}")
-            if pair != canonical_edge(*pair):
-                raise ValueError(f"labeling key {pair} is not canonical")
+        labels = np.array(self.labels)
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be one-dimensional, got {labels.shape}")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise ValueError(
+                f"label {bad[0]} must be 0 or 1, got {labels[bad[0]].item()!r}"
+            )
+        labels = labels.astype(np.int8)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeLabeling):
+            return NotImplemented
+        return np.array_equal(self.labels, other.labels)
 
     def validate_for(self, instance: MulticutInstance) -> None:
-        """Raise unless the labeling covers exactly the instance's E union F."""
-        expected = set(instance.all_pairs())
-        got = set(self.labels)
-        if expected != got:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
+        """Raise unless there is one label per edge of E and then of F."""
+        if len(self.labels) != instance.num_edges + instance.num_lifted:
             raise ValueError(
-                f"labeling does not match instance edges "
-                f"(missing {missing}, extra {extra})"
+                f"labeling has {len(self.labels)} labels, instance has "
+                f"{instance.num_edges} regular and {instance.num_lifted} lifted edges"
             )
-
-    def __getitem__(self, pair: Edge) -> int:
-        return self.labels[canonical_edge(*pair)]
 
 
 @dataclass(frozen=True)
@@ -279,13 +299,24 @@ def build_graph(
                 f"lifted gap {g} must exceed max_frame_gap {max_frame_gap}"
             )
     frames = [det.frame for det in detections]
-    nodes = list(range(len(detections)))  # edges share these ints: less memory
-    edges, lifted = (
-        tuple((nodes[u], nodes[v], 0.0)
-              for u, v in zip(*frame_pairs(frames, group).T.tolist()))
-        for group in (range(max_frame_gap + 1), gaps)
-    )
-    return MulticutInstance(len(detections), edges, lifted)
+    edge_sets = []
+    for group in (range(max_frame_gap + 1), gaps):
+        pairs = frame_pairs(frames, group)
+        edge_sets.append(np.zeros(len(pairs), dtype=EDGE_DTYPE))
+        edge_sets[-1]["u"], edge_sets[-1]["v"] = pairs.T
+    return MulticutInstance(len(detections), *edge_sets)
+
+
+def component_labels(instance: MulticutInstance, joined) -> np.ndarray:
+    """Component id per node of the regular edges that the mask `joined` selects.
+
+    `joined` is a boolean mask over E; lifted edges never connect nodes.
+    Two nodes share an id exactly when a path of selected edges links them.
+    """
+    n = instance.num_nodes
+    edges = instance.edges[np.asarray(joined, dtype=bool)]
+    graph = coo_matrix((np.ones(len(edges)), (edges["u"], edges["v"])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def labeling_to_partition(
@@ -296,8 +327,5 @@ def labeling_to_partition(
     Lifted edges never merge components.
     """
     labeling.validate_for(instance)
-    uf = UnionFind(instance.num_nodes)
-    for u, v, _ in instance.edges:
-        if labeling.labels[(u, v)] == 0:
-            uf.union(u, v)
-    return Partition.from_labels([uf.find(i) for i in range(instance.num_nodes)])
+    joined = labeling.labels[:instance.num_edges] == 0
+    return Partition.from_labels(component_labels(instance, joined).tolist())

@@ -274,12 +274,12 @@ def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
 
 def _gate_lifted(instance, latents, percentile):
     """Keep only lifted pairs with latent distance below the percentile."""
-    if not instance.lifted_edges:
+    if not instance.num_lifted:
         return instance
-    dists = latent_distances(latents, [(u, v) for u, v, _ in instance.lifted_edges])
-    keep = (dists < np.percentile(dists, percentile)).tolist()
-    kept = tuple(edge for edge, k in zip(instance.lifted_edges, keep) if k)
-    return dataclasses.replace(instance, lifted_edges=kept)
+    lifted = instance.lifted_edges
+    dists = latent_distances(latents, np.column_stack([lifted["u"], lifted["v"]]))
+    keep = dists < np.percentile(dists, percentile)
+    return dataclasses.replace(instance, lifted_edges=lifted[keep])
 
 
 @contextmanager

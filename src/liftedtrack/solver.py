@@ -22,7 +22,7 @@ from .graph import (
     Partition,
     UnionFind,
     canonical_edge,
-    labeling_to_partition,
+    component_labels,
 )
 
 BRUTEFORCE_MAX_NODES = 12
@@ -54,12 +54,8 @@ class FeasibilityReport:
 def objective(instance: MulticutInstance, labeling: EdgeLabeling) -> float:
     """Total cost of the cut edges over E union F."""
     labeling.validate_for(instance)
-    total = 0.0
-    for u, v, c in instance.edges:
-        total += c * labeling.labels[(u, v)]
-    for u, v, c in instance.lifted_edges:
-        total += c * labeling.labels[(u, v)]
-    return total
+    costs = np.concatenate([instance.edges["c"], instance.lifted_edges["c"]])
+    return float(costs @ labeling.labels)
 
 
 def is_feasible(
@@ -72,37 +68,20 @@ def is_feasible(
     check subsumes the cycle, path, and cut inequality systems.
     """
     labeling.validate_for(instance)
-    uf = UnionFind(instance.num_nodes)
-    for u, v, _ in instance.edges:
-        if labeling.labels[(u, v)] == 0:
-            uf.union(u, v)
+    m = instance.num_edges
+    comp = component_labels(instance, labeling.labels[:m] == 0)
     violations: List[Violation] = []
-    for group, lifted in ((instance.edges, False), (instance.lifted_edges, True)):
-        for u, v, _ in group:
-            label = labeling.labels[(u, v)]
-            connected = uf.connected(u, v)
-            if label == 1 and connected:
-                kind = "lifted " if lifted else ""
-                violations.append(
-                    Violation(
-                        (u, v),
-                        lifted,
-                        label,
-                        f"{kind}edge ({u}, {v}) is cut although its endpoints stay "
-                        "connected through join edges",
-                    )
-                )
-            elif label == 0 and not connected:
-                kind = "lifted " if lifted else ""
-                violations.append(
-                    Violation(
-                        (u, v),
-                        lifted,
-                        label,
-                        f"{kind}edge ({u}, {v}) is joined although no join path "
-                        "connects its endpoints",
-                    )
-                )
+    for group, labels, lifted in ((instance.edges, labeling.labels[:m], False),
+                                  (instance.lifted_edges, labeling.labels[m:], True)):
+        connected = comp[group["u"]] == comp[group["v"]]
+        kind = "lifted " if lifted else ""
+        for i in np.flatnonzero(connected == (labels == 1)).tolist():
+            u, v, label = int(group["u"][i]), int(group["v"][i]), int(labels[i])
+            reason = ("is cut although its endpoints stay connected through join edges"
+                      if label else
+                      "is joined although no join path connects its endpoints")
+            violations.append(
+                Violation((u, v), lifted, label, f"{kind}edge ({u}, {v}) {reason}"))
     return FeasibilityReport(not violations, tuple(violations))
 
 
@@ -121,17 +100,32 @@ def partition_to_labeling(
             f"partition covers {partition.num_nodes} nodes, "
             f"instance has {instance.num_nodes}"
         )
-    comp = partition.component_of
-    labels: Dict[Edge, int] = {}
-    uf = UnionFind(instance.num_nodes)
-    for u, v, _ in instance.edges:
-        cut = 0 if comp[u] == comp[v] else 1
-        labels[(u, v)] = cut
-        if not cut:
-            uf.union(u, v)
-    for u, v, _ in instance.lifted_edges:
-        labels[(u, v)] = 0 if uf.connected(u, v) else 1
-    return EdgeLabeling(labels)
+    block = np.array(partition.component_of, dtype=np.int64)
+    cut = block[instance.edges["u"]] != block[instance.edges["v"]]
+    comp = component_labels(instance, ~cut)
+    lifted_cut = comp[instance.lifted_edges["u"]] != comp[instance.lifted_edges["v"]]
+    return EdgeLabeling(np.concatenate([cut, lifted_cut]))
+
+
+def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
+    """Endpoints and costs as Python lists, for the per-edge solver loops."""
+    return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
+
+
+def _adjacency(num_nodes: int, edges: np.ndarray) -> List[List[Tuple[int, float]]]:
+    """Per node, (neighbour, cost) of each incident edge, in edge order."""
+    ends = np.column_stack([edges["u"], edges["v"]]).ravel()
+    order = np.argsort(ends, kind="stable")
+    others = np.column_stack([edges["v"], edges["u"]]).ravel()[order].tolist()
+    costs = np.repeat(edges["c"], 2)[order].tolist()
+    bounds = np.searchsorted(ends[order], np.arange(num_nodes + 1)).tolist()
+    incident = list(zip(others, costs))
+    return [incident[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, rounded as a running `total += c` loop rounds."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +167,8 @@ def _join_components(table: np.ndarray, edges) -> np.ndarray:
     """
     n_rows, n = table.shape
     comp = np.tile(np.arange(n, dtype=np.int8), (n_rows, 1))
-    masks = [(u, v, table[:, u] == table[:, v]) for u, v, _ in edges]
+    eu, ev, _ = _columns(edges)
+    masks = [(u, v, table[:, u] == table[:, v]) for u, v in zip(eu, ev)]
     changed = True
     while changed:
         changed = False
@@ -209,11 +204,12 @@ def solve_bruteforce(instance: MulticutInstance) -> Tuple[Partition, float]:
         return Partition(()), 0.0
     table = _partition_table(n)
     obj = np.zeros(len(table))
-    for u, v, c in instance.edges:
-        obj += c * (table[:, u] != table[:, v])
     comp = _join_components(table, instance.edges)
-    for u, v, c in instance.lifted_edges:
-        obj += c * (comp[:, u] != comp[:, v])
+    # one vector update per edge, in E then F order, over every partition
+    for labels, edges in ((table, instance.edges), (comp, instance.lifted_edges)):
+        eu, ev, ec = _columns(edges)
+        for k, c in enumerate(ec):
+            obj += c * (labels[:, eu[k]] != labels[:, ev[k]])
     # Rows whose blocks are G-connected are exactly those a labeling can
     # induce; the optimum is always attained on one of them.
     stable = np.ones(len(table), dtype=bool)
@@ -246,19 +242,10 @@ def solve_gaec(
     n = instance.num_nodes
     uf = UnionFind(n)
     min_node = list(range(n))
-    reg: List[Dict[int, float]] = [dict() for _ in range(n)]
-    lif: List[Dict[int, float]] = [dict() for _ in range(n)]
-    total_cost = 0.0
-    for u, v, c in instance.edges:
-        reg[u][v] = reg[u].get(v, 0.0) + c
-        reg[v][u] = reg[v].get(u, 0.0) + c
-        total_cost += c
-    for u, v, c in instance.lifted_edges:
-        lif[u][v] = lif[u].get(v, 0.0) + c
-        lif[v][u] = lif[v].get(u, 0.0) + c
-        total_cost += c
-
-    obj = total_cost
+    reg = [dict(incident) for incident in _adjacency(n, instance.edges)]
+    lif = [dict(incident) for incident in _adjacency(n, instance.lifted_edges)]
+    obj = _sequential_sum(np.concatenate([instance.edges["c"],
+                                          instance.lifted_edges["c"]]))
     if trace is not None:
         trace.append(obj)
 
@@ -273,9 +260,8 @@ def solve_gaec(
             key = canonical_edge(min_node[a], min_node[b])
             heapq.heappush(heap, (-t, key, a, b))
 
-    for u, v, _ in instance.edges:
-        if v in reg[u] and u < v:
-            push(u, v)
+    for u, v in zip(instance.edges["u"].tolist(), instance.edges["v"].tolist()):
+        push(u, v)
 
     while heap:
         negt, key, a, b = heapq.heappop(heap)
@@ -372,37 +358,25 @@ class _KLState:
     def __init__(self, instance: MulticutInstance, initial: Partition):
         self.instance = instance
         n = instance.num_nodes
-        self.reg_adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        self.lif_adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, c in instance.edges:
-            self.reg_adj[u].append((v, c))
-            self.reg_adj[v].append((u, c))
-        for u, v, c in instance.lifted_edges:
-            self.lif_adj[u].append((v, c))
-            self.lif_adj[v].append((u, c))
+        self.reg_adj = _adjacency(n, instance.edges)
+        self.lif_adj = _adjacency(n, instance.lifted_edges)
 
         # Split any block that is not connected in G; the true objective is
         # unchanged because such lifted pairs were already charged as cut.
-        uf = UnionFind(n)
-        comp_in = initial.component_of
-        for u, v, _ in instance.edges:
-            if comp_in[u] == comp_in[v]:
-                uf.union(u, v)
-        self.comp: List[int] = [0] * n
+        block = np.array(initial.component_of, dtype=np.int64)
+        joined = block[instance.edges["u"]] == block[instance.edges["v"]]
+        blocks = Partition.from_labels(component_labels(instance, joined).tolist())
+        self.comp: List[int] = list(blocks.component_of)
         self.members: Dict[int, Set[int]] = {}
-        roots: Dict[int, int] = {}
-        for node in range(n):
-            root = uf.find(node)
-            if root not in roots:
-                roots[root] = len(roots)
-            cid = roots[root]
-            self.comp[node] = cid
+        for node, cid in enumerate(self.comp):
             self.members.setdefault(cid, set()).add(node)
-        self.next_cid = len(roots)
+        self.next_cid = len(self.members)
         self.obj = self._full_objective()
-        # Lifted edge ids, listed at their smaller endpoint.
+        # Lifted edges as (u, v, cost) columns; their ids listed at the
+        # smaller endpoint.
+        self.lifted = _columns(instance.lifted_edges)
         self.lif_out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(instance.lifted_edges):
+        for i, (u, v) in enumerate(zip(*self.lifted[:2])):
             self.lif_out[u].append((i, v))
         # Per cluster id: articulation node -> costs of the internal lifted
         # edges its removal disconnects, in F order. Dropped when the
@@ -410,14 +384,10 @@ class _KLState:
         self._disconnection: Dict[int, Dict[int, List[float]]] = {}
 
     def _full_objective(self) -> float:
-        total = 0.0
-        for u, v, c in self.instance.edges:
-            if self.comp[u] != self.comp[v]:
-                total += c
-        for u, v, c in self.instance.lifted_edges:
-            if self.comp[u] != self.comp[v]:
-                total += c
-        return total
+        comp = np.array(self.comp)
+        cut = [group["c"][comp[group["u"]] != comp[group["v"]]]
+               for group in (self.instance.edges, self.instance.lifted_edges)]
+        return _sequential_sum(np.concatenate(cut))
 
     def cluster_key(self, cid: int) -> int:
         return min(self.members[cid])
@@ -457,16 +427,16 @@ class _KLState:
             i for x in cluster for i, y in self.lif_out[x] if self.comp[y] == cid
         )
         if ids:
-            internal = [self.instance.lifted_edges[i] for i in ids]
+            fu, fv, fc = self.lifted
             for node in _articulation_points(cluster, self.reg_adj):
                 where = {}
                 for k, part in enumerate(self._remainder_components(cluster, node)):
                     for x in part:
                         where[x] = k
                 cached[node] = [
-                    c
-                    for u, v, c in internal
-                    if u != node and v != node and where[u] != where[v]
+                    fc[i]
+                    for i in ids
+                    if node not in (fu[i], fv[i]) and where[fu[i]] != where[fv[i]]
                 ]
         self._disconnection[cid] = cached
         return cached
@@ -597,11 +567,11 @@ def solve_kl(
                 if delta < -_IMPROVEMENT_EPS and (best is None or cand[:2] < best[:2]):
                     best = cand
 
-        adjacent_pairs = set()
-        for u, v, _ in instance.edges:
-            cu, cv = state.comp[u], state.comp[v]
-            if cu != cv:
-                adjacent_pairs.add((min(cu, cv), max(cu, cv)))
+        comp = np.array(state.comp)
+        cu, cv = comp[instance.edges["u"]], comp[instance.edges["v"]]
+        across = cu != cv
+        adjacent_pairs = set(zip(np.minimum(cu, cv)[across].tolist(),
+                                 np.maximum(cu, cv)[across].tolist()))
         for ca, cb in sorted(
             adjacent_pairs, key=lambda p: (state.cluster_key(p[0]), state.cluster_key(p[1]))
         ):
@@ -639,10 +609,9 @@ def solve_kl(
 
 def write_instance(instance: MulticutInstance, path) -> None:
     lines = [f"{instance.num_nodes} {instance.num_edges} {instance.num_lifted}"]
-    for u, v, c in instance.edges:
-        lines.append(f"{u} {v} {c!r}")
-    for u, v, c in instance.lifted_edges:
-        lines.append(f"{u} {v} {c!r}")
+    for edges in (instance.edges, instance.lifted_edges):
+        # Python floats, so that {!r} prints the shortest round-trip repr
+        lines += map("{} {} {!r}".format, *_columns(edges))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

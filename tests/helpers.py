@@ -83,9 +83,8 @@ def random_partition(rng, num_nodes):
 
 
 def random_labeling(rng, instance):
-    pairs = instance.all_pairs()
-    bits = rng.integers(0, 2, len(pairs))
-    return EdgeLabeling({pair: int(b) for pair, b in zip(pairs, bits)})
+    """Random 0/1 labels over E then F."""
+    return EdgeLabeling(rng.integers(0, 2, instance.num_edges + instance.num_lifted))
 
 
 @dataclasses.dataclass(frozen=True)

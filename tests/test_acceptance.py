@@ -58,7 +58,7 @@ def test_criterion_1_oracle_equivalence():
     saw_positive = saw_negative = False
     for _ in range(200):
         instance = planted_instance(rng)
-        costs = [c for _, _, c in instance.edges + instance.lifted_edges]
+        costs = [c for _, _, c in list(instance.edges) + list(instance.lifted_edges)]
         saw_positive |= any(c > 0 for c in costs)
         saw_negative |= any(c < 0 for c in costs)
         _, optimum = solve_bruteforce(instance)
@@ -88,8 +88,8 @@ def test_criterion_1_oracle_equivalence():
 def _components(instance, labeling):
     """Connected components of the label-0 regular-edge subgraph, by BFS."""
     adjacency = [[] for _ in range(instance.num_nodes)]
-    for u, v, _ in instance.edges:
-        if labeling.labels[(u, v)] == 0:
+    for (u, v, _), label in zip(instance.edges, labeling.labels):
+        if label == 0:
             adjacency[u].append(v)
             adjacency[v].append(u)
     component = [-1] * instance.num_nodes
@@ -109,9 +109,10 @@ def _components(instance, labeling):
 
 def _violated_edges(instance, labeling, component):
     bad = []
-    for u, v, _ in instance.edges + instance.lifted_edges:
+    edges = list(instance.edges) + list(instance.lifted_edges)
+    for (u, v, _), label in zip(edges, labeling.labels):
         connected = component[u] == component[v]
-        if labeling.labels[(u, v)] != (0 if connected else 1):
+        if label != (0 if connected else 1):
             bad.append((u, v))
     return bad
 

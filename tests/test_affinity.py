@@ -360,8 +360,8 @@ class TestAssembleCosts:
         low = MatchTable({})
         costed_high = assemble_costs(instance, dets, high, latents, nearby, lifted)
         costed_low = assemble_costs(instance, dets, low, latents, nearby, lifted)
-        assert costed_high.lifted_edges == costed_low.lifted_edges
-        assert costed_high.edges != costed_low.edges
+        assert np.array_equal(costed_high.lifted_edges, costed_low.lifted_edges)
+        assert not np.array_equal(costed_high.edges, costed_low.edges)
 
     def test_all_high_overlap_sequence_merges_to_one_cluster(self):
         nearby, lifted = self._models()

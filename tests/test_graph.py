@@ -1,9 +1,12 @@
 """Domain type and graph construction tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liftedtrack.graph import (
+    EDGE_DTYPE,
     BBox,
     Detection,
     EdgeLabeling,
@@ -12,6 +15,7 @@ from liftedtrack.graph import (
     UnionFind,
     build_graph,
     canonical_edge,
+    component_labels,
     frame_pairs,
     iou,
     labeling_to_partition,
@@ -30,12 +34,12 @@ def test_canonical_edge_rejects_self_loop():
 
 def test_union_find_basics():
     uf = UnionFind(5)
-    assert not uf.connected(0, 1)
+    assert uf.find(0) != uf.find(1)
     assert uf.union(0, 1)
     assert not uf.union(0, 1)
     uf.union(1, 2)
-    assert uf.connected(0, 2)
-    assert not uf.connected(0, 3)
+    assert uf.find(0) == uf.find(2)
+    assert uf.find(0) != uf.find(3)
     assert uf.find(4) == 4
 
 
@@ -115,30 +119,102 @@ class TestMulticutInstance:
         with pytest.raises(ValueError):
             MulticutInstance(2, ((0, 1, float("inf")),))
 
-    def test_all_pairs_order(self):
-        inst = MulticutInstance(4, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 3, 1.0),))
-        assert inst.all_pairs() == [(0, 1), (1, 2), (0, 3)]
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match=r"self-loop edge \(1, 1\)"):
+            MulticutInstance(3, ((0, 1, 1.0), (1, 1, 1.0)))
+        with pytest.raises(ValueError, match=r"self-loop lifted edge \(2, 2\)"):
+            MulticutInstance(3, ((0, 1, 1.0),), ((2, 2, 1.0),))
+
+    def test_rejects_duplicate_within_one_set(self):
+        with pytest.raises(ValueError, match=r"duplicate pair \(0, 1\)"):
+            MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)))
+        with pytest.raises(ValueError, match=r"duplicate pair \(0, 2\)"):
+            MulticutInstance(3, (), ((0, 2, 1.0), (0, 2, 1.0)))
+
+    def test_rejects_negative_num_nodes(self):
+        with pytest.raises(ValueError):
+            MulticutInstance(-1, ())
+
+    def test_edge_arrays_are_read_only(self):
+        inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 1.0),))
+        for edges in (inst.edges, inst.lifted_edges):
+            with pytest.raises(ValueError):
+                edges["c"][0] = 5.0
+        assert inst.edges.dtype == EDGE_DTYPE
+
+    def test_names_the_first_bad_pair(self):
+        edges = ((0, 1, 1.0), (2, 1, 1.0), (1, 1, 1.0), (0, 5, float("nan")))
+        with pytest.raises(ValueError, match=r"^edge \(2, 1\) not canonical"):
+            MulticutInstance(4, edges)
+        with pytest.raises(ValueError,
+                           match=r"^lifted edge \(0, 3\) has non-finite cost nan"):
+            MulticutInstance(4, ((0, 1, 1.0),), ((0, 3, float("nan")), (0, 1, 1.0)))
+
+    def test_does_not_alias_the_input_array(self):
+        edges = np.array([(0, 1, 1.0)], dtype=EDGE_DTYPE)
+        inst = MulticutInstance(2, edges)
+        edges["c"][0] = 9.0
+        assert inst.edges["c"][0] == 1.0
+
+    def test_equality_compares_arrays(self):
+        a = MulticutInstance(3, ((0, 1, 1.0), (1, 2, -0.5)), ((0, 2, 2.0),))
+        assert a == MulticutInstance(3, np.array(a.edges), list(a.lifted_edges))
+        assert a != MulticutInstance(3, ((0, 1, 1.0), (1, 2, -0.25)), ((0, 2, 2.0),))
+        assert a != MulticutInstance(4, a.edges, a.lifted_edges)
+        assert a != MulticutInstance(3, a.edges, ((0, 2, 2.5),))
+        assert a != MulticutInstance(3, a.edges)
+
+
+class TestBenchmarkContract:
+    """The instance operations the benchmark's checks and self-test rely on."""
+
+    INSTANCE = MulticutInstance(4, ((0, 1, 1.5), (1, 2, -2.0), (2, 3, 0.25)),
+                                ((0, 3, -1.0),))
+
+    def test_records_unpack_into_triples(self):
+        u, v, c = self.INSTANCE.edges[1]
+        assert (u, v, c) == (1, 2, -2.0)
+
+    def test_len_and_slicing(self):
+        assert len(self.INSTANCE.edges) == 3
+        assert [tuple(r) for r in self.INSTANCE.edges[1:]] == [(1, 2, -2.0), (2, 3, 0.25)]
+        assert len(self.INSTANCE.lifted_edges[1:]) == 0
+
+    def test_zip_star_gives_three_columns(self):
+        u, v, c = zip(*self.INSTANCE.edges)
+        assert np.array(u, np.int64).tolist() == [0, 1, 2]
+        assert np.array(v, np.int64).tolist() == [1, 2, 3]
+        assert np.array(c, float).tolist() == [1.5, -2.0, 0.25]
+
+    def test_replace_with_records_and_one_tuple_revalidates(self):
+        bumped = list(self.INSTANCE.edges)
+        u, v, c = bumped[0]
+        bumped[0] = (u, v, c + 1e-3)
+        replaced = dataclasses.replace(self.INSTANCE, edges=tuple(bumped))
+        assert replaced.edges["c"].tolist() == [1.5 + 1e-3, -2.0, 0.25]
+        assert np.array_equal(replaced.lifted_edges, self.INSTANCE.lifted_edges)
+        bumped[0] = (u, v, float("inf"))
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(self.INSTANCE, edges=tuple(bumped))
 
 
 class TestEdgeLabeling:
     def test_rejects_bad_value(self):
         with pytest.raises(ValueError):
-            EdgeLabeling({(0, 1): 2})
-
-    def test_rejects_noncanonical_key(self):
-        with pytest.raises(ValueError):
-            EdgeLabeling({(1, 0): 1})
+            EdgeLabeling([0, 2])
 
     def test_validate_for_reports_mismatch(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(ValueError):
-            EdgeLabeling({(0, 1): 0}).validate_for(inst)
+            EdgeLabeling([0]).validate_for(inst)
         with pytest.raises(ValueError):
-            EdgeLabeling({(0, 1): 0, (1, 2): 0, (0, 2): 0}).validate_for(inst)
+            EdgeLabeling([0, 0, 0]).validate_for(inst)
+        EdgeLabeling([0, 1]).validate_for(inst)
 
-    def test_getitem_accepts_reversed_pair(self):
-        lab = EdgeLabeling({(0, 1): 1})
-        assert lab[(1, 0)] == 1
+    def test_labels_are_read_only(self):
+        lab = EdgeLabeling([0, 1])
+        with pytest.raises(ValueError):
+            lab.labels[0] = 1
 
 
 class TestPartition:
@@ -169,7 +245,7 @@ class TestBuildGraph:
     def test_three_frames_gap_two(self):
         inst = build_graph(_one_per_frame(3), max_frame_gap=2)
         assert {(u, v) for u, v, _ in inst.edges} == {(0, 1), (1, 2), (0, 2)}
-        assert inst.lifted_edges == ()
+        assert inst.num_lifted == 0
 
     def test_twelve_frames_with_lifted_gap_ten(self):
         inst = build_graph(_one_per_frame(12), max_frame_gap=1, lifted_gaps=[10])
@@ -179,7 +255,7 @@ class TestBuildGraph:
     def test_empty_detections(self):
         inst = build_graph([], max_frame_gap=1)
         assert inst.num_nodes == 0
-        assert inst.edges == ()
+        assert inst.num_edges == 0
 
     def test_same_frame_pairs_get_regular_edges(self):
         dets = [
@@ -216,8 +292,8 @@ class TestBuildGraph:
             lifted = [int(g) for g in rng.choice(np.arange(max_gap + 1, 30), 3)]
             inst = build_graph(dets, max_frame_gap=max_gap, lifted_gaps=lifted)
             edges, lifted_edges = double_loop_graph(frames, max_gap, lifted)
-            assert inst.edges == edges
-            assert inst.lifted_edges == lifted_edges
+            assert inst.edges.tolist() == list(edges)
+            assert inst.lifted_edges.tolist() == list(lifted_edges)
 
 
 def double_loop_graph(frames, max_frame_gap, lifted_gaps):
@@ -260,20 +336,46 @@ class TestFramePairs:
 class TestLabelingToPartition:
     def test_all_join_gives_graph_components(self):
         inst = MulticutInstance(4, ((0, 1, 1.0), (2, 3, 1.0)))
-        lab = EdgeLabeling({(0, 1): 0, (2, 3): 0})
+        lab = EdgeLabeling([0, 0])
         assert labeling_to_partition(inst, lab).component_of == (0, 0, 1, 1)
 
     def test_all_cut_gives_singletons(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)))
-        lab = EdgeLabeling({(0, 1): 1, (1, 2): 1})
+        lab = EdgeLabeling([1, 1])
         assert labeling_to_partition(inst, lab).component_of == (0, 1, 2)
 
     def test_path_with_one_cut(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)))
-        lab = EdgeLabeling({(0, 1): 0, (1, 2): 1})
+        lab = EdgeLabeling([0, 1])
         assert labeling_to_partition(inst, lab).component_of == (0, 0, 1)
 
     def test_lifted_edges_never_merge(self):
         inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 1.0),))
-        lab = EdgeLabeling({(0, 1): 0, (0, 2): 0})
+        lab = EdgeLabeling([0, 0])
         assert labeling_to_partition(inst, lab).component_of == (0, 0, 1)
+
+
+class TestComponentLabels:
+    def test_only_selected_regular_edges_connect(self):
+        inst = MulticutInstance(5, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)),
+                                ((0, 4, 1.0),))
+        comp = component_labels(inst, [True, False, True])
+        assert comp[0] == comp[1]
+        assert len({comp[0], comp[2], comp[3]}) == 3
+        assert comp[3] == comp[4]
+
+    def test_matches_union_find_on_random_masks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(0, 15))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.3]
+            inst = MulticutInstance(n, tuple((u, v, 1.0) for u, v in pairs))
+            joined = rng.random(len(pairs)) < 0.5
+            uf = UnionFind(n)
+            for (u, v), join in zip(pairs, joined):
+                if join:
+                    uf.union(u, v)
+            comp = component_labels(inst, joined)
+            assert Partition.from_labels(comp.tolist()) == Partition.from_labels(
+                [uf.find(x) for x in range(n)])

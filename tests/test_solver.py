@@ -17,10 +17,13 @@ from liftedtrack.graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
+    UnionFind,
     labeling_to_partition,
 )
 from liftedtrack.solver import (
     BRUTEFORCE_MAX_NODES,
+    FeasibilityReport,
+    Violation,
     _articulation_points,
     _KLState,
     _partition_table,
@@ -110,26 +113,121 @@ def reference_optimum(instance):
 
 
 # ---------------------------------------------------------------------------
+# Labeling layer reference: the per-edge versions over dict labelings keyed
+# by (u, v), as they were before labelings became arrays.
+# ---------------------------------------------------------------------------
+
+
+def _dict_join_forest(instance, labels):
+    uf = UnionFind(instance.num_nodes)
+    for u, v, _ in instance.edges.tolist():
+        if labels[(u, v)] == 0:
+            uf.union(u, v)
+    return uf
+
+
+def dict_objective(instance, labels):
+    total = 0.0
+    for u, v, c in instance.edges.tolist():
+        total += c * labels[(u, v)]
+    for u, v, c in instance.lifted_edges.tolist():
+        total += c * labels[(u, v)]
+    return total
+
+
+def dict_is_feasible(instance, labels):
+    uf = _dict_join_forest(instance, labels)
+    violations = []
+    for group, lifted in ((instance.edges, False), (instance.lifted_edges, True)):
+        kind = "lifted " if lifted else ""
+        for u, v, _ in group.tolist():
+            label = labels[(u, v)]
+            connected = uf.find(u) == uf.find(v)
+            if label == 1 and connected:
+                reason = "is cut although its endpoints stay connected through join edges"
+            elif label == 0 and not connected:
+                reason = "is joined although no join path connects its endpoints"
+            else:
+                continue
+            violations.append(
+                Violation((u, v), lifted, label, f"{kind}edge ({u}, {v}) {reason}"))
+    return FeasibilityReport(not violations, tuple(violations))
+
+
+def dict_partition_to_labeling(instance, partition):
+    comp = partition.component_of
+    labels = {}
+    uf = UnionFind(instance.num_nodes)
+    for u, v, _ in instance.edges.tolist():
+        cut = 0 if comp[u] == comp[v] else 1
+        labels[(u, v)] = cut
+        if not cut:
+            uf.union(u, v)
+    for u, v, _ in instance.lifted_edges.tolist():
+        labels[(u, v)] = 0 if uf.find(u) == uf.find(v) else 1
+    return labels
+
+
+def dict_labeling_to_partition(instance, labels):
+    uf = _dict_join_forest(instance, labels)
+    return Partition.from_labels([uf.find(i) for i in range(instance.num_nodes)])
+
+
+def _as_dict(instance, labeling):
+    pairs = [(u, v) for u, v, _ in instance.edges.tolist() + instance.lifted_edges.tolist()]
+    return dict(zip(pairs, labeling.labels.tolist()))
+
+
+class TestLabelingLayerMatchesDictReference:
+    def test_random_instances_with_lifted_edges_and_disconnected_blocks(self):
+        rng = np.random.default_rng(71)
+        saw_disconnected_block = saw_violation = saw_feasible = False
+        checked = 0
+        while checked < 300:
+            inst = random_instance(rng, max_nodes=12, edge_prob=0.4, lifted_frac=0.3)
+            if not inst.num_lifted:
+                continue
+            checked += 1
+            part = random_partition(rng, inst.num_nodes)
+            want = dict_partition_to_labeling(inst, part)
+            lab = partition_to_labeling(inst, part)
+            assert _as_dict(inst, lab) == want
+            joined = dict_labeling_to_partition(inst, want)
+            saw_disconnected_block |= joined.num_components > part.num_components
+            for labeling in (lab, random_labeling(rng, inst)):
+                labels = _as_dict(inst, labeling)
+                assert labeling_to_partition(inst, labeling) == \
+                    dict_labeling_to_partition(inst, labels)
+                report = is_feasible(inst, labeling)
+                assert report == dict_is_feasible(inst, labels)
+                saw_violation |= bool(report.violations)
+                saw_feasible |= report.feasible
+                got, ref = objective(inst, labeling), dict_objective(inst, labels)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert saw_disconnected_block and saw_violation and saw_feasible
+
+
+# ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
 
 
 class TestObjective:
     def test_all_join_is_zero(self):
-        lab = EdgeLabeling({(0, 1): 0, (1, 2): 0, (0, 2): 0})
+        lab = EdgeLabeling([0, 0, 0])
         assert objective(TRIANGLE, lab) == 0.0
 
     def test_single_cut_edge(self):
         inst = MulticutInstance(2, ((0, 1, -1.0),))
-        assert objective(inst, EdgeLabeling({(0, 1): 1})) == -1.0
+        assert objective(inst, EdgeLabeling([1])) == -1.0
 
     def test_triangle_optimal_labeling(self):
-        lab = EdgeLabeling({(0, 1): 1, (1, 2): 1, (0, 2): 0})
+        lab = EdgeLabeling([1, 1, 0])
         assert objective(TRIANGLE, lab) == -2.0
 
     def test_rejects_incomplete_labeling(self):
         with pytest.raises(ValueError):
-            objective(TRIANGLE, EdgeLabeling({(0, 1): 1}))
+            objective(TRIANGLE, EdgeLabeling([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +237,14 @@ class TestObjective:
 
 class TestIsFeasible:
     def test_one_cut_edge_in_triangle_infeasible(self):
-        lab = EdgeLabeling({(0, 1): 1, (1, 2): 0, (0, 2): 0})
+        lab = EdgeLabeling([1, 0, 0])
         report = is_feasible(TRIANGLE, lab)
         assert not report.feasible
         assert [v.edge for v in report.violations] == [(0, 1)]
 
     def test_lifted_cut_with_join_path_infeasible(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 2, 1.0),))
-        lab = EdgeLabeling({(0, 1): 0, (1, 2): 0, (0, 2): 1})
+        lab = EdgeLabeling([0, 0, 1])
         report = is_feasible(inst, lab)
         assert not report.feasible
         assert report.violations[0].edge == (0, 2)
@@ -154,7 +252,7 @@ class TestIsFeasible:
 
     def test_lifted_join_without_path_infeasible(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 2, 1.0),))
-        lab = EdgeLabeling({(0, 1): 1, (1, 2): 0, (0, 2): 0})
+        lab = EdgeLabeling([1, 0, 0])
         report = is_feasible(inst, lab)
         assert not report.feasible
         assert (0, 2) in [v.edge for v in report.violations]
@@ -177,13 +275,14 @@ class TestIsFeasible:
                 [0] * inst.num_nodes,
                 [
                     (u, v, c)
-                    for u, v, c in inst.edges
-                    if lab.labels[(u, v)] == 0
+                    for (u, v, c), label in zip(inst.edges, lab.labels)
+                    if label == 0
                 ],
             )
             expected = all(
-                (lab.labels[(u, v)] == 1) == (comp[u] != comp[v])
-                for u, v, _ in list(inst.edges) + list(inst.lifted_edges)
+                (label == 1) == (comp[u] != comp[v])
+                for (u, v, _), label in zip(
+                    list(inst.edges) + list(inst.lifted_edges), lab.labels)
             )
             assert is_feasible(inst, lab).feasible == expected
 
@@ -198,7 +297,7 @@ class TestPartitionLabelingRoundtrip:
         # Block {0, 2} has no regular path, so the lifted pair stays cut.
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 2, 1.0),))
         lab = partition_to_labeling(inst, Partition((0, 1, 0)))
-        assert lab.labels == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+        assert lab.labels.tolist() == [1, 1, 1]
 
     def test_roundtrip_from_connected_partitions(self):
         rng = np.random.default_rng(9)
@@ -210,7 +309,7 @@ class TestPartitionLabelingRoundtrip:
             # part1's blocks are G-connected, so from here the maps invert
             # each other exactly.
             lab1 = partition_to_labeling(inst, part1)
-            assert lab1.labels == lab0.labels
+            assert lab1 == lab0
             assert labeling_to_partition(inst, lab1).same_as(part1)
 
     def test_rejects_size_mismatch(self):
