@@ -9,26 +9,32 @@ and `ablate` reruns tracking over the feature/distance grid.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .affinity import (
-    LIFTED_FEATURES,
     AffinityModel,
-    iou_match_table,
     latent_codes,
     read_match_table,
     write_match_table,
 )
 from .embedding import AutoEncoder
 from .metrics import evaluate_clear_mot
-from .motio import load_patches, read_mot, records_to_detections, save_patches, write_mot
+from .motio import (
+    MotRecord,
+    load_patches,
+    read_mot,
+    records_to_detections,
+    save_patches,
+    write_mot,
+)
 from .pipeline import (
     PipelineConfig,
     PipelineError,
     Tracklet,
+    ablation_cell,
+    ablation_embeddings,
     fit_affinity_models,
     pregroup,
     read_config,
@@ -52,10 +58,7 @@ TRACKS = "tracks.txt"
 def _load_config(args) -> PipelineConfig:
     config = read_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        config = PipelineConfig(**{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "seed": args.seed,
-        })
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -87,10 +90,7 @@ def _cmd_synth(args) -> int:
     spec = benchmark_spec(num_frames=args.frames)
     result = synth_sequence(spec, seed=config.seed)
     write_mot(result.gt, workdir / GROUND_TRUTH)
-    write_mot(
-        [rec for rec in _detection_records(result.detections)],
-        workdir / DETECTIONS,
-    )
+    write_mot(_detection_records(result.detections), workdir / DETECTIONS)
     save_patches(workdir / PATCHES, result.images)
     write_match_table(workdir / MATCHES, result.table, result.detections)
     print(f"wrote {len(result.detections)} detections over {args.frames} frames "
@@ -99,8 +99,6 @@ def _cmd_synth(args) -> int:
 
 
 def _detection_records(detections):
-    from .motio import MotRecord
-
     return [
         MotRecord(det.frame, -1, det.box.left, det.box.top, det.box.width,
                   det.box.height, det.score)
@@ -180,51 +178,33 @@ def _cmd_oracle(args) -> int:
 
 
 _ABLATE_GRID = (
-    ("iou_dm", ("bias", "iou_dm"), "recon", False),
-    ("d_ae", ("bias", "d_ae"), "recon", False),
-    ("d_ae+c", ("bias", "d_ae"), "clust", False),
-    ("iou_dm+d_ae+iou_dm*d_ae", ("bias", "iou_dm", "d_ae", "product"), "recon", False),
-    ("iou_dm+d_ae+c+iou_dm*d_ae+c", ("bias", "iou_dm", "d_ae", "product"), "clust", False),
+    ("iou_dm", ("bias", "iou_dm"), "recon"),
+    ("d_ae", ("bias", "d_ae"), "recon"),
+    ("d_ae+c", ("bias", "d_ae"), "clust"),
+    ("iou_dm+d_ae+iou_dm*d_ae", ("bias", "iou_dm", "d_ae", "product"), "recon"),
+    ("iou_dm+d_ae+c+iou_dm*d_ae+c", ("bias", "iou_dm", "d_ae", "product"), "clust"),
 )
 
 
 def _cmd_ablate(args) -> int:
-    import dataclasses
-
     config = _load_config(args)
     workdir = Path(args.dir)
     detections = _load_detections(workdir)
     gt = read_mot(workdir / GROUND_TRUTH)
-    table5 = read_match_table(workdir / MATCHES, detections)
-    tracklets = pregroup(detections, table5, threshold=config.pregroup_threshold,
+    table = read_match_table(workdir / MATCHES, detections)
+    tracklets = pregroup(detections, table, threshold=config.pregroup_threshold,
                          max_gap=config.pregroup_max_gap)
+    embeddings = ablation_embeddings(detections, tracklets, config)
 
-    embeddings = {}
-    for name, schedule in (("recon", ((0, 0.0),)),
-                           ("clust", config.lambda_schedule)):
-        variant = dataclasses.replace(config, lambda_schedule=schedule)
-        model, _ = train_embedding(detections, tracklets, variant)
-        embeddings[name] = (model, latent_codes(model, detections))
-
-    tables = {3: iou_match_table(detections, max_frame_gap=3), 5: table5}
+    rows = [(label, features, embedding, (), gap)
+            for gap in (3, 5) for label, features, embedding in _ABLATE_GRID]
+    label, features, embedding = _ABLATE_GRID[-1]
+    rows.append((label + " lift", features, embedding, config.lifted_gaps, 5))
     header = ("features", "distance", "MOTA", "MOTP", "IDs", "MT", "ML", "FP", "FN")
     print("\t".join(header))
-    rows = []
-    for gap in (3, 5):
-        for label, features, embedding, lift in _ABLATE_GRID:
-            rows.append((label, features, embedding, lift, gap))
-    rows.append(("iou_dm+d_ae+c+iou_dm*d_ae+c lift",
-                 ("bias", "iou_dm", "d_ae", "product"), "clust", True, 5))
-
-    for label, features, embedding, lift, gap in rows:
-        model, latents = embeddings[embedding]
-        variant = dataclasses.replace(
-            config, nearby_features=features, max_frame_gap=gap,
-            lifted_gaps=config.lifted_gaps if lift else (),
-        )
-        models = fit_affinity_models(detections, tables[gap], latents, variant)
-        tracks = run_tracking(detections, tables[gap], model, models, variant)
-        report = evaluate_clear_mot(gt, tracks)
+    for label, features, embedding, lifted_gaps, gap in rows:
+        report = ablation_cell(detections, table, gt, embeddings[embedding],
+                               features, gap, lifted_gaps, config)
         print("\t".join((
             label, f"1-{gap}", f"{report.mota:.3f}", f"{report.motp:.3f}",
             str(report.ids), str(report.mt), str(report.ml), str(report.fp),

@@ -28,6 +28,7 @@ from .affinity import (
 )
 from .embedding import ArchConfig, AutoEncoder, TrainingConfig, train
 from .graph import BBox, Detection, Partition, UnionFind, build_graph
+from .metrics import MotReport, evaluate_clear_mot
 from .motio import MotRecord
 from .solver import solve_gaec, solve_kl
 
@@ -358,3 +359,45 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
         }
         tracks.append(Track(track_id=track_id, boxes=boxes))
     return TrackSet(tuple(tracks))
+
+
+def ablation_embeddings(detections: Sequence[Detection],
+                        tracklets: Sequence[Tracklet], config: PipelineConfig
+                        ) -> Dict[str, Tuple[AutoEncoder, np.ndarray]]:
+    """Train the ablation's two embeddings, each with its latent codes.
+
+    "recon" trains on reconstruction alone (lambda 0 throughout); "clust"
+    follows `config.lambda_schedule`, adding the clustering term.
+    """
+    embeddings = {}
+    for name, schedule in (("recon", ((0, 0.0),)),
+                           ("clust", config.lambda_schedule)):
+        variant = dataclasses.replace(config, lambda_schedule=schedule)
+        model, _ = train_embedding(detections, tracklets, variant)
+        embeddings[name] = (model, latent_codes(model, detections))
+    return embeddings
+
+
+def ablation_cell(detections: Sequence[Detection], table: MatchTable,
+                  gt: Sequence[MotRecord], embedding, features: Sequence[str],
+                  max_frame_gap: int, lifted_gaps: Sequence[int],
+                  config: PipelineConfig) -> MotReport:
+    """One ablation cell: fit, track and score at one feature set and gap limit.
+
+    `embedding` is a (model, latent codes) pair from `ablation_embeddings`.
+    The affinities are fitted and the graph costed on the table's pairs at
+    most `max_frame_gap` frames apart, so a cell sees only the overlaps its
+    regular edges can use.
+    """
+    model, latents = embedding
+    variant = dataclasses.replace(
+        config, nearby_features=tuple(features), max_frame_gap=max_frame_gap,
+        lifted_gaps=tuple(lifted_gaps),
+    )
+    in_range = MatchTable({
+        (u, v): value for (u, v), value in table.entries.items()
+        if abs(detections[u].frame - detections[v].frame) <= max_frame_gap
+    })
+    models = fit_affinity_models(detections, in_range, latents, variant)
+    tracks = run_tracking(detections, in_range, model, models, variant)
+    return evaluate_clear_mot(gt, tracks)

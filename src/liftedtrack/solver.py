@@ -359,7 +359,10 @@ class _KLState:
         self.instance = instance
         n = instance.num_nodes
         self.reg_adj = _adjacency(n, instance.edges)
-        self.lif_adj = _adjacency(n, instance.lifted_edges)
+        # Per node, its regular incident edges followed by its lifted ones:
+        # the cost terms of the move and merge deltas, in summation order.
+        self.cost_adj = [reg + lif for reg, lif in
+                         zip(self.reg_adj, _adjacency(n, instance.lifted_edges))]
 
         # Split any block that is not connected in G; the true objective is
         # unchanged because such lifted pairs were already charged as cut.
@@ -445,16 +448,11 @@ class _KLState:
         """Objective change for moving `node` to cluster `target` (None = new)."""
         src = self.comp[node]
         delta = 0.0
-        for nbr, c in self.reg_adj[node]:
+        for nbr, c in self.cost_adj[node]:
             if self.comp[nbr] == src:
                 delta += c  # becomes cut
             elif target is not None and self.comp[nbr] == target:
                 delta -= c  # becomes joined
-        for nbr, c in self.lif_adj[node]:
-            if self.comp[nbr] == src:
-                delta += c
-            elif target is not None and self.comp[nbr] == target:
-                delta -= c
         # Removing the node may disconnect its old cluster, cutting lifted
         # pairs that used to be linked through it. Added one by one so the
         # sum rounds the same way for every target.
@@ -495,10 +493,7 @@ class _KLState:
         a_members = self.members[ca]
         delta = 0.0
         for node in a_members:
-            for nbr, c in self.reg_adj[node]:
-                if self.comp[nbr] == cb:
-                    delta -= c
-            for nbr, c in self.lif_adj[node]:
+            for nbr, c in self.cost_adj[node]:
                 if self.comp[nbr] == cb:
                     delta -= c
         return delta
@@ -514,6 +509,11 @@ class _KLState:
 
     def partition(self) -> Partition:
         return Partition.from_labels(self.comp)
+
+
+def _improves_on(delta: float, key: Tuple, best: Optional[Tuple]) -> bool:
+    """Strictly improving, and ahead of the best move so far by (delta, key)."""
+    return delta < -_IMPROVEMENT_EPS and (best is None or (delta, key) < best[:2])
 
 
 def solve_kl(
@@ -557,15 +557,14 @@ def solve_kl(
             )
             for target in targets:
                 delta = state.move_delta(node, target)
-                cand = (delta, (0, node, state.cluster_key(target)), "move",
-                        (node, target))
-                if delta < -_IMPROVEMENT_EPS and (best is None or cand[:2] < best[:2]):
-                    best = cand
+                key = (0, node, state.cluster_key(target))
+                if _improves_on(delta, key, best):
+                    best = (delta, key, "move", (node, target))
             if len(state.members[src]) > 1:
                 delta = state.move_delta(node, None)
-                cand = (delta, (1, node, node), "split", (node, None))
-                if delta < -_IMPROVEMENT_EPS and (best is None or cand[:2] < best[:2]):
-                    best = cand
+                key = (1, node, node)
+                if _improves_on(delta, key, best):
+                    best = (delta, key, "split", (node, None))
 
         comp = np.array(state.comp)
         cu, cv = comp[instance.edges["u"]], comp[instance.edges["v"]]
@@ -576,14 +575,9 @@ def solve_kl(
             adjacent_pairs, key=lambda p: (state.cluster_key(p[0]), state.cluster_key(p[1]))
         ):
             delta = state.merge_delta(ca, cb)
-            cand = (
-                delta,
-                (2, state.cluster_key(ca), state.cluster_key(cb)),
-                "merge",
-                (ca, cb),
-            )
-            if delta < -_IMPROVEMENT_EPS and (best is None or cand[:2] < best[:2]):
-                best = cand
+            key = (2, state.cluster_key(ca), state.cluster_key(cb))
+            if _improves_on(delta, key, best):
+                best = (delta, key, "merge", (ca, cb))
 
         if best is None:
             break

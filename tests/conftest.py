@@ -5,14 +5,14 @@ benchmark sequences and their reconstruction-only / clustering-loss
 embeddings are built once per session and reused by every ablation cell.
 """
 
-import dataclasses
-
 import pytest
 
-from helpers import BenchmarkRun, track_cell
-
-from liftedtrack.affinity import latent_codes
-from liftedtrack.pipeline import PipelineConfig, pregroup, train_embedding
+from liftedtrack.pipeline import (
+    PipelineConfig,
+    ablation_cell,
+    ablation_embeddings,
+    pregroup,
+)
 from liftedtrack.synth import benchmark_spec, synth_sequence
 
 
@@ -20,9 +20,11 @@ from liftedtrack.synth import benchmark_spec, synth_sequence
 def benchmark_runs():
     """Benchmark sequences for data seeds 0/1/2 with trained embeddings.
 
-    The training seed stays at the config default for every run; only the
-    sequence seed varies, so embedding quality differences between runs
-    come from the data, not from initialization luck.
+    Each run is a (synth result, embeddings) pair, the embeddings as
+    `pipeline.ablation_embeddings` returns them. The training seed stays at
+    the config default for every run; only the sequence seed varies, so
+    embedding quality differences between runs come from the data, not from
+    initialization luck.
     """
     config = PipelineConfig()
     runs = {}
@@ -31,27 +33,25 @@ def benchmark_runs():
         tracklets = pregroup(result.detections, result.table,
                              threshold=config.pregroup_threshold,
                              max_gap=config.pregroup_max_gap)
-        embeddings = {}
-        for name, schedule in (("recon", ((0, 0.0),)),
-                               ("clust", config.lambda_schedule)):
-            cfg = dataclasses.replace(config, lambda_schedule=schedule)
-            model, _ = train_embedding(result.detections, tracklets, cfg)
-            embeddings[name] = (model, latent_codes(model, result.detections))
-        runs[seed] = BenchmarkRun(seed, result, tuple(tracklets), embeddings)
+        runs[seed] = (result,
+                      ablation_embeddings(result.detections, tracklets, config))
     return runs
 
 
 @pytest.fixture(scope="session")
 def cell_scores(benchmark_runs):
-    """Memoized tracking scores per (seed, embedding, features, gaps) cell."""
+    """Memoized `pipeline.ablation_cell` scores per (seed, embedding, features, gaps)."""
     cache = {}
 
     def score(seed, embedding, features, max_frame_gap=3, lifted_gaps=()):
         key = (seed, embedding, tuple(features), max_frame_gap,
                tuple(lifted_gaps))
         if key not in cache:
-            cache[key] = track_cell(benchmark_runs[seed], embedding, features,
-                                    max_frame_gap, lifted_gaps)
+            result, embeddings = benchmark_runs[seed]
+            cache[key] = ablation_cell(
+                result.detections, result.table, result.gt,
+                embeddings[embedding], features, max_frame_gap, lifted_gaps,
+                PipelineConfig())
         return cache[key]
 
     return score

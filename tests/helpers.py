@@ -1,17 +1,9 @@
 """Shared generators for randomized solver and embedding tests."""
 
-import dataclasses
-
 import numpy as np
 
 from liftedtrack.embedding import AutoEncoder, BatchNorm
 from liftedtrack.graph import EdgeLabeling, MulticutInstance, Partition
-from liftedtrack.metrics import evaluate_clear_mot
-from liftedtrack.pipeline import (
-    PipelineConfig,
-    fit_affinity_models,
-    run_tracking,
-)
 
 
 def random_instance(rng, max_nodes=10, edge_prob=0.7, lifted_frac=0.2):
@@ -86,32 +78,3 @@ def random_labeling(rng, instance):
     """Random 0/1 labels over E then F."""
     return EdgeLabeling(rng.integers(0, 2, instance.num_edges + instance.num_lifted))
 
-
-@dataclasses.dataclass(frozen=True)
-class BenchmarkRun:
-    """One synthetic benchmark sequence with both embeddings pre-trained.
-
-    `embeddings` maps "recon" (reconstruction-only schedule) and "clust"
-    (clustering-loss schedule) to (model, latent codes) pairs.
-    """
-
-    seed: int
-    result: object
-    tracklets: tuple
-    embeddings: dict
-
-
-def track_cell(run, embedding, features, max_frame_gap=3, lifted_gaps=()):
-    """One ablation cell: fit affinities, solve, score against ground truth."""
-    model, latents = run.embeddings[embedding]
-    config = dataclasses.replace(
-        PipelineConfig(),
-        nearby_features=tuple(features),
-        max_frame_gap=max_frame_gap,
-        lifted_gaps=tuple(lifted_gaps),
-    )
-    affinity = fit_affinity_models(run.result.detections, run.result.table,
-                                   latents, config)
-    tracks = run_tracking(run.result.detections, run.result.table, model,
-                          affinity, config)
-    return evaluate_clear_mot(run.result.gt, tracks.to_mot_records())

@@ -1,10 +1,29 @@
 """End-to-end tests for the command line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from liftedtrack.affinity import iou_match_table, read_match_table
 from liftedtrack.cli import main
-from liftedtrack.motio import read_mot
+from liftedtrack.motio import load_patches, read_mot, records_to_detections
+from liftedtrack.pipeline import (
+    ablation_cell,
+    ablation_embeddings,
+    pregroup,
+    read_config,
+)
+
+ALL_FEATURES = ("bias", "iou_dm", "d_ae", "product")
+# ablate row label -> (nearby features, embedding)
+ABLATE_ROWS = {
+    "iou_dm": (("bias", "iou_dm"), "recon"),
+    "d_ae": (("bias", "d_ae"), "recon"),
+    "d_ae+c": (("bias", "d_ae"), "clust"),
+    "iou_dm+d_ae+iou_dm*d_ae": (ALL_FEATURES, "recon"),
+    "iou_dm+d_ae+c+iou_dm*d_ae+c": (ALL_FEATURES, "clust"),
+}
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +95,48 @@ class TestChain:
         assert all(len(row) == len(header) for row in rows)
         assert {row[1] for row in rows} == {"1-3", "1-5"}
         assert rows[-1][0].endswith("lift")
+
+    def test_ablate_rows_are_cells_on_the_match_file(self, workdir, tmp_path, capsys):
+        # matches.txt holds 1 - IoU instead of box IoU: every row, the 1-3
+        # rows included, must be the pipeline's ablation cell on the file.
+        for name in ("det.txt", "gt.txt", "patches.npz", "cfg.txt"):
+            shutil.copy(workdir / name, tmp_path / name)
+        lines = []
+        for line in (workdir / "matches.txt").read_text().splitlines():
+            *keys, value = line.split()
+            lines.append(" ".join([*keys, repr(1.0 - float(value))]))
+        (tmp_path / "matches.txt").write_text("\n".join(lines) + "\n")
+        config = read_config(tmp_path / "cfg.txt")
+        assert main(["ablate", "--dir", str(tmp_path), "--config",
+                     str(tmp_path / "cfg.txt")]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+
+        detections = records_to_detections(
+            read_mot(tmp_path / "det.txt"), images=load_patches(tmp_path / "patches.npz"))
+        table = read_match_table(tmp_path / "matches.txt", detections)
+        gt = read_mot(tmp_path / "gt.txt")
+        tracklets = pregroup(detections, table, threshold=config.pregroup_threshold,
+                             max_gap=config.pregroup_max_gap)
+        embeddings = ablation_embeddings(detections, tracklets, config)
+        box_iou = iou_match_table(detections, max_frame_gap=3)
+        file_differs = []
+        assert len(rows) == 11
+        for label, distance, *scores in rows:
+            name = label.removesuffix(" lift")
+            features, embedding = ABLATE_ROWS[name]
+            gap = int(distance.split("-")[1])
+            lifted_gaps = config.lifted_gaps if name != label else ()
+            cell = ablation_cell(detections, table, gt, embeddings[embedding],
+                                 features, gap, lifted_gaps, config)
+            assert scores == [f"{cell.mota:.3f}", f"{cell.motp:.3f}", str(cell.ids),
+                              str(cell.mt), str(cell.ml), str(cell.fp),
+                              str(cell.fn)], label
+            if gap == 3:
+                ignoring_file = ablation_cell(detections, box_iou, gt,
+                                              embeddings[embedding], features, gap,
+                                              (), config)
+                file_differs.append(ignoring_file != cell)
+        assert any(file_differs)
 
 
 class TestOracle:

@@ -11,6 +11,7 @@ from liftedtrack.affinity import (
     AffinityModel,
     MatchTable,
     iou_match_table,
+    latent_codes,
 )
 from liftedtrack.embedding import ArchConfig, AutoEncoder
 from liftedtrack.graph import BBox, Detection, Partition, iou
@@ -20,13 +21,17 @@ from liftedtrack.pipeline import (
     Track,
     Tracklet,
     TrackSet,
+    ablation_cell,
     clusters_to_tracks,
+    default_arch,
+    fit_affinity_models,
     pregroup,
     read_config,
     run_tracking,
     tracklet_labels,
     write_config,
 )
+from liftedtrack.synth import benchmark_spec, synth_sequence
 
 
 def det(frame, left=0.0, top=0.0, size=10.0, score=1.0):
@@ -282,3 +287,28 @@ class TestRunTrackingStages:
         error = self._failure(self._detections(), max_frame_gap=5, lifted_gaps=(5,))
         assert error.stage == "graph"
         assert "lifted gap 5" in str(error)
+
+
+class TestAblationCell:
+    def test_gap_limit_drops_farther_table_pairs(self):
+        # A 1-3 cell fits and tracks on the table's pairs at most 3 frames
+        # apart, so gap-4/5 pairs, here overlaps zeroed against their
+        # boxes, change nothing. With latent distance as the only feature
+        # those pairs would move the fit and the tracks.
+        result = synth_sequence(benchmark_spec(num_frames=30), seed=0)
+        dets = result.detections
+        model = AutoEncoder(default_arch(dets[0].image.shape), seed=0)
+        embedding = (model, latent_codes(model, dets))
+        near = iou_match_table(dets, max_frame_gap=3)
+        wide = MatchTable({**near.entries, **{
+            pair: 0.0 for pair in result.table.entries if pair not in near.entries
+        }})
+        features = ("bias", "d_ae")
+        config = dataclasses.replace(PipelineConfig(), nearby_features=features)
+        nearby_fits = [fit_affinity_models(dets, table, embedding[1], config)[0]
+                       for table in (near, wide)]
+        assert nearby_fits[0] != nearby_fits[1]
+        reports = [ablation_cell(dets, table, result.gt, embedding, features, 3, (),
+                                 config)
+                   for table in (near, wide)]
+        assert reports[0] == reports[1]
