@@ -10,12 +10,13 @@ prefer join).
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
 
-from .graph import Detection, Edge, MulticutInstance, canonical_edge, frame_pairs, iou
+from .graph import Detection, Edge, MulticutInstance, frame_pairs
 
 FEATURE_NAMES = ("bias", "iou_dm", "d_ae", "product")
 NEARBY_FEATURES = ("bias", "iou_dm", "d_ae", "product")
@@ -41,45 +42,113 @@ class AffinityConfig:
             )
 
 
-@dataclass(frozen=True)
+# One row per scored pair: canonical detection ids u < v and the overlap.
+MATCH_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("value", np.float64)])
+
+
+class MatchTableError(ValueError):
+    """A bad match-table row; `rows` are the input positions at fault."""
+
+    def __init__(self, message: str, rows: Tuple[int, ...]):
+        super().__init__(message)
+        self.rows = rows
+
+
+@dataclass(frozen=True, eq=False)
 class MatchTable:
     """Symmetric overlap scores per detection pair, keyed by detection index.
 
-    Missing pairs read as 0.0.
+    `rows` is a read-only MATCH_DTYPE array of canonical pairs (u < v)
+    sorted by (u, v); any sequence of (u, v, value) triples is converted,
+    either endpoint first. A pair given twice with one value is kept once;
+    with two values it is rejected. Missing pairs read as 0.0.
     """
 
-    entries: Mapping[Edge, float]
+    rows: np.ndarray
 
     def __post_init__(self):
-        clean: Dict[Edge, float] = {}
-        for (a, b), value in self.entries.items():
-            pair = canonical_edge(a, b)
-            value = float(value)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"overlap for pair {pair} outside [0,1]: {value}")
-            if pair in clean and clean[pair] != value:
-                raise ValueError(f"conflicting overlap values for pair {pair}")
-            clean[pair] = value
-        object.__setattr__(self, "entries", clean)
+        # numpy reads a tuple of tuples as one record, a list as rows
+        rows = np.array(self.rows if isinstance(self.rows, np.ndarray)
+                        else list(self.rows), dtype=MATCH_DTYPE)
+        if rows.ndim != 1:
+            raise ValueError(f"match table rows must be (u, v, value), got {rows.shape}")
+        rows["u"], rows["v"] = np.sort([rows["u"], rows["v"]], axis=0)
+        u, v, value = rows["u"], rows["v"], rows["value"]
+        checks = (
+            (u == v, "self-loop ({u}, {v}) is not a valid pair"),
+            (u < 0, "negative detection id in pair ({u}, {v})"),
+            (~((value >= 0.0) & (value <= 1.0)),
+             "overlap for pair ({u}, {v}) outside [0,1]: {value!r}"),
+        )
+        bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+        if bad.size:
+            i = bad[0]
+            message = next(text for mask, text in checks if mask[i])
+            raise MatchTableError(message.format(u=int(u[i]), v=int(v[i]),
+                                                 value=float(value[i])), (int(i),))
+        order = np.lexsort((v, u))
+        rows = rows[order]
+        u, v, value = rows["u"], rows["v"], rows["value"]
+        repeat = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+        conflict = np.flatnonzero(repeat & (value[1:] != value[:-1]))
+        if conflict.size:
+            i = conflict[0]
+            raise MatchTableError(
+                f"conflicting overlap values for pair ({int(u[i])}, {int(v[i])}): "
+                f"{float(value[i])!r} and {float(value[i + 1])!r}",
+                (int(order[i]), int(order[i + 1])),
+            )
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = ~repeat
+        rows = rows[first]
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
-    def get(self, a: int, b: int) -> float:
-        return self.entries.get(canonical_edge(a, b), 0.0)
+    def __eq__(self, other):
+        if not isinstance(other, MatchTable):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
 
-    def pairs(self) -> Tuple[Edge, ...]:
-        return tuple(sorted(self.entries))
+    @property
+    def entries(self) -> Mapping[Edge, float]:
+        """Read-only (u, v) -> value mapping of the rows, in row order."""
+        pairs = zip(self.rows["u"].tolist(), self.rows["v"].tolist())
+        return MappingProxyType(dict(zip(pairs, self.rows["value"].tolist())))
+
+    def values_at(self, u, v) -> np.ndarray:
+        """Overlap of each (u, v) pair, in either endpoint order; 0.0 if absent."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if not len(self.rows):
+            return np.zeros(np.shape(lo))
+        # rows are sorted by (u, v), so u * n + v is sorted for any n > every v
+        n = max(int(self.rows["v"].max()), int(np.max(hi, initial=0))) + 1
+        keys = self.rows["u"] * n + self.rows["v"]
+        wanted = lo * n + hi
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, self.rows["value"][at], 0.0)
 
 
 def iou_match_table(
     detections: Sequence[Detection], max_frame_gap: int = 5
 ) -> MatchTable:
-    """Fallback overlap estimate: box IoU for frame distances 1..max_frame_gap."""
+    """Fallback overlap estimate: box IoU for frame distances 1..max_frame_gap.
+
+    Computes `graph.iou` for every pair at once, in its operation order,
+    and stores the pairs that overlap.
+    """
     frames = [det.frame for det in detections]
-    entries = {}
-    for a, b in zip(*frame_pairs(frames, range(1, max_frame_gap + 1)).T.tolist()):
-        value = iou(detections[a].box, detections[b].box)
-        if value > 0.0:
-            entries[(a, b)] = value
-    return MatchTable(entries)
+    u, v = frame_pairs(frames, range(1, max_frame_gap + 1)).T
+    left, top, right, bottom, area = np.array(
+        [(det.box.left, det.box.top, det.box.right, det.box.bottom, det.box.area)
+         for det in detections]).reshape(-1, 5).T
+    ix = np.minimum(right[u], right[v]) - np.maximum(left[u], left[v])
+    iy = np.minimum(bottom[u], bottom[v]) - np.maximum(top[u], top[v])
+    hit = (ix > 0) & (iy > 0)
+    u, v, inter = u[hit], v[hit], ix[hit] * iy[hit]
+    value = inter / (area[u] + area[v] - inter)
+    keep = value > 0.0
+    return MatchTable(np.rec.fromarrays((u[keep], v[keep], value[keep]),
+                                        dtype=MATCH_DTYPE))
 
 
 def _frame_local_indices(detections: Sequence[Detection]):
@@ -97,16 +166,20 @@ def write_match_table(path, table: MatchTable, detections: Sequence[Detection]):
     """Write lines "frame_a idx_a frame_b idx_b iou", one per stored pair."""
     locals_ = _frame_local_indices(detections)
     with open(path, "w", encoding="ascii") as fh:
-        for a, b in table.pairs():
+        for a, b, value in table.rows.tolist():
             fa, ia = locals_[a]
             fb, ib = locals_[b]
-            fh.write(f"{fa} {ia} {fb} {ib} {table.entries[(a, b)]!r}\n")
+            fh.write(f"{fa} {ia} {fb} {ib} {value!r}\n")
 
 
 def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
-    """Parse the text format back onto detection indices."""
+    """Parse the text format back onto detection indices.
+
+    Every bad line is named as path:lineno; two lines that give one pair
+    different values are both named.
+    """
     lookup = {key: i for i, key in enumerate(_frame_local_indices(detections))}
-    entries = {}
+    triples, linenos = [], []
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -121,26 +194,28 @@ def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             try:
-                a = lookup[(fa, ia)]
-                b = lookup[(fb, ib)]
+                triples.append((lookup[(fa, ia)], lookup[(fb, ib)], value))
             except KeyError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: no detection at (frame, idx) {exc.args[0]}"
                 ) from exc
-            entries[canonical_edge(a, b)] = value
-    return MatchTable(entries)
+            linenos.append(lineno)
+    try:
+        return MatchTable(triples)
+    except MatchTableError as exc:
+        where = ",".join(str(linenos[i]) for i in exc.rows)
+        raise ValueError(f"{path}:{where}: {exc}") from exc
 
 
 def generate_labels(table: MatchTable, config: AffinityConfig = AffinityConfig()):
-    """Self-label extreme-overlap pairs; the [t_low, t_high] dead zone is skipped."""
-    labeled = []
-    for pair in table.pairs():
-        value = table.entries[pair]
-        if value > config.t_high:
-            labeled.append((pair, 1))
-        elif value < config.t_low:
-            labeled.append((pair, 0))
-    return labeled
+    """Self-label extreme-overlap rows; the [t_low, t_high] dead zone is skipped.
+
+    Returns the labelled rows of `table.rows` and their labels: 1 (same)
+    above t_high, 0 (different) below t_low.
+    """
+    value = table.rows["value"]
+    rows = table.rows[(value > config.t_high) | (value < config.t_low)]
+    return rows, (rows["value"] > config.t_high).astype(np.int64)
 
 
 def feature_matrix(iou_dm, d_ae, feature_config=NEARBY_FEATURES) -> np.ndarray:
@@ -159,11 +234,10 @@ def feature_matrix(iou_dm, d_ae, feature_config=NEARBY_FEATURES) -> np.ndarray:
     return rows
 
 
-def latent_distances(latents, pairs) -> np.ndarray:
-    """Euclidean distance d_ae between the latent codes of each (u, v) row."""
+def latent_distances(latents, u, v) -> np.ndarray:
+    """Euclidean distance d_ae between the latent codes of each pair (u[i], v[i])."""
     latents = np.asarray(latents, dtype=float)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return np.linalg.norm(latents[pairs[:, 0]] - latents[pairs[:, 1]], axis=1)
+    return np.linalg.norm(latents[u] - latents[v], axis=1)
 
 
 def _nll(beta, features, labels, l2):
@@ -324,11 +398,11 @@ def assemble_costs(
     frames = np.array([det.frame for det in detections])
 
     def costed(group, model):
-        pairs = np.column_stack([group["u"], group["v"]])
-        cross = frames[pairs[:, 0]] != frames[pairs[:, 1]]
-        iou_dm = [table.entries.get(pair, 0.0) for pair in zip(*pairs[cross].T.tolist())]
-        d_ae = latent_distances(latents, pairs[cross])
-        p_same = np.full(len(pairs), PROB_EPS)
+        cross = frames[group["u"]] != frames[group["v"]]
+        u, v = group["u"][cross], group["v"][cross]
+        iou_dm = table.values_at(u, v)
+        d_ae = latent_distances(latents, u, v)
+        p_same = np.full(len(group), PROB_EPS)
         p_same[cross] = predict_p_same(model, feature_matrix(iou_dm, d_ae,
                                                              model.feature_config))
         out = group.copy()

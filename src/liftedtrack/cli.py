@@ -139,7 +139,7 @@ def _cmd_fit_affinity(args) -> int:
     nearby, lifted = fit_affinity_models(detections, table, latents, config)
     nearby.save(workdir / NEARBY)
     lifted.save(workdir / LIFTED)
-    print(f"fit affinities on {len(table.entries)} scored pairs")
+    print(f"fit affinities on {len(table.rows)} scored pairs")
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph import iou
-from .motio import MotRecord
+from .motio import MotRecord, as_records
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,10 @@ def _by_frame(records: Sequence[MotRecord]) -> Dict[int, List[Tuple[int, MotReco
     return frames
 
 
-def _as_records(source) -> List[MotRecord]:
-    if hasattr(source, "to_mot_records"):
-        return source.to_mot_records()
-    return list(source)
-
-
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     """Score a hypothesis track set against ground-truth records."""
-    gt_records = _as_records(gt)
-    hyp_records = _as_records(hyp)
+    gt_records = as_records(gt)
+    hyp_records = as_records(hyp)
     if not gt_records:
         raise ValueError("ground truth is empty")
     if any(rec.track_id < 1 for rec in gt_records):

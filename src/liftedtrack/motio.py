@@ -82,11 +82,17 @@ def read_mot(path) -> List[MotRecord]:
     return records
 
 
+def as_records(source) -> List[MotRecord]:
+    """Records from a record sequence or from anything exposing to_mot_records."""
+    if hasattr(source, "to_mot_records"):
+        return source.to_mot_records()
+    return list(source)
+
+
 def write_mot(source, path):
     """Write records (or anything exposing to_mot_records) as MOT CSV."""
-    records = source.to_mot_records() if hasattr(source, "to_mot_records") else source
     with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
+        for rec in as_records(source):
             fields = [
                 str(rec.frame),
                 str(rec.track_id),

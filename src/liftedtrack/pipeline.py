@@ -205,27 +205,23 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
     one (ties: lower detection ids). Connected components of the accepted
     edges become tracklets; every detection lands in exactly one.
     """
-    by_frame_pair: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
-    for u, v in table.pairs():
-        value = table.entries[(u, v)]
-        if value <= threshold:
-            continue
-        fu, fv = detections[u].frame, detections[v].frame
-        gap = abs(fv - fu)
-        if not 1 <= gap <= max_gap:
-            continue
-        key = (min(fu, fv), max(fu, fv))
-        by_frame_pair.setdefault(key, []).append((value, u, v))
+    frames = np.array([det.frame for det in detections], dtype=np.int64)
+    u, v, value = table.rows["u"], table.rows["v"], table.rows["value"]
+    gap = np.abs(frames[v] - frames[u])
+    keep = (value > threshold) & (gap >= 1) & (gap <= max_gap)
+    u, v, value = u[keep], v[keep], value[keep]
+    first = np.minimum(frames[u], frames[v])
+    last = np.maximum(frames[u], frames[v])
+    order = np.lexsort((v, u, -value, last, first))
 
     uf = UnionFind(len(detections))
-    for key in sorted(by_frame_pair):
-        used = set()
-        for value, u, v in sorted(by_frame_pair[key], key=lambda t: (-t[0], t[1], t[2])):
-            if u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            uf.union(u, v)
+    used = set()
+    for key, a, b in zip(zip(first[order].tolist(), last[order].tolist()),
+                         u[order].tolist(), v[order].tolist()):
+        if (key, a) in used or (key, b) in used:
+            continue
+        used.update(((key, a), (key, b)))
+        uf.union(a, b)
 
     groups: Dict[int, List[int]] = {}
     for det in range(len(detections)):
@@ -259,17 +255,25 @@ def train_embedding(detections: Sequence[Detection], tracklets: Sequence[Trackle
     return train(model, list(detections), labels, config.training_config())
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as PipelineError(name, cause)."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
 def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
                         latents: np.ndarray, config: PipelineConfig
                         ) -> Tuple[AffinityModel, AffinityModel]:
     """Fit the nearby and lifted regressors on self-labeled extreme pairs."""
-    labeled = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
-    pairs = [pair for pair, _ in labeled]
-    labels = [label for _, label in labeled]
-    raw = np.column_stack([[table.entries[pair] for pair in pairs],
-                           latent_distances(latents, pairs)])
-    nearby = fit_affinity_model(raw, labels, config.nearby_features)
-    lifted = fit_affinity_model(raw, labels, LIFTED_FEATURES)
+    with _stage("fit"):
+        rows, labels = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
+        raw = np.column_stack([rows["value"],
+                               latent_distances(latents, rows["u"], rows["v"])])
+        nearby = fit_affinity_model(raw, labels, config.nearby_features)
+        lifted = fit_affinity_model(raw, labels, LIFTED_FEATURES)
     return nearby, lifted
 
 
@@ -278,18 +282,9 @@ def _gate_lifted(instance, latents, percentile):
     if not instance.num_lifted:
         return instance
     lifted = instance.lifted_edges
-    dists = latent_distances(latents, np.column_stack([lifted["u"], lifted["v"]]))
+    dists = latent_distances(latents, lifted["u"], lifted["v"])
     keep = dists < np.percentile(dists, percentile)
     return dataclasses.replace(instance, lifted_edges=lifted[keep])
-
-
-@contextmanager
-def _stage(name: str):
-    """Re-raise any failure inside the block as PipelineError(name, cause)."""
-    try:
-        yield
-    except Exception as exc:
-        raise PipelineError(name, exc) from exc
 
 
 def run_tracking(detections: Sequence[Detection], table: MatchTable,
@@ -394,10 +389,9 @@ def ablation_cell(detections: Sequence[Detection], table: MatchTable,
         config, nearby_features=tuple(features), max_frame_gap=max_frame_gap,
         lifted_gaps=tuple(lifted_gaps),
     )
-    in_range = MatchTable({
-        (u, v): value for (u, v), value in table.entries.items()
-        if abs(detections[u].frame - detections[v].frame) <= max_frame_gap
-    })
+    frames = np.array([det.frame for det in detections], dtype=np.int64)
+    gap = np.abs(frames[table.rows["v"]] - frames[table.rows["u"]])
+    in_range = MatchTable(table.rows[gap <= max_frame_gap])
     models = fit_affinity_models(detections, in_range, latents, variant)
     tracks = run_tracking(detections, in_range, model, models, variant)
     return evaluate_clear_mot(gt, tracks)

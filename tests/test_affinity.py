@@ -62,33 +62,75 @@ def det(frame, left=0.0, top=0.0, size=10.0):
 
 class TestMatchTable:
     def test_symmetric_lookup_and_default(self):
-        table = MatchTable({(3, 1): 0.6})
-        assert table.get(1, 3) == 0.6
-        assert table.get(3, 1) == 0.6
-        assert table.get(0, 9) == 0.0
+        table = MatchTable([(3, 1, 0.6)])
+        assert table.values_at(1, 3) == 0.6
+        assert table.values_at(3, 1) == 0.6
+        assert table.values_at(0, 9) == 0.0
+        assert table.values_at([1, 3, 0], [3, 1, 9]).tolist() == [0.6, 0.6, 0.0]
+        assert MatchTable([]).values_at([0, 1], [1, 2]).tolist() == [0.0, 0.0]
+
+    def test_rows_canonical_and_sorted(self):
+        table = MatchTable([(5, 2, 0.25), (0, 7, 0.5), (4, 1, 0.125), (0, 3, 1.0)])
+        assert table.rows.tolist() == [(0, 3, 1.0), (0, 7, 0.5), (1, 4, 0.125),
+                                       (2, 5, 0.25)]
+        assert dict(table.entries) == {(0, 3): 1.0, (0, 7): 0.5, (1, 4): 0.125,
+                                       (2, 5): 0.25}
+        with pytest.raises(ValueError):
+            table.rows["value"][0] = 0.0
+        with pytest.raises(TypeError):
+            table.entries[(0, 3)] = 0.0
+
+    def test_values_at_matches_mapping_lookup(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            triples = [(int(a), int(b), float(rng.random()))
+                       for a, b in rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))
+                       if a != b]
+            mapping = {}
+            for a, b, value in triples:
+                mapping.setdefault((min(a, b), max(a, b)), value)
+            table = MatchTable([(a, b, mapping[(min(a, b), max(a, b))])
+                                for a, b, _ in triples])
+            u, v = rng.integers(0, n + 5, size=(2, 80))
+            want = [mapping.get((min(a, b), max(a, b)), 0.0)
+                    for a, b in zip(u.tolist(), v.tolist())]
+            assert table.values_at(u, v).tolist() == want
+
+    def test_equal_repeats_collapse(self):
+        table = MatchTable([(0, 1, 0.5), (1, 0, 0.5), (0, 1, 0.5)])
+        assert table.rows.tolist() == [(0, 1, 0.5)]
+        assert table == MatchTable([(0, 1, 0.5)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            MatchTable({(0, 1): 1.5})
+        for value in (1.5, -0.25, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside"):
+                MatchTable([(0, 1, 0.5), (1, 2, value)])
+
+    def test_rejects_self_pair_and_negative_id(self):
+        with pytest.raises(ValueError, match=r"self-loop \(2, 2\)"):
+            MatchTable([(0, 1, 0.5), (2, 2, 0.5)])
+        with pytest.raises(ValueError, match=r"negative detection id in pair \(-1, 3\)"):
+            MatchTable([(3, -1, 0.5)])
 
     def test_rejects_conflicting_duplicates(self):
         with pytest.raises(ValueError, match="conflicting"):
-            MatchTable({(0, 1): 0.5, (1, 0): 0.6})
+            MatchTable([(0, 1, 0.5), (1, 0, 0.6)])
 
     def test_iou_table_window(self):
         # frames 1..8, identical boxes: only distances 1..5 stored
         dets = [det(f) for f in range(1, 9)]
         table = iou_match_table(dets, max_frame_gap=5)
-        assert table.get(0, 1) == 1.0
-        assert table.get(0, 5) == 1.0
-        assert table.get(0, 6) == 0.0
+        assert table.values_at(0, 1) == 1.0
+        assert table.values_at(0, 5) == 1.0
+        assert table.values_at(0, 6) == 0.0
         assert (0, 6) not in table.entries
 
     def test_iou_table_excludes_same_frame(self):
         dets = [det(1), det(1), det(2)]
         table = iou_match_table(dets)
         assert (0, 1) not in table.entries
-        assert table.get(0, 2) == 1.0
+        assert table.values_at(0, 2) == 1.0
 
     def test_iou_table_matches_double_loop(self):
         rng = np.random.default_rng(3)
@@ -99,23 +141,24 @@ class TestMatchTable:
                                       rng.uniform(0, 30, 25), rng.uniform(5, 15, 25))
             ]
             gap = int(rng.integers(1, 6))
-            expected = {}
+            expected = []
             for a, da in enumerate(dets):
                 for b in range(a + 1, len(dets)):
                     if 1 <= abs(dets[b].frame - da.frame) <= gap:
                         value = iou(da.box, dets[b].box)
                         if value > 0.0:
-                            expected[(a, b)] = value
+                            expected.append((a, b, value))
             table = iou_match_table(dets, max_frame_gap=gap)
-            assert list(table.entries.items()) == list(expected.items())
+            assert table.rows.tolist() == expected
 
     def test_text_roundtrip(self, tmp_path):
         dets = [det(1), det(1, left=20.0), det(2), det(3)]
-        table = MatchTable({(0, 2): 0.8125, (1, 2): 0.25, (2, 3): 0.125})
+        table = MatchTable([(0, 2, 0.8125), (2, 1, 0.25), (2, 3, 0.125)])
         path = tmp_path / "matches.txt"
         write_match_table(path, table, dets)
+        assert path.read_text() == "1 0 2 0 0.8125\n1 1 2 0 0.25\n2 0 3 0 0.125\n"
         back = read_match_table(path, dets)
-        assert back.entries == table.entries
+        assert back == table
 
     def test_read_reports_line_numbers(self, tmp_path):
         dets = [det(1), det(2)]
@@ -123,6 +166,25 @@ class TestMatchTable:
         path.write_text("1 0 2 0 0.5\n1 0 2 0\n")
         with pytest.raises(ValueError, match="bad.txt:2"):
             read_match_table(path, dets)
+
+    @pytest.mark.parametrize("lines, where, message", [
+        ("1 0 2 0 0.5\n2 0 2 0 0.9\n", ":2:", r"self-loop \(1, 1\)"),
+        ("1 0 2 0 0.5\n\n1 0 3 0 1.5\n", ":3:", r"outside \[0,1\]: 1.5"),
+        ("1 0 2 0 nan\n", ":1:", r"outside \[0,1\]: nan"),
+        ("1 0 2 0 0.9\n2 0 1 0 0.2\n", ":1,2:", r"conflicting .* 0.9 and 0.2"),
+    ], ids=["self-pair", "out-of-range", "nan", "conflicting-lines"])
+    def test_read_names_line_of_bad_row(self, tmp_path, lines, where, message):
+        dets = [det(1), det(2), det(3)]
+        path = tmp_path / "bad.txt"
+        path.write_text(lines)
+        with pytest.raises(ValueError, match=f"bad.txt{where} .*{message}"):
+            read_match_table(path, dets)
+
+    def test_read_collapses_equal_repeated_lines(self, tmp_path):
+        dets = [det(1), det(2)]
+        path = tmp_path / "matches.txt"
+        path.write_text("1 0 2 0 0.5\n2 0 1 0 0.5\n")
+        assert read_match_table(path, dets).rows.tolist() == [(0, 1, 0.5)]
 
     def test_read_rejects_unknown_detection(self, tmp_path):
         dets = [det(1), det(2)]
@@ -134,31 +196,33 @@ class TestMatchTable:
 
 class TestGenerateLabels:
     def test_threshold_examples(self):
-        table = MatchTable({(0, 1): 0.9, (0, 2): 0.05, (1, 2): 0.4})
-        labeled = dict(generate_labels(table))
-        assert labeled[(0, 1)] == 1
-        assert labeled[(0, 2)] == 0
-        assert (1, 2) not in labeled
+        table = MatchTable([(0, 1, 0.9), (0, 2, 0.05), (1, 2, 0.4)])
+        rows, labels = generate_labels(table)
+        assert rows.tolist() == [(0, 1, 0.9), (0, 2, 0.05)]
+        assert labels.tolist() == [1, 0]
 
     def test_boundaries_belong_to_dead_zone(self):
-        table = MatchTable({(0, 1): 0.7, (0, 2): 0.1})
-        assert generate_labels(table) == []
+        table = MatchTable([(0, 1, 0.7), (0, 2, 0.1)])
+        rows, labels = generate_labels(table)
+        assert len(rows) == len(labels) == 0
 
     def test_never_labels_dead_zone(self):
         cfg = AffinityConfig()
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(2, 12))
-            entries = {}
+            triples = []
             for a in range(n):
                 for b in range(a + 1, n):
                     if rng.random() < 0.5:
-                        entries[(a, b)] = float(rng.random())
-            table = MatchTable(entries)
-            for pair, label in generate_labels(table, cfg):
-                value = table.entries[pair]
-                assert label in (0, 1)
-                assert value > cfg.t_high or value < cfg.t_low
+                        triples.append((a, b, float(rng.random())))
+            table = MatchTable(triples)
+            rows, labels = generate_labels(table, cfg)
+            want = [(a, b, value) for a, b, value in triples
+                    if value > cfg.t_high or value < cfg.t_low]
+            assert rows.tolist() == want
+            for (_, _, value), label in zip(want, labels.tolist()):
+                assert label == (1 if value > cfg.t_high else 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -247,12 +311,9 @@ class TestFitLogistic:
     def test_monotone_in_overlap(self):
         # labels induced by the thresholds force a positive overlap slope
         rng = np.random.default_rng(15)
-        table = MatchTable(
-            {(0, i + 1): float(v) for i, v in enumerate(rng.random(60))}
-        )
-        labeled = generate_labels(table)
-        raw = [(table.entries[pair], 0.0) for pair, _ in labeled]
-        labels = [label for _, label in labeled]
+        table = MatchTable([(0, i + 1, float(v)) for i, v in enumerate(rng.random(60))])
+        rows, labels = generate_labels(table)
+        raw = [(value, 0.0) for value in rows["value"]]
         model = fit_affinity_model(raw, labels, ("bias", "iou_dm"))
         grid = predict_p_same(model, feature_matrix(np.linspace(0, 1, 11), 0.0,
                                                      model.feature_config))
@@ -356,8 +417,8 @@ class TestAssembleCosts:
         dets = [det(f) for f in range(1, 6)]
         instance = build_graph(dets, max_frame_gap=1, lifted_gaps=(4,))
         latents = np.arange(20, dtype=float).reshape(5, 4) * 0.05
-        high = MatchTable({(0, 1): 0.9, (0, 4): 0.9})
-        low = MatchTable({})
+        high = MatchTable([(0, 1, 0.9), (0, 4, 0.9)])
+        low = MatchTable([])
         costed_high = assemble_costs(instance, dets, high, latents, nearby, lifted)
         costed_low = assemble_costs(instance, dets, low, latents, nearby, lifted)
         assert np.array_equal(costed_high.lifted_edges, costed_low.lifted_edges)
@@ -382,10 +443,10 @@ class TestAssembleCosts:
                     zip(rng.integers(1, 16, n), rng.uniform(0, 20, n))]
             instance = build_graph(dets, max_frame_gap=2, lifted_gaps=(5, 9))
             # about half the regular pairs are missing from the table
-            table = MatchTable({
-                (u, v): float(rng.random())
+            table = MatchTable([
+                (u, v, float(rng.random()))
                 for u, v, _ in instance.edges if rng.random() < 0.5
-            })
+            ])
             latents = rng.normal(size=(n, 6))
             nearby = AffinityModel(NEARBY_FEATURES, tuple(rng.normal(size=4)))
             lifted = AffinityModel(LIFTED_FEATURES, tuple(rng.normal(size=2)))
@@ -403,7 +464,7 @@ class TestAssembleCosts:
         dets = [det(1), det(2), det(3)]
         instance = build_graph(dets, max_frame_gap=1)
         with pytest.raises(ValueError, match="latents"):
-            assemble_costs(instance, dets, MatchTable({}), np.zeros((2, 4)),
+            assemble_costs(instance, dets, MatchTable([]), np.zeros((2, 4)),
                            nearby, lifted)
 
 
@@ -414,7 +475,7 @@ def scalar_costs(dets, table, latents, model, edges):
         if dets[u].frame == dets[v].frame:
             p = PROB_EPS
         else:
-            overlap = table.get(u, v)
+            overlap = table.entries.get((u, v), 0.0)
             d_ae = float(np.linalg.norm(latents[u] - latents[v]))
             values = {"bias": 1.0, "iou_dm": overlap, "d_ae": d_ae,
                       "product": overlap * d_ae}

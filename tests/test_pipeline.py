@@ -14,7 +14,7 @@ from liftedtrack.affinity import (
     latent_codes,
 )
 from liftedtrack.embedding import ArchConfig, AutoEncoder
-from liftedtrack.graph import BBox, Detection, Partition, iou
+from liftedtrack.graph import BBox, Detection, Partition, UnionFind, iou
 from liftedtrack.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -39,10 +39,8 @@ def det(frame, left=0.0, top=0.0, size=10.0, score=1.0):
 
 
 def table_for(detections, pairs):
-    entries = {}
-    for u, v in pairs:
-        entries[(u, v)] = iou(detections[u].box, detections[v].box)
-    return MatchTable(entries=entries)
+    return MatchTable([(u, v, iou(detections[u].box, detections[v].box))
+                       for u, v in pairs])
 
 
 class TestPregroup:
@@ -86,6 +84,37 @@ class TestPregroup:
         tracklets = pregroup(dets, table_for(dets, pairs))
         seen = sorted(m for t in tracklets for m in t.members)
         assert seen == list(range(len(dets)))
+
+    def test_matches_per_frame_pair_reference(self):
+        # the dict-and-loop grouping, written out: per frame pair, accept
+        # edges by (-overlap, u, v) while both endpoints are still free
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(2, 25))
+            dets = [det(int(f)) for f in rng.integers(1, 8, n)]
+            triples = [(u, v, float(rng.choice([0.75, 0.8, rng.random()])))
+                       for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            threshold, max_gap = 0.7, int(rng.integers(1, 4))
+            by_frame_pair = {}
+            for u, v, value in triples:
+                fu, fv = dets[u].frame, dets[v].frame
+                if value > threshold and 1 <= abs(fu - fv) <= max_gap:
+                    by_frame_pair.setdefault((min(fu, fv), max(fu, fv)), []).append(
+                        (value, u, v))
+            uf = UnionFind(n)
+            for key in sorted(by_frame_pair):
+                used = set()
+                for value, u, v in sorted(by_frame_pair[key],
+                                          key=lambda t: (-t[0], t[1], t[2])):
+                    if u not in used and v not in used:
+                        used.update((u, v))
+                        uf.union(u, v)
+            groups = {}
+            for i in range(n):
+                groups.setdefault(uf.find(i), []).append(i)
+            want = sorted(tuple(g) for g in groups.values())
+            got = pregroup(dets, MatchTable(triples), threshold, max_gap)
+            assert [t.members for t in got] == want
 
     def test_labels_cover_all_detections(self):
         dets = [det(1), det(2, left=0.5), det(9)]
@@ -288,6 +317,27 @@ class TestRunTrackingStages:
         assert error.stage == "graph"
         assert "lifted gap 5" in str(error)
 
+    def test_all_lifted_edges_gated_away_tracks_as_without_lifted(self):
+        # percentile 0 keeps no lifted edge: no distance is below the minimum
+        dets = self._detections(24)
+        gated = self._track(dets, lifted_gaps=(10,), lifted_percentile=0.0)
+        plain = self._track(dets, lifted_gaps=())
+        assert gated.tracks
+        assert gated.to_mot_records() == plain.to_mot_records()
+
+
+class TestFitStage:
+    def test_single_label_class_fails_at_fit(self):
+        # one slowly drifting box: every scored pair overlaps above t_high
+        # or inside the dead zone, so no pair is labelled "different"
+        dets = [det(f, left=0.5 * f) for f in range(1, 41)]
+        with pytest.raises(PipelineError) as info:
+            fit_affinity_models(dets, iou_match_table(dets), np.zeros((40, 4)),
+                                PipelineConfig())
+        assert info.value.stage == "fit"
+        assert isinstance(info.value.cause, ValueError)
+        assert "each label" in str(info.value)
+
 
 class TestAblationCell:
     def test_gap_limit_drops_farther_table_pairs(self):
@@ -300,9 +350,10 @@ class TestAblationCell:
         model = AutoEncoder(default_arch(dets[0].image.shape), seed=0)
         embedding = (model, latent_codes(model, dets))
         near = iou_match_table(dets, max_frame_gap=3)
-        wide = MatchTable({**near.entries, **{
-            pair: 0.0 for pair in result.table.entries if pair not in near.entries
-        }})
+        wide = MatchTable([*near.rows.tolist(), *(
+            (u, v, 0.0) for u, v, _ in result.table.rows.tolist()
+            if (u, v) not in near.entries
+        )])
         features = ("bias", "d_ae")
         config = dataclasses.replace(PipelineConfig(), nearby_features=features)
         nearby_fits = [fit_affinity_models(dets, table, embedding[1], config)[0]

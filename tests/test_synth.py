@@ -52,7 +52,7 @@ class TestGeneration:
         for da, db in zip(a.detections, b.detections):
             assert (da.frame, da.box, da.score) == (db.frame, db.box, db.score)
         assert np.array_equal(a.images, b.images)
-        assert a.table.entries == b.table.entries
+        assert a.table == b.table
 
     def test_different_seeds_differ(self):
         spec = benchmark_spec(num_frames=30)
@@ -84,7 +84,7 @@ class TestGeneration:
                             match_gap=3)
         result = synth_sequence(spec, seed=0)
         frames = [det.frame for det in result.detections]
-        gaps = {abs(frames[u] - frames[v]) for u, v in result.table.pairs()}
+        gaps = {abs(frames[u] - frames[v]) for u, v, _ in result.table.rows.tolist()}
         assert gaps <= {1, 2, 3}
 
     def test_brightness_scales_patches(self):
