@@ -290,12 +290,19 @@ def _gate_lifted(instance, latents, percentile):
 def run_tracking(detections: Sequence[Detection], table: MatchTable,
                  model: AutoEncoder, affinity_models, config: PipelineConfig
                  ) -> TrackSet:
-    """Full solve: graph, costs, GAEC+KL partition, track conversion."""
+    """Encode every detection with `model`, then `track_latents`."""
+    with _stage("encode"):
+        latents = latent_codes(model, detections)
+    return track_latents(detections, table, latents, affinity_models, config)
+
+
+def track_latents(detections: Sequence[Detection], table: MatchTable,
+                  latents: np.ndarray, affinity_models, config: PipelineConfig
+                  ) -> TrackSet:
+    """Full solve on given latent codes: graph, costs, GAEC+KL, track conversion."""
     if not detections:
         return TrackSet(())
     nearby, lifted_model = affinity_models
-    with _stage("encode"):
-        latents = latent_codes(model, detections)
     with _stage("graph"):
         instance = build_graph(detections, max_frame_gap=config.max_frame_gap,
                                lifted_gaps=config.lifted_gaps)
@@ -358,8 +365,8 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
 
 def ablation_embeddings(detections: Sequence[Detection],
                         tracklets: Sequence[Tracklet], config: PipelineConfig
-                        ) -> Dict[str, Tuple[AutoEncoder, np.ndarray]]:
-    """Train the ablation's two embeddings, each with its latent codes.
+                        ) -> Dict[str, np.ndarray]:
+    """Train the ablation's two embeddings and return their latent codes.
 
     "recon" trains on reconstruction alone (lambda 0 throughout); "clust"
     follows `config.lambda_schedule`, adding the clustering term.
@@ -369,22 +376,22 @@ def ablation_embeddings(detections: Sequence[Detection],
                            ("clust", config.lambda_schedule)):
         variant = dataclasses.replace(config, lambda_schedule=schedule)
         model, _ = train_embedding(detections, tracklets, variant)
-        embeddings[name] = (model, latent_codes(model, detections))
+        embeddings[name] = latent_codes(model, detections)
     return embeddings
 
 
 def ablation_cell(detections: Sequence[Detection], table: MatchTable,
-                  gt: Sequence[MotRecord], embedding, features: Sequence[str],
-                  max_frame_gap: int, lifted_gaps: Sequence[int],
-                  config: PipelineConfig) -> MotReport:
+                  gt: Sequence[MotRecord], latents: np.ndarray,
+                  features: Sequence[str], max_frame_gap: int,
+                  lifted_gaps: Sequence[int], config: PipelineConfig) -> MotReport:
     """One ablation cell: fit, track and score at one feature set and gap limit.
 
-    `embedding` is a (model, latent codes) pair from `ablation_embeddings`.
-    The affinities are fitted and the graph costed on the table's pairs at
-    most `max_frame_gap` frames apart, so a cell sees only the overlaps its
-    regular edges can use.
+    `latents` are one embedding's codes from `ablation_embeddings`; the
+    cell tracks on them without encoding again. The affinities are fitted
+    and the graph costed on the table's pairs at most `max_frame_gap`
+    frames apart, so a cell sees only the overlaps its regular edges can
+    use.
     """
-    model, latents = embedding
     variant = dataclasses.replace(
         config, nearby_features=tuple(features), max_frame_gap=max_frame_gap,
         lifted_gaps=tuple(lifted_gaps),
@@ -393,5 +400,5 @@ def ablation_cell(detections: Sequence[Detection], table: MatchTable,
     gap = np.abs(frames[table.rows["v"]] - frames[table.rows["u"]])
     in_range = MatchTable(table.rows[gap <= max_frame_gap])
     models = fit_affinity_models(detections, in_range, latents, variant)
-    tracks = run_tracking(detections, in_range, model, models, variant)
+    tracks = track_latents(detections, in_range, latents, models, variant)
     return evaluate_clear_mot(gt, tracks)

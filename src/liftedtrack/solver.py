@@ -347,173 +347,50 @@ def _articulation_points(
     return points
 
 
-class _KLState:
-    """Mutable partition state with join-connected clusters.
+def _cluster_labels(instance: MulticutInstance, assign: np.ndarray) -> np.ndarray:
+    """Blocks of `assign` split into their regular-edge components, each
+    labelled by its smallest node, so labels compare as representatives."""
+    eu, ev = instance.edges["u"], instance.edges["v"]
+    comp = component_labels(instance, assign[eu] == assign[ev])
+    _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
+    return first[inverse]
 
-    Maintains the invariant that every cluster is connected through regular
-    edges, so a lifted edge is cut exactly when its endpoints sit in
-    different clusters and objective deltas stay local.
+
+def _articulation_sums(
+    instance: MulticutInstance, members: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Articulation nodes of a cluster and the lifted costs each one cuts.
+
+    Removing an articulation node splits the cluster; its sum (in F order)
+    covers the cluster's internal lifted edges whose endpoints land in
+    different parts. Every other node cuts nothing by leaving.
     """
-
-    def __init__(self, instance: MulticutInstance, initial: Partition):
-        self.instance = instance
-        n = instance.num_nodes
-        self.reg_adj = _adjacency(n, instance.edges)
-        # Per node, its regular incident edges followed by its lifted ones:
-        # the cost terms of the move and merge deltas, in summation order.
-        self.cost_adj = [reg + lif for reg, lif in
-                         zip(self.reg_adj, _adjacency(n, instance.lifted_edges))]
-
-        # Split any block that is not connected in G; the true objective is
-        # unchanged because such lifted pairs were already charged as cut.
-        block = np.array(initial.component_of, dtype=np.int64)
-        joined = block[instance.edges["u"]] == block[instance.edges["v"]]
-        blocks = Partition.from_labels(component_labels(instance, joined).tolist())
-        self.comp: List[int] = list(blocks.component_of)
-        self.members: Dict[int, Set[int]] = {}
-        for node, cid in enumerate(self.comp):
-            self.members.setdefault(cid, set()).add(node)
-        self.next_cid = len(self.members)
-        self.obj = self._full_objective()
-        # Lifted edges as (u, v, cost) columns; their ids listed at the
-        # smaller endpoint.
-        self.lifted = _columns(instance.lifted_edges)
-        self.lif_out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(zip(*self.lifted[:2])):
-            self.lif_out[u].append((i, v))
-        # Per cluster id: articulation node -> costs of the internal lifted
-        # edges its removal disconnects, in F order. Dropped when the
-        # cluster changes.
-        self._disconnection: Dict[int, Dict[int, List[float]]] = {}
-
-    def _full_objective(self) -> float:
-        comp = np.array(self.comp)
-        cut = [group["c"][comp[group["u"]] != comp[group["v"]]]
-               for group in (self.instance.edges, self.instance.lifted_edges)]
-        return _sequential_sum(np.concatenate(cut))
-
-    def cluster_key(self, cid: int) -> int:
-        return min(self.members[cid])
-
-    def _remainder_components(self, cluster: Set[int], removed: int) -> List[Set[int]]:
-        """Regular-edge components of cluster minus one node."""
-        rest = cluster - {removed}
-        comps: List[Set[int]] = []
-        unseen = set(rest)
-        while unseen:
-            start = min(unseen)
-            stack = [start]
-            seen = {start}
-            while stack:
-                x = stack.pop()
-                for nbr, _ in self.reg_adj[x]:
-                    if nbr in rest and nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            comps.append(seen)
-            unseen -= seen
-        return comps
-
-    def _disconnection_costs(self, cid: int) -> Dict[int, List[float]]:
-        """Lifted costs cut by removing each articulation node of a cluster.
-
-        A node whose removal leaves the cluster connected cuts no lifted
-        pair, so only articulation nodes appear, and only when the cluster
-        holds internal lifted edges at all.
-        """
-        cached = self._disconnection.get(cid)
-        if cached is not None:
-            return cached
-        cached = {}
-        cluster = self.members[cid]
-        ids = sorted(
-            i for x in cluster for i, y in self.lif_out[x] if self.comp[y] == cid
-        )
-        if ids:
-            fu, fv, fc = self.lifted
-            for node in _articulation_points(cluster, self.reg_adj):
-                where = {}
-                for k, part in enumerate(self._remainder_components(cluster, node)):
-                    for x in part:
-                        where[x] = k
-                cached[node] = [
-                    fc[i]
-                    for i in ids
-                    if node not in (fu[i], fv[i]) and where[fu[i]] != where[fv[i]]
-                ]
-        self._disconnection[cid] = cached
-        return cached
-
-    def move_delta(self, node: int, target: Optional[int]) -> float:
-        """Objective change for moving `node` to cluster `target` (None = new)."""
-        src = self.comp[node]
-        delta = 0.0
-        for nbr, c in self.cost_adj[node]:
-            if self.comp[nbr] == src:
-                delta += c  # becomes cut
-            elif target is not None and self.comp[nbr] == target:
-                delta -= c  # becomes joined
-        # Removing the node may disconnect its old cluster, cutting lifted
-        # pairs that used to be linked through it. Added one by one so the
-        # sum rounds the same way for every target.
-        for c in self._disconnection_costs(src).get(node, ()):
-            delta += c
-        return delta
-
-    def apply_move(self, node: int, target: Optional[int], delta: float) -> None:
-        src = self.comp[node]
-        cluster = self.members[src]
-        cluster.discard(node)
-        if target is None:
-            target = self.next_cid
-            self.next_cid += 1
-            self.members[target] = set()
-        self.members[target].add(node)
-        self.comp[node] = target
-        self._disconnection.pop(src, None)
-        self._disconnection.pop(target, None)
-        if not cluster:
-            del self.members[src]
-        elif len(cluster) > 1:
-            comps = self._remainder_components(cluster | {node}, node)
-            if len(comps) > 1:
-                # Keep the original id on the component holding the smallest
-                # node; fresh ids for the rest, ordered by smallest member.
-                comps.sort(key=min)
-                self.members[src] = comps[0]
-                for part in comps[1:]:
-                    cid = self.next_cid
-                    self.next_cid += 1
-                    self.members[cid] = part
-                    for x in part:
-                        self.comp[x] = cid
-        self.obj += delta
-
-    def merge_delta(self, ca: int, cb: int) -> float:
-        a_members = self.members[ca]
-        delta = 0.0
-        for node in a_members:
-            for nbr, c in self.cost_adj[node]:
-                if self.comp[nbr] == cb:
-                    delta -= c
-        return delta
-
-    def apply_merge(self, ca: int, cb: int, delta: float) -> None:
-        self._disconnection.pop(ca, None)
-        self._disconnection.pop(cb, None)
-        for node in self.members[cb]:
-            self.comp[node] = ca
-        self.members[ca] |= self.members[cb]
-        del self.members[cb]
-        self.obj += delta
-
-    def partition(self) -> Partition:
-        return Partition.from_labels(self.comp)
+    size = len(members)
+    local = np.full(instance.num_nodes, -1)
+    local[members] = np.arange(size)
+    induced = []
+    for edges in (instance.edges, instance.lifted_edges):
+        edges = edges[(local[edges["u"]] >= 0) & (local[edges["v"]] >= 0)]
+        edges["u"], edges["v"] = local[edges["u"]], local[edges["v"]]
+        induced.append(edges)
+    cluster = MulticutInstance(size, *induced)
+    reg, lif = cluster.edges, cluster.lifted_edges
+    points = sorted(_articulation_points(set(range(size)), _adjacency(size, reg)))
+    sums = []
+    for x in points:
+        part = component_labels(cluster, (reg["u"] != x) & (reg["v"] != x))
+        cut = (lif["u"] != x) & (lif["v"] != x) & (part[lif["u"]] != part[lif["v"]])
+        sums.append(_sequential_sum(lif["c"][cut]))
+    return members[points], np.array(sums)
 
 
-def _improves_on(delta: float, key: Tuple, best: Optional[Tuple]) -> bool:
-    """Strictly improving, and ahead of the best move so far by (delta, key)."""
-    return delta < -_IMPROVEMENT_EPS and (best is None or (delta, key) < best[:2])
+def _pair_sums(first, second, n, costs, regular):
+    """Summed costs, in input order, per distinct (first, second) pair of ids
+    below n: both ids, the sum, and whether a regular edge is among them."""
+    keys, inverse = np.unique(first * n + second, return_inverse=True)
+    sums = np.bincount(inverse, weights=costs, minlength=len(keys))
+    linked = np.bincount(inverse, weights=regular, minlength=len(keys)) > 0
+    return *np.divmod(keys, n), sums, linked
 
 
 def solve_kl(
@@ -531,67 +408,80 @@ def solve_kl(
     then merges (ordered by representative pair). The returned objective is
     never above the initial partition's.
 
-    Lifted pairs a node's removal would disconnect are cached per cluster
-    and recomputed only for clusters the previous move changed. With a
-    bounded number of clusters next to any node, a sweep costs
-    O(|E| + |F|) plus one BFS per articulation node of those clusters.
+    The partition is one label array of regular-edge-connected clusters,
+    each labelled by its smallest node. A sweep costs every candidate with
+    one `np.unique` and `np.bincount` pass over E and F per key kind:
+    (node, neighbour's cluster) and (cluster, cluster). The lifted pairs a
+    node's removal disconnects are cached per cluster member set and
+    recomputed, by Tarjan's pass and one component labelling per
+    articulation node, only for the clusters the previous move changed.
     """
     if initial.num_nodes != instance.num_nodes:
         raise ValueError("initial partition does not cover the instance nodes")
-    state = _KLState(instance, initial)
+    n = instance.num_nodes
+    both = np.concatenate([instance.edges, instance.lifted_edges])
+    # Each edge from both endpoints, its two directions adjacent, so every
+    # per-key sum adds a node's costs in E-then-F order.
+    tail = np.column_stack([both["u"], both["v"]]).ravel()
+    head = np.column_stack([both["v"], both["u"]]).ravel()
+    cost = np.repeat(both["c"], 2)
+    regular = np.repeat(np.arange(len(both)) < instance.num_edges, 2)
+
+    # Split any block that is not connected in G; the true objective is
+    # unchanged because such lifted pairs were already charged as cut.
+    labels = _cluster_labels(instance, np.array(initial.component_of, dtype=np.int64))
+    obj = _sequential_sum(both["c"][labels[both["u"]] != labels[both["v"]]])
     if trace is not None:
-        trace.append(state.obj)
+        trace.append(obj)
+    cache: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
 
     while True:
-        best: Optional[Tuple[float, Tuple, str, object]] = None
+        # Per node, the cost of leaving its cluster: first the lifted pairs
+        # its removal disconnects, then its edges into the cluster.
+        leaving = np.zeros(n)
+        kept = {}
+        lifted_label = labels[instance.lifted_edges["u"]]
+        inside = lifted_label == labels[instance.lifted_edges["v"]]
+        for cluster in np.unique(lifted_label[inside]).tolist():
+            members = np.flatnonzero(labels == cluster)
+            key = members.tobytes()
+            kept[key] = cache.get(key) or _articulation_sums(instance, members)
+            points, cut = kept[key]
+            leaving[points] = cut
+        cache = kept
 
-        for node in range(instance.num_nodes):
-            src = state.comp[node]
-            targets = sorted(
-                {
-                    state.comp[nbr]
-                    for nbr, _ in state.reg_adj[node]
-                    if state.comp[nbr] != src
-                },
-                key=state.cluster_key,
-            )
-            for target in targets:
-                delta = state.move_delta(node, target)
-                key = (0, node, state.cluster_key(target))
-                if _improves_on(delta, key, best):
-                    best = (delta, key, "move", (node, target))
-            if len(state.members[src]) > 1:
-                delta = state.move_delta(node, None)
-                key = (1, node, node)
-                if _improves_on(delta, key, best):
-                    best = (delta, key, "split", (node, None))
+        tail_label, head_label = labels[tail], labels[head]
+        node, target, sums, linked = _pair_sums(tail, head_label, n, cost, regular)
+        own = target == labels[node]
+        leaving[node[own]] += sums[own]
+        move = linked & ~own
+        split = np.flatnonzero(np.bincount(labels, minlength=n)[labels] > 1)
+        across = tail_label < head_label
+        into, absorbed, between, merge = _pair_sums(
+            tail_label[across], head_label[across], n, cost[across], regular[across])
 
-        comp = np.array(state.comp)
-        cu, cv = comp[instance.edges["u"]], comp[instance.edges["v"]]
-        across = cu != cv
-        adjacent_pairs = set(zip(np.minimum(cu, cv)[across].tolist(),
-                                 np.maximum(cu, cv)[across].tolist()))
-        for ca, cb in sorted(
-            adjacent_pairs, key=lambda p: (state.cluster_key(p[0]), state.cluster_key(p[1]))
-        ):
-            delta = state.merge_delta(ca, cb)
-            key = (2, state.cluster_key(ca), state.cluster_key(cb))
-            if _improves_on(delta, key, best):
-                best = (delta, key, "merge", (ca, cb))
-
-        if best is None:
+        # A move leaves and joins the target, a split only leaves, a merge
+        # joins every pair between the two clusters.
+        delta = np.concatenate([leaving[node[move]] - sums[move], leaving[split],
+                                -between[merge]])
+        kind = np.repeat([0, 1, 2], [move.sum(), len(split), merge.sum()])
+        first = np.concatenate([node[move], split, into[merge]])
+        second = np.concatenate([target[move], split, absorbed[merge]])
+        if delta.min(initial=0.0) >= -_IMPROVEMENT_EPS:
             break
-        delta, _, kind, payload = best
-        if kind == "merge":
-            ca, cb = payload
-            state.apply_merge(ca, cb, delta)
-        else:
-            node, target = payload
-            state.apply_move(node, target, delta)
-        if trace is not None:
-            trace.append(state.obj)
+        best = np.lexsort((second, first, kind, delta))[0]
 
-    partition = state.partition()
+        assign = labels.copy()
+        if kind[best] == 2:
+            assign[labels == second[best]] = first[best]
+        else:
+            assign[first[best]] = second[best] if kind[best] == 0 else -1
+        labels = _cluster_labels(instance, assign)
+        obj += float(delta[best])
+        if trace is not None:
+            trace.append(obj)
+
+    partition = Partition.from_labels(labels.tolist())
     final = objective(instance, partition_to_labeling(instance, partition))
     return partition, final
 

@@ -20,8 +20,8 @@ from liftedtrack.synth import benchmark_spec, synth_sequence
 def benchmark_runs():
     """Benchmark sequences for data seeds 0/1/2 with trained embeddings.
 
-    Each run is a (synth result, embeddings) pair, the embeddings as
-    `pipeline.ablation_embeddings` returns them. The training seed stays at
+    Each run is a (synth result, latent codes per embedding) pair, the codes
+    as `pipeline.ablation_embeddings` returns them. The training seed stays at
     the config default for every run; only the sequence seed varies, so
     embedding quality differences between runs come from the data, not from
     initialization luck.

@@ -1,10 +1,11 @@
-"""Frozen copy of the local search as it was before per-cluster caching.
+"""Frozen per-node Python copy of the local search, kept as its reference.
 
 Test-only differential reference: `tests/test_solver.py` runs it next to
-`liftedtrack.solver.solve_kl` and requires identical traces, partitions and
-objectives. Every candidate move here rescans all lifted edges and runs a
-BFS over the source cluster. Delete this module with the next rewrite of
-the local search (ROADMAP open item 2).
+`liftedtrack.solver.solve_kl`, the array sweep, and requires identical
+partitions, move counts and returned objectives, and traces within 1e-12
+relative (the sweep sums each delta in another order). Every candidate
+move here is costed one at a time: it rescans all lifted edges and runs a
+BFS over the source cluster.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from liftedtrack import pipeline
 from liftedtrack.affinity import (
     LIFTED_FEATURES,
     NEARBY_FEATURES,
@@ -340,7 +341,7 @@ class TestFitStage:
 
 
 class TestAblationCell:
-    def test_gap_limit_drops_farther_table_pairs(self):
+    def test_gap_limit_drops_farther_table_pairs(self, monkeypatch):
         # A 1-3 cell fits and tracks on the table's pairs at most 3 frames
         # apart, so gap-4/5 pairs, here overlaps zeroed against their
         # boxes, change nothing. With latent distance as the only feature
@@ -348,7 +349,7 @@ class TestAblationCell:
         result = synth_sequence(benchmark_spec(num_frames=30), seed=0)
         dets = result.detections
         model = AutoEncoder(default_arch(dets[0].image.shape), seed=0)
-        embedding = (model, latent_codes(model, dets))
+        latents = latent_codes(model, dets)
         near = iou_match_table(dets, max_frame_gap=3)
         wide = MatchTable([*near.rows.tolist(), *(
             (u, v, 0.0) for u, v, _ in result.table.rows.tolist()
@@ -356,10 +357,15 @@ class TestAblationCell:
         )])
         features = ("bias", "d_ae")
         config = dataclasses.replace(PipelineConfig(), nearby_features=features)
-        nearby_fits = [fit_affinity_models(dets, table, embedding[1], config)[0]
+        nearby_fits = [fit_affinity_models(dets, table, latents, config)[0]
                        for table in (near, wide)]
         assert nearby_fits[0] != nearby_fits[1]
-        reports = [ablation_cell(dets, table, result.gt, embedding, features, 3, (),
+
+        def encode_again(*args):
+            raise AssertionError("ablation_cell encoded the detections again")
+
+        monkeypatch.setattr(pipeline, "latent_codes", encode_again)
+        reports = [ablation_cell(dets, table, result.gt, latents, features, 3, (),
                                  config)
                    for table in (near, wide)]
         assert reports[0] == reports[1]

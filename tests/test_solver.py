@@ -1,7 +1,10 @@
 """Solver tests: feasibility, exact oracle, GAEC, KL local search, instance IO.
 
-The local search is also run against `kl_reference`, a frozen copy of its
-uncached version, and must reproduce its traces exactly.
+The local search is also run against `kl_reference`, a frozen per-node
+Python version of it. The array sweep must reproduce its partitions and
+move counts exactly and its traces within 1e-12 relative, because it sums
+each delta in another order. Its result is also checked for local
+optimality by re-scoring every neighbouring partition with `objective`.
 
 The reference oracle here enumerates set partitions recursively in pure
 Python and charges lifted edges through BFS connectivity, independently of
@@ -10,6 +13,8 @@ the vectorized implementation under test.
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helpers import random_instance, random_labeling, random_partition
 from kl_reference import reference_solve_kl
@@ -24,8 +29,8 @@ from liftedtrack.solver import (
     BRUTEFORCE_MAX_NODES,
     FeasibilityReport,
     Violation,
+    _adjacency,
     _articulation_points,
-    _KLState,
     _partition_table,
     is_feasible,
     objective,
@@ -538,6 +543,34 @@ def _bridge_instance(rng, n):
     return _from_pairs(n, pairs, lifted)
 
 
+def _random_cases():
+    """Seeded random instances, each with a random initial partition."""
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        inst = random_instance(
+            rng,
+            max_nodes=14,
+            edge_prob=float(rng.uniform(0.15, 0.7)),
+            lifted_frac=0.4,
+        )
+        yield inst, random_partition(rng, inst.num_nodes)
+
+
+def _chain_and_bridge_cases():
+    """Chain and bridge instances, each from one block and from GAEC."""
+    rng = np.random.default_rng(67)
+    for k in range(80):
+        make = _chain_instance if k % 2 == 0 else _bridge_instance
+        inst = make(rng, int(rng.integers(6, 25)))
+        yield inst, Partition((0,) * inst.num_nodes)
+        yield inst, solve_gaec(inst)[0]
+
+
+# Deltas are summed in another order than in the reference, so trace
+# entries may differ in the last bits of a float64.
+TRACE_RTOL = 1e-12
+
+
 class _ExpectedTrace(list):
     """A trace that fails on the first objective the reference did not record.
 
@@ -551,14 +584,15 @@ class _ExpectedTrace(list):
     def append(self, value):
         step = len(self)
         assert step < len(self.expected), f"extra step {step}: {value!r}"
-        assert value == self.expected[step], (
-            f"step {step}: {value!r} != {self.expected[step]!r}"
+        want = self.expected[step]
+        assert abs(value - want) <= TRACE_RTOL * abs(want), (
+            f"step {step}: {value!r} != {want!r}"
         )
         super().append(value)
 
 
 class TestKlMatchesReference:
-    """The cached local search against a frozen copy of the uncached one."""
+    """The array sweep against a frozen per-node Python local search."""
 
     @staticmethod
     def _assert_same(inst, init):
@@ -566,44 +600,134 @@ class TestKlMatchesReference:
         ref_part, ref_value = reference_solve_kl(inst, init, trace=ref_trace)
         got_trace = _ExpectedTrace(ref_trace)
         got_part, got_value = solve_kl(inst, init, trace=got_trace)
-        assert got_trace == ref_trace
+        assert len(got_trace) == len(ref_trace)
         assert got_part.component_of == ref_part.component_of
         assert got_value == ref_value
         return len(got_trace) - 1
 
     def test_random_instances(self):
-        rng = np.random.default_rng(61)
-        moves = 0
-        for _ in range(300):
-            inst = random_instance(
-                rng,
-                max_nodes=14,
-                edge_prob=float(rng.uniform(0.15, 0.7)),
-                lifted_frac=0.4,
-            )
-            moves += self._assert_same(inst, random_partition(rng, inst.num_nodes))
+        moves = sum(self._assert_same(*case) for case in _random_cases())
         assert moves > 300
 
     def test_chain_and_bridge_clusters(self):
-        rng = np.random.default_rng(67)
         moves = 0
         charged = 0
-        for k in range(80):
-            make = _chain_instance if k % 2 == 0 else _bridge_instance
-            inst = make(rng, int(rng.integers(6, 25)))
-            starts = [Partition((0,) * inst.num_nodes), solve_gaec(inst)[0]]
-            for init in starts:
-                state = _KLState(inst, init)
-                charged += sum(
-                    1
-                    for cid in state.members
-                    for costs in state._disconnection_costs(cid).values()
-                    if costs
-                )
-                moves += self._assert_same(inst, init)
+        for inst, init in _chain_and_bridge_cases():
+            blocks = labeling_to_partition(inst, partition_to_labeling(inst, init))
+            charged += sum(_disconnects_lifted_pair(inst, set(block), x)
+                           for block in blocks.blocks() for x in block)
+            moves += self._assert_same(inst, init)
         # Articulation nodes did carry lifted pairs, and the searches moved.
         assert charged > 100
         assert moves > 80
+
+
+def _neighbour_assignments(partition, inst):
+    """Every single-node move to a regular-adjacent cluster, split and merge."""
+    labels = np.array(partition.component_of)
+    u, v = inst.edges["u"], inst.edges["v"]
+    across = labels[u] != labels[v]
+    ends = np.concatenate([u[across], v[across]])
+    others = np.concatenate([v[across], u[across]])
+    sizes = np.bincount(labels)
+    for node, target in sorted(set(zip(ends.tolist(), labels[others].tolist()))):
+        moved = labels.copy()
+        moved[node] = target
+        yield moved
+    for node in np.flatnonzero(sizes[labels] > 1).tolist():
+        split = labels.copy()
+        split[node] = len(sizes)
+        yield split
+    for a, b in sorted(set(zip(np.minimum(labels[u], labels[v])[across].tolist(),
+                               np.maximum(labels[u], labels[v])[across].tolist()))):
+        yield np.where(labels == b, a, labels)
+
+
+class TestKlLocalOptimum:
+    """No move, split or merge re-scored by `objective` beats the result."""
+
+    @staticmethod
+    def _assert_local_optimum(inst, init):
+        trace = []
+        part, value = solve_kl(inst, init, trace=trace)
+        obj = objective(inst, partition_to_labeling(inst, part))
+        tol = 1e-9 * max(1.0, abs(obj))
+        assert abs(value - obj) <= tol
+        assert abs(trace[-1] - obj) <= tol
+        count = 0
+        for labels in _neighbour_assignments(part, inst):
+            other = Partition.from_labels(labels.tolist())
+            assert objective(inst, partition_to_labeling(inst, other)) >= obj - tol
+            count += 1
+        return count
+
+    def test_random_instances(self):
+        assert sum(self._assert_local_optimum(*case) for case in _random_cases()) > 1000
+
+    def test_chain_and_bridge_clusters(self):
+        assert sum(self._assert_local_optimum(*case)
+                   for case in _chain_and_bridge_cases()) > 1000
+
+
+class TestKlEdgeCases:
+    @staticmethod
+    def _solve(inst, init):
+        trace = []
+        part, value = solve_kl(inst, init, trace=trace)
+        assert value == pytest.approx(trace[-1], rel=1e-12, abs=1e-12)
+        assert value == objective(inst, partition_to_labeling(inst, part))
+        if inst.num_nodes <= BRUTEFORCE_MAX_NODES:
+            assert value >= solve_bruteforce(inst)[1] - 1e-9
+        return part, value, trace
+
+    def test_no_nodes(self):
+        part, value, trace = self._solve(MulticutInstance(0, ()), Partition(()))
+        assert part.num_nodes == 0
+        assert value == 0.0
+        assert trace == [0.0]
+
+    def test_one_node(self):
+        part, value, trace = self._solve(MulticutInstance(1, ()), Partition((0,)))
+        assert part.component_of == (0,)
+        assert (value, trace) == (0.0, [0.0])
+
+    def test_lifted_edges_without_regular_edges(self):
+        # No regular edge links anything: every node is its own cluster,
+        # every lifted pair stays cut, and no move is possible.
+        inst = MulticutInstance(3, (), ((0, 1, 5.0), (1, 2, -1.0), (0, 2, 2.0)))
+        part, value, trace = self._solve(inst, Partition((0, 0, 0)))
+        assert part.component_of == (0, 1, 2)
+        assert value == solve_bruteforce(inst)[1] == 6.0
+        assert trace == [6.0]
+
+    def test_regular_edges_without_lifted_edges(self):
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            inst = random_instance(rng, max_nodes=9, lifted_frac=0.0)
+            self._solve(inst, random_partition(rng, inst.num_nodes))
+        inst = MulticutInstance(4, ((0, 1, 3.0), (2, 3, 4.0), (1, 2, -5.0)))
+        part, value, _ = self._solve(inst, Partition((0, 0, 0, 0)))
+        assert part.component_of == (0, 0, 1, 1)
+        assert value == -5.0
+
+    def test_initial_block_not_connected_in_g(self):
+        # Block {0, 3} has no regular path, so the search starts from
+        # {0}, {1, 2}, {3} and charges the lifted pair (0, 3) as cut.
+        inst = MulticutInstance(4, ((0, 1, 2.0), (1, 2, -1.0), (2, 3, 2.0)),
+                                ((0, 3, 3.0),))
+        part, value, trace = self._solve(inst, Partition((0, 1, 1, 0)))
+        assert trace[0] == 7.0
+        assert part.component_of == (0, 0, 0, 0)
+        assert value == solve_bruteforce(inst)[1] == 0.0
+
+    def test_rounding_noise_is_no_improvement(self):
+        # Moving node 0 to {2, 3}, or merging the two clusters, changes the
+        # objective by 0.3 - (0.1 + 0.2) = -5.6e-17 in floats, 0 exactly.
+        inst = MulticutInstance(4, ((0, 1, 0.3), (0, 2, 0.1), (0, 3, 0.2),
+                                    (1, 2, -0.3), (2, 3, 1.0)))
+        part, _, trace = self._solve(inst, Partition((0, 0, 1, 1)))
+        assert part.component_of == (0, 0, 1, 1)
+        assert len(trace) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +735,51 @@ class TestKlMatchesReference:
 # ---------------------------------------------------------------------------
 
 
-def _connected_subset(rng, state, size):
+def _induced_components(inst, nodes):
+    """Component label per node of the regular subgraph induced by `nodes`.
+
+    Nodes outside `nodes` come out as singletons.
+    """
+    n = inst.num_nodes
+    inside = np.zeros(n, dtype=bool)
+    inside[sorted(nodes)] = True
+    u, v = inst.edges["u"], inst.edges["v"]
+    keep = inside[u] & inside[v]
+    graph = coo_matrix((np.ones(keep.sum()), (u[keep], v[keep])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _splits_when_removed(inst, nodes, x):
+    labels = _induced_components(inst, nodes - {x})
+    return len(set(labels[sorted(nodes - {x})].tolist())) > 1
+
+
+def _disconnects_lifted_pair(inst, block, x):
+    """Removing x from the block separates the endpoints of a lifted pair in it."""
+    rest = block - {x}
+    labels = _induced_components(inst, rest)
+    return any(a in rest and b in rest and labels[a] != labels[b]
+               for a, b in zip(inst.lifted_edges["u"].tolist(),
+                               inst.lifted_edges["v"].tolist()))
+
+
+def _connected_subset(rng, adj, size):
     """Grow a node set from a random start along regular edges."""
-    start = int(rng.integers(0, len(state.reg_adj)))
+    start = int(rng.integers(0, len(adj)))
     nodes = {start}
-    frontier = [y for y, _ in state.reg_adj[start]]
+    frontier = [y for y, _ in adj[start]]
     while frontier and len(nodes) < size:
         y = frontier.pop(int(rng.integers(0, len(frontier))))
         if y not in nodes:
             nodes.add(y)
-            frontier.extend(z for z, _ in state.reg_adj[y] if z not in nodes)
+            frontier.extend(z for z, _ in adj[y] if z not in nodes)
     return nodes
 
 
 class TestArticulationPoints:
     @staticmethod
-    def _by_removal(state, nodes):
-        return {
-            x for x in nodes if len(state._remainder_components(nodes, x)) > 1
-        }
+    def _by_removal(inst, nodes):
+        return {x for x in nodes if _splits_when_removed(inst, nodes, x)}
 
     def test_random_connected_sets(self):
         rng = np.random.default_rng(71)
@@ -638,10 +788,10 @@ class TestArticulationPoints:
             inst = random_instance(
                 rng, max_nodes=16, edge_prob=float(rng.uniform(0.1, 0.5))
             )
-            state = _KLState(inst, Partition((0,) * inst.num_nodes))
-            nodes = _connected_subset(rng, state, int(rng.integers(1, 17)))
-            expected = self._by_removal(state, nodes)
-            assert _articulation_points(nodes, state.reg_adj) == expected
+            adj = _adjacency(inst.num_nodes, inst.edges)
+            nodes = _connected_subset(rng, adj, int(rng.integers(1, 17)))
+            expected = self._by_removal(inst, nodes)
+            assert _articulation_points(nodes, adj) == expected
             cut_vertices += len(expected)
         assert cut_vertices > 50
 
@@ -649,22 +799,18 @@ class TestArticulationPoints:
         rng = np.random.default_rng(73)
         for _ in range(100):
             inst = _chain_instance(rng, int(rng.integers(2, 30)))
-            state = _KLState(inst, Partition((0,) * inst.num_nodes))
+            adj = _adjacency(inst.num_nodes, inst.edges)
             lo = int(rng.integers(0, inst.num_nodes))
             hi = int(rng.integers(lo, inst.num_nodes)) + 1
             nodes = set(range(lo, hi))
-            assert _articulation_points(nodes, state.reg_adj) == self._by_removal(
-                state, nodes
-            )
+            assert _articulation_points(nodes, adj) == self._by_removal(inst, nodes)
 
     def test_cycle_has_none_and_path_interior_all(self):
         ring = MulticutInstance(5, tuple((i, (i + 1) % 5, 1.0) for i in range(4))
                                 + ((0, 4, 1.0),))
-        state = _KLState(ring, Partition((0,) * 5))
-        assert _articulation_points(set(range(5)), state.reg_adj) == set()
+        assert _articulation_points(set(range(5)), _adjacency(5, ring.edges)) == set()
         path = MulticutInstance(5, tuple((i, i + 1, 1.0) for i in range(4)))
-        state = _KLState(path, Partition((0,) * 5))
-        assert _articulation_points(set(range(5)), state.reg_adj) == {1, 2, 3}
+        assert _articulation_points(set(range(5)), _adjacency(5, path.edges)) == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
