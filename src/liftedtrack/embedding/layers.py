@@ -2,8 +2,14 @@
 
 Every layer follows the same functional contract: `forward(x, train)`
 returns `(out, cache)`, `backward(dout, cache)` returns `(dx, grads)` where
-`grads` has the same keys as `params`. All arithmetic is float64; inputs to
-conv/pool layers are batches shaped (N, C, H, W), dense inputs are (N, D).
+`grads` has the same keys as `params`. `Conv2D.param_grads(dout, cache)`
+returns `grads` alone, for the first layer, whose input gradient nothing
+uses. All arithmetic is float64; inputs to conv/pool layers are batches
+shaped (N, C, H, W), dense inputs are (N, D).
+
+Convolutions are im2col matmuls (see `Conv2D`): each pass is one BLAS call
+on column matrices copied from a cached window view of the padded input,
+with no einsum path planning and no `np.pad`.
 """
 
 from __future__ import annotations
@@ -39,7 +45,27 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 
 
 class Conv2D(Layer):
-    """Same-padded stride-1 convolution (cross-correlation), square kernel."""
+    """Same-padded stride-1 convolution (cross-correlation), square kernel.
+
+    Each pass is one matmul over im2col column matrices (Chellapilla, Puri
+    & Simard, 2006). The padded input's k x k windows form a view shaped
+    (N, C, H, W, k, k) that the forward pass caches; the column matrices
+    are copies made from it when needed and not kept:
+
+    * forward: ``W (O, C*k*k) @ cols (C*k*k, N*H*W)``, cols laid out
+      (c, i, j, n, h, w); the (O, N, H, W) product is returned as an NCHW
+      view and the bias added in place.
+    * dW: ``dout (O, N*H*W) @ rows (N*H*W, C*k*k)``, rows laid out
+      (n, h, w, c, i, j) and copied contiguous.
+    * dx: the rotated kernels ``(C, O*k*k) @ dcols (O*k*k, N*H*W)``, dcols
+      built from the padded `dout` as cols is from the padded input.
+
+    The operand order and layouts are the ones `np.einsum(..., optimize=True)`
+    hands to the same BLAS call for these contractions, so the results are
+    bit-identical to the einsum layer (`tests/conv_reference.py`); the other
+    order (`cols.T @ W.T`) or a transposed view in place of the contiguous
+    `rows` copy changes the last bits.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator):
@@ -57,34 +83,48 @@ class Conv2D(Layer):
             "b": np.zeros(out_channels),
         }
 
+    def _windows(self, x):
+        """k x k windows of `x` zero-padded by k // 2, shaped (N, C, H, W, k, k)."""
+        n, c, h, w = x.shape
+        k = self.kernel_size
+        p = k // 2
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        xp[:, :, p:p + h, p:p + w] = x
+        return sliding_window_view(xp, (k, k), axis=(2, 3))
+
+    @staticmethod
+    def _matmul_cols(a, windows):
+        """`a @ cols` over the windows' columns, returned as an NCHW view."""
+        n, c, h, w, k, _ = windows.shape
+        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+        return (a @ cols).reshape(a.shape[0], n, h, w).transpose(1, 0, 2, 3)
+
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"conv expects (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        k = self.kernel_size
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-        out = np.einsum("nchwij,ocij->nohw", windows, self.params["W"],
-                        optimize=True)
+        windows = self._windows(x)
+        W = self.params["W"]
+        out = self._matmul_cols(W.reshape(W.shape[0], -1), windows)
         out += self.params["b"][None, :, None, None]
-        return out, (windows, x.shape)
+        return out, (windows,)
+
+    def param_grads(self, dout, cache):
+        """Gradients of W and b alone, for a layer whose input needs none."""
+        (windows,) = cache
+        n, c, h, w, k, _ = windows.shape
+        o = dout.shape[1]
+        rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * k * k)
+        dW = dout.transpose(1, 0, 2, 3).reshape(o, n * h * w) @ rows
+        return {"W": dW.reshape(o, c, k, k), "b": dout.sum(axis=(0, 2, 3))}
 
     def backward(self, dout, cache):
-        windows, x_shape = cache
-        k = self.kernel_size
-        p = k // 2
-        db = dout.sum(axis=(0, 2, 3))
-        dW = np.einsum("nchwij,nohw->ocij", windows, dout, optimize=True)
-        # dx is the full correlation of dout with the 180-degree-rotated kernels.
-        dp = np.pad(dout, ((0, 0), (0, 0), (k - 1 - p, k - 1 - p),
-                           (k - 1 - p, k - 1 - p)))
-        dwin = sliding_window_view(dp, (k, k), axis=(2, 3))
-        w_rot = self.params["W"][:, :, ::-1, ::-1]
-        dx = np.einsum("nohwij,ocij->nchw", dwin, w_rot, optimize=True)
-        assert dx.shape == x_shape
-        return dx, {"W": dW, "b": db}
+        # dx is the full correlation of dout with the 180-degree-rotated
+        # kernels; for odd k its padding k - 1 - k // 2 is the forward's k // 2.
+        w_rot = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = self._matmul_cols(w_rot.reshape(w_rot.shape[0], -1), self._windows(dout))
+        return dx, self.param_grads(dout, cache)
 
 
 class MaxPool2x2(Layer):

@@ -153,7 +153,9 @@ class AutoEncoder:
         """Backpropagate gradients from reconstruction and latent outputs.
 
         `d_latent` is added at the encoder/decoder junction (the clustering
-        term attaches there). Returns ({(stack, index): grads}, d_input).
+        term attaches there). Returns {(stack, index): grads}; the input
+        gradient is never formed, because the first encoder layer, always a
+        `Conv2D`, computes its parameter gradients alone.
         """
         enc_caches, dec_caches = caches
         grads: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
@@ -163,11 +165,12 @@ class AutoEncoder:
             if g:
                 grads[("dec", i)] = g
         d = d + d_latent
-        for i in reversed(range(len(self.encoder_layers))):
+        for i in reversed(range(1, len(self.encoder_layers))):
             d, g = self.encoder_layers[i].backward(d, enc_caches[i])
             if g:
                 grads[("enc", i)] = g
-        return grads, d
+        grads[("enc", 0)] = self.encoder_layers[0].param_grads(d, enc_caches[0])
+        return grads
 
     def encode(self, image: np.ndarray) -> np.ndarray:
         """Latent vector of one image (inference mode)."""

@@ -173,8 +173,7 @@ def _backward_losses(model, x, recon, z, cmat, lam, caches):
         d_latent = lam * 2.0 * (z - cmat) / n
     else:
         d_latent = np.zeros_like(z)
-    grads, _ = model.backward_batch(d_recon, d_latent, caches)
-    return grads
+    return model.backward_batch(d_recon, d_latent, caches)
 
 
 def train(

@@ -246,13 +246,18 @@ def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> List[
 
 def train_embedding(detections: Sequence[Detection], tracklets: Sequence[Tracklet],
                     config: PipelineConfig, arch: ArchConfig = None):
-    """Train the autoencoder with tracklet labels driving the clustering term."""
-    if arch is None:
-        shape = detections[0].image.shape if detections else (3, 16, 16)
-        arch = default_arch(shape)
-    labels = tracklet_labels(tracklets, len(detections))
-    model = AutoEncoder(arch, seed=config.seed)
-    return train(model, list(detections), labels, config.training_config())
+    """Train the autoencoder with tracklet labels driving the clustering term.
+
+    Any failure, such as no detections or a non-finite patch, is raised as
+    PipelineError at stage "train".
+    """
+    with _stage("train"):
+        if arch is None:
+            shape = detections[0].image.shape if detections else (3, 16, 16)
+            arch = default_arch(shape)
+        labels = tracklet_labels(tracklets, len(detections))
+        model = AutoEncoder(arch, seed=config.seed)
+        return train(model, list(detections), labels, config.training_config())
 
 
 @contextmanager

@@ -7,7 +7,12 @@ import pytest
 
 from liftedtrack.affinity import iou_match_table, read_match_table
 from liftedtrack.cli import main
-from liftedtrack.motio import load_patches, read_mot, records_to_detections
+from liftedtrack.motio import (
+    load_patches,
+    read_mot,
+    records_to_detections,
+    save_patches,
+)
 from liftedtrack.pipeline import (
     ablation_cell,
     ablation_embeddings,
@@ -169,6 +174,19 @@ class TestErrors:
         assert main(["track", "--dir", str(tmp_path), "--config",
                      str(config)]) == 1
         assert "error [track]" in capsys.readouterr().err
+
+    def test_train_on_non_finite_patch_fails_at_train(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("epochs = 1\n")
+        argv_common = ["--dir", str(tmp_path), "--config", str(config)]
+        assert main(["synth", *argv_common, "--frames", "5"]) == 0
+        assert main(["pregroup", *argv_common]) == 0
+        patches = load_patches(tmp_path / "patches.npz")
+        patches[1, 0, 2, 2] = np.nan
+        save_patches(tmp_path / "patches.npz", patches)
+        capsys.readouterr()
+        assert main(["train-embedding", *argv_common]) == 1
+        assert capsys.readouterr().err.startswith("error [train]: non-finite loss")
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,7 @@ from liftedtrack.embedding import (
 )
 from liftedtrack.graph import BBox, Detection
 
+import conv_reference
 from helpers import smooth_embedding_fixture
 
 SMALL = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
@@ -103,6 +104,85 @@ class TestConv2D:
         conv = Conv2D(3, 4, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             conv.forward(np.zeros((1, 2, 4, 4)))
+
+
+# (in, out, spatial size) of the four convolutions of pipeline.default_arch()
+DEFAULT_ARCH_CONVS = ((3, 8, 16), (8, 16, 8), (16, 8, 8), (8, 3, 16))
+
+
+def _root_arrays(cache):
+    """The distinct arrays that own the memory of the cache's arrays."""
+    roots = {}
+    for item in cache:
+        if isinstance(item, np.ndarray):
+            while getattr(item, "base", None) is not None:
+                item = item.base
+            roots[id(item)] = item
+    return list(roots.values())
+
+
+class TestConvMatchesReference:
+    """The im2col layer against the frozen einsum layer, compared with ==."""
+
+    @pytest.mark.parametrize("kernel", (1, 3, 5))
+    @pytest.mark.parametrize("shape", DEFAULT_ARCH_CONVS)
+    def test_passes_bit_identical(self, shape, kernel):
+        c_in, c_out, size = shape
+        for n in range(1, 13):
+            conv = Conv2D(c_in, c_out, kernel, np.random.default_rng(n))
+            ref = conv_reference.Conv2D(c_in, c_out, kernel, np.random.default_rng(n))
+            rng = np.random.default_rng(100 * n + kernel)
+            x = rng.normal(size=(n, c_in, size, size))
+            dout = rng.normal(size=(n, c_out, size, size))
+            out, cache = conv.forward(x, True)
+            ref_out, ref_cache = ref.forward(x, True)
+            dx, grads = conv.backward(dout, cache)
+            only_grads = conv.param_grads(dout, cache)
+            ref_dx, ref_grads = ref.backward(dout, ref_cache)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(dx, ref_dx)
+            for name in ("W", "b"):
+                assert np.array_equal(grads[name], ref_grads[name])
+                assert np.array_equal(only_grads[name], ref_grads[name])
+
+    def test_training_trace_bit_identical(self):
+        # frames of one, three and five patches; the clustering term on from epoch 1
+        arch = ArchConfig(input_shape=(3, 16, 16), conv_channels=(8, 16), latent_dim=16)
+        rng = np.random.default_rng(40)
+        dets = [
+            Detection(frame=f, box=BBox(0, 0, 4, 4),
+                      image=rng.uniform(0.1, 0.9, size=(3, 16, 16)))
+            for f, count in enumerate((1, 3, 5), start=1)
+            for _ in range(count)
+        ]
+        labels = [i % 3 for i in range(len(dets))]
+        config = TrainingConfig(epochs=3, lambda_schedule=((0, 0.0), (1, 0.9)), seed=4)
+        model = AutoEncoder(arch, seed=3)
+        ref = AutoEncoder(arch, seed=3)
+        for _, layer in ref.layer_items():
+            if isinstance(layer, Conv2D):
+                layer.__class__ = conv_reference.Conv2D
+        _, trace = train(model, dets, labels, config)
+        _, ref_trace = train(ref, dets, labels, config)
+        assert trace == ref_trace
+        for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
+            assert np.array_equal(a, b)
+
+
+class TestConvCache:
+    @pytest.mark.parametrize("kernel", (1, 3, 5))
+    def test_owns_no_more_than_the_padded_input(self, kernel):
+        # a cached column matrix is k*k times the input; the model keeps
+        # every layer's cache of a whole-dataset encode alive at once
+        p = kernel // 2
+        for c_in, c_out, size in DEFAULT_ARCH_CONVS:
+            conv = Conv2D(c_in, c_out, kernel, np.random.default_rng(0))
+            x = np.random.default_rng(1).normal(size=(7, c_in, size, size))
+            _, cache = conv.forward(x)
+            roots = _root_arrays(cache)
+            assert roots
+            padded = x.itemsize * 7 * c_in * (size + 2 * p) ** 2
+            assert sum(r.nbytes for r in roots) <= padded
 
 
 class TestMaxPool:

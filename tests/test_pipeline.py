@@ -14,7 +14,7 @@ from liftedtrack.affinity import (
     iou_match_table,
     latent_codes,
 )
-from liftedtrack.embedding import ArchConfig, AutoEncoder
+from liftedtrack.embedding import ArchConfig, AutoEncoder, TrainingDiverged
 from liftedtrack.graph import BBox, Detection, Partition, UnionFind, iou
 from liftedtrack.pipeline import (
     PipelineConfig,
@@ -30,6 +30,7 @@ from liftedtrack.pipeline import (
     read_config,
     run_tracking,
     tracklet_labels,
+    train_embedding,
     write_config,
 )
 from liftedtrack.synth import benchmark_spec, synth_sequence
@@ -338,6 +339,31 @@ class TestFitStage:
         assert info.value.stage == "fit"
         assert isinstance(info.value.cause, ValueError)
         assert "each label" in str(info.value)
+
+
+class TestTrainStage:
+    CONFIG = dataclasses.replace(PipelineConfig(), epochs=1)
+
+    def test_no_detections_fail_at_train(self):
+        with pytest.raises(PipelineError) as info:
+            train_embedding([], [], self.CONFIG)
+        assert info.value.stage == "train"
+        assert isinstance(info.value.cause, ValueError)
+        assert "empty dataset" in str(info.value)
+
+    def test_non_finite_patch_fails_at_train(self):
+        rng = np.random.default_rng(31)
+        dets = [Detection(f, BBox(0.0, 0.0, 10.0, 10.0),
+                          image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
+                for f in range(1, 5)]
+        dets[2].image[0, 3, 3] = np.nan
+        tracklets = [Tracklet(label=i, members=(i,)) for i in range(len(dets))]
+        arch = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
+        with pytest.raises(PipelineError) as info:
+            train_embedding(dets, tracklets, self.CONFIG, arch=arch)
+        assert info.value.stage == "train"
+        assert isinstance(info.value.cause, TrainingDiverged)
+        assert "non-finite loss" in str(info.value)
 
 
 class TestAblationCell:
