@@ -9,6 +9,7 @@ prefer join).
 """
 
 import json
+import logging
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
@@ -17,6 +18,8 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import Detection, Edge, MulticutInstance, frame_pairs
+
+logger = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("bias", "iou_dm", "d_ae", "product")
 NEARBY_FEATURES = ("bias", "iou_dm", "d_ae", "product")
@@ -228,10 +231,14 @@ def feature_matrix(iou_dm, d_ae, feature_config=NEARBY_FEATURES) -> np.ndarray:
         rows = np.column_stack([columns[name] for name in feature_config])
     except KeyError as exc:
         raise ValueError(f"unknown feature name {exc.args[0]!r}") from exc
+    _reject_non_finite(rows)
+    return rows
+
+
+def _reject_non_finite(rows):
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite feature vector {rows[bad[0]]} in row {bad[0]}")
-    return rows
 
 
 def latent_distances(latents, u, v) -> np.ndarray:
@@ -248,12 +255,28 @@ def _nll(beta, features, labels, l2):
     return float(np.mean(losses) + 0.5 * l2 * float(beta @ beta))
 
 
-def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 2000,
-                 tol: float = 1e-9):
-    """Fit beta by full-batch descent on the L2-regularized mean log loss.
+@dataclass(frozen=True, eq=False)
+class LogisticFit:
+    """A fitted beta, the Newton steps taken and the gradient norm at beta.
 
-    Backtracking line search keeps the loss monotonically non-increasing;
-    starting from beta = 0 makes the result deterministic.
+    `converged` means the gradient norm fell below the fit's `tol`.
+    """
+
+    beta: np.ndarray
+    iterations: int
+    converged: bool
+    grad_norm: float
+
+
+def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 50,
+                 tol: float = 1e-9) -> LogisticFit:
+    """Fit beta by Newton's method (IRLS) on the L2-regularized mean log loss.
+
+    Each step solves the k x k system H d = -g, with Hessian
+    H = X^T diag(p(1-p)) X / n + l2 I, and stops once |g| < tol, after
+    `max_iters` steps, or when backtracking along d finds no decrease, so
+    the loss never rises; starting from beta = 0 makes the result
+    deterministic.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -261,6 +284,7 @@ def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 2000,
         raise ValueError(
             f"feature matrix {features.shape} does not match {labels.shape[0]} labels"
         )
+    _reject_non_finite(features)
     classes = np.unique(labels)
     if not np.array_equal(classes, [0, 1]):
         raise ValueError(
@@ -269,23 +293,28 @@ def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 2000,
     n, k = features.shape
     beta = np.zeros(k)
     loss = _nll(beta, features, labels, l2)
-    for _ in range(max_iters):
+    iterations = 0
+    while True:
         probs = expit(features @ beta)
         grad = features.T @ (probs - labels) / n + l2 * beta
-        gnorm2 = float(grad @ grad)
-        if gnorm2 < tol**2:
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < tol or iterations == max_iters:
             break
+        hessian = (features.T * (probs * (1.0 - probs))) @ features / n + l2 * np.eye(k)
+        direction = -np.linalg.solve(hessian, grad)
+        slope = float(grad @ direction)
         step = 1.0
         while step > 1e-12:
-            candidate = beta - step * grad
+            candidate = beta + step * direction
             new_loss = _nll(candidate, features, labels, l2)
-            if new_loss <= loss - 1e-4 * step * gnorm2:
+            if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break
         beta, loss = candidate, new_loss
-    return beta
+        iterations += 1
+    return LogisticFit(beta, iterations, grad_norm < tol, grad_norm)
 
 
 @dataclass(frozen=True)
@@ -331,8 +360,12 @@ class AffinityModel:
 def fit_affinity_model(raw_pairs, labels, feature_config=NEARBY_FEATURES) -> AffinityModel:
     """Fit from raw (iou_dm, d_ae) rows under the given feature subset."""
     raw = np.asarray(raw_pairs, dtype=float).reshape(-1, 2)
-    beta = fit_logistic(feature_matrix(raw[:, 0], raw[:, 1], feature_config), labels)
-    return AffinityModel(tuple(feature_config), tuple(beta))
+    fit = fit_logistic(feature_matrix(raw[:, 0], raw[:, 1], feature_config), labels)
+    if not fit.converged:
+        logger.warning("logistic fit for %s stopped after %d iterations at gradient "
+                       "norm %.3g", "+".join(feature_config), fit.iterations,
+                       fit.grad_norm)
+    return AffinityModel(tuple(feature_config), tuple(fit.beta))
 
 
 def predict_p_same(model: AffinityModel, features) -> np.ndarray:

@@ -5,6 +5,8 @@ the regularized loss (scipy BFGS) rather than against the implementation's
 own optimizer.
 """
 
+import functools
+import logging
 import math
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from liftedtrack import affinity
 from liftedtrack.affinity import (
+    L2_WEIGHT,
     LATENT_CHUNK,
     LIFTED_FEATURES,
     NEARBY_FEATURES,
@@ -259,15 +263,66 @@ class TestFitLogistic:
         )
         truth = np.array([0.3, 1.2, -0.8])
         labels = (rng.random(80) < expit(features @ truth)).astype(int)
-        beta = fit_logistic(features, labels)
+        beta = fit_logistic(features, labels).beta
         expected = reference_beta(features, labels)
         assert np.max(np.abs(beta - expected)) < 1e-5
+
+    def test_converges_on_pipeline_shaped_fit(self):
+        # intercept, overlap in [0, 1] and a latent distance spread over
+        # tens, as the pipeline fits: the Hessian is ill-conditioned, so
+        # 2000 steepest-descent steps leave a gradient norm near 4e-3
+        rng = np.random.default_rng(21)
+        n = 3000
+        features = np.column_stack(
+            [np.ones(n), rng.uniform(0, 1, size=n), rng.uniform(0, 40, size=n)]
+        )
+        labels = (rng.random(n) < expit(features @ [1.0, 4.0, -0.3])).astype(int)
+        fit = fit_logistic(features, labels)
+        assert fit.converged
+        assert fit.iterations < 50
+        grad = (features.T @ (expit(features @ fit.beta) - labels) / n
+                + L2_WEIGHT * fit.beta)
+        assert np.linalg.norm(grad) < 1e-9
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6, abs=1e-15)
+        expected = reference_beta(features, labels)
+        assert np.max(np.abs(fit.beta - expected)) < 1e-6
+        assert np.array_equal(fit_logistic(features, labels).beta, fit.beta)
+
+    def test_iteration_cap_reported(self, caplog, monkeypatch):
+        rng = np.random.default_rng(23)
+        raw = np.column_stack([rng.uniform(0, 1, size=100), rng.uniform(0, 20, size=100)])
+        labels = (raw[:, 0] > 0.5).astype(int)
+        with caplog.at_level(logging.WARNING, logger="liftedtrack.affinity"):
+            fit_affinity_model(raw, labels, NEARBY_FEATURES)
+        assert not caplog.records
+
+        features = feature_matrix(raw[:, 0], raw[:, 1], NEARBY_FEATURES)
+        capped = fit_logistic(features, labels, max_iters=1)
+        assert (capped.iterations, capped.converged) == (1, False)
+        assert capped.grad_norm > 1e-9
+
+        monkeypatch.setattr(affinity, "fit_logistic",
+                            functools.partial(fit_logistic, max_iters=1))
+        with caplog.at_level(logging.WARNING, logger="liftedtrack.affinity"):
+            model = fit_affinity_model(raw, labels, NEARBY_FEATURES)
+        assert model.beta == tuple(capped.beta)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "bias+iou_dm+d_ae+product" in message
+        assert "after 1 iterations" in message
+        assert f"{capped.grad_norm:.3g}" in message
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite.*row 1"):
+            fit_logistic([[1.0, 2.0], [bad, 1.0], [1.0, 0.5]], [0, 1, 1])
 
     def test_separable_slope_and_accuracy(self):
         # one feature: +2 for label 1, -2 for label 0
         features = np.array([[2.0]] * 6 + [[-2.0]] * 6)
         labels = np.array([1] * 6 + [0] * 6)
-        beta = fit_logistic(features, labels)
+        beta = fit_logistic(features, labels).beta
         assert beta[0] > 0
         preds = (expit(features @ beta) > 0.5).astype(int)
         assert np.array_equal(preds, labels)
@@ -276,7 +331,7 @@ class TestFitLogistic:
         rng = np.random.default_rng(12)
         features = np.column_stack([np.ones(40), rng.normal(size=40)])
         labels = np.array([0, 1] * 20)
-        beta = fit_logistic(features, rng.permutation(labels))
+        beta = fit_logistic(features, rng.permutation(labels)).beta
         probs = expit(features @ beta)
         assert np.all(probs > 0.35) and np.all(probs < 0.65)
 
@@ -284,19 +339,19 @@ class TestFitLogistic:
         rng = np.random.default_rng(13)
         features = np.column_stack([np.ones(30), rng.normal(size=30)])
         labels = (rng.random(30) < 0.5).astype(int)
-        beta_once = fit_logistic(features, labels)
+        beta_once = fit_logistic(features, labels).beta
         beta_twice = fit_logistic(np.vstack([features, features]),
-                                  np.concatenate([labels, labels]))
+                                  np.concatenate([labels, labels])).beta
         assert np.max(np.abs(beta_once - beta_twice)) < 1e-6
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
         features = np.column_stack([np.ones(50), rng.normal(size=50)])
         labels = (rng.random(50) < 0.5).astype(int)
-        base = fit_logistic(features, labels)
+        base = fit_logistic(features, labels).beta
         for seed in range(5):
             order = np.random.default_rng(seed).permutation(50)
-            shuffled = fit_logistic(features[order], labels[order])
+            shuffled = fit_logistic(features[order], labels[order]).beta
             assert np.max(np.abs(base - shuffled)) < 1e-6
 
     def test_single_class_rejected(self):

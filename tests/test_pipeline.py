@@ -341,6 +341,41 @@ class TestFitStage:
         assert "each label" in str(info.value)
 
 
+    def test_non_finite_latent_fails_at_fit(self):
+        # both label classes present: next-frame pairs overlap, two apart do not
+        dets = [det(f) for f in range(1, 21)]
+        table = MatchTable([(i, i + 1, 0.9) for i in range(19)]
+                           + [(i, i + 2, 0.05) for i in range(18)])
+        latents = np.random.default_rng(32).normal(size=(20, 4))
+        latents[7, 2] = np.nan
+        with pytest.raises(PipelineError) as info:
+            fit_affinity_models(dets, table, latents, PipelineConfig())
+        assert info.value.stage == "fit"
+        assert isinstance(info.value.cause, ValueError)
+        assert "non-finite feature vector" in str(info.value)
+
+
+class TestFramesWithoutDetections:
+    def _run(self, detections, table):
+        config = dataclasses.replace(PipelineConfig(), epochs=2)
+        tracklets = pregroup(detections, table, threshold=config.pregroup_threshold,
+                             max_gap=config.pregroup_max_gap)
+        model, _ = train_embedding(detections, tracklets, config)
+        latents = latent_codes(model, detections)
+        models = fit_affinity_models(detections, table, latents, config)
+        return run_tracking(detections, table, model, models, config)
+
+    def test_tracks_bridge_empty_frames(self):
+        result = synth_sequence(benchmark_spec(num_frames=60), seed=0)
+        dets = [d for d in result.detections if not 20 <= d.frame <= 22]
+        assert {d.frame for d in dets} == set(range(1, 61)) - {20, 21, 22}
+        table = iou_match_table(dets)
+        first = self._run(dets, table)
+        assert len(first.tracks) == 5
+        for track in first.tracks:
+            assert (track.first_frame, track.last_frame) == (1, 60)
+        assert first.to_mot_records() == self._run(dets, table).to_mot_records()
+
 class TestTrainStage:
     CONFIG = dataclasses.replace(PipelineConfig(), epochs=1)
 
