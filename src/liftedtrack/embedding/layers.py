@@ -9,7 +9,9 @@ shaped (N, C, H, W), dense inputs are (N, D).
 
 Convolutions are im2col matmuls (see `Conv2D`): each pass is one BLAS call
 on column matrices copied from a cached window view of the padded input,
-with no einsum path planning and no `np.pad`.
+with no einsum path planning and no `np.pad`. Max pooling works on the four
+strided quadrant views of its input (see `MaxPool2x2`), with no tile copy
+and no argmax.
 """
 
 from __future__ import annotations
@@ -128,25 +130,40 @@ class Conv2D(Layer):
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling with stride 2; first maximum wins on ties."""
+    """2x2 max pooling with stride 2; first maximum wins on ties.
+
+    The forward pass takes `np.maximum` over the four stride-2 quadrant
+    views of the input, in tile order (0, 0), (0, 1), (1, 0), (1, 1).
+    `np.maximum(p, q)` returns `q` when p == q, so the pairs are taken in
+    reverse, ``maximum(maximum(d, c), maximum(b, a))``, and a tie returns
+    the first of the tied elements, down to the sign of a zero. The
+    backward pass routes each output gradient to the first quadrant whose
+    value equals the output. Both agree bit for bit with an argmax over
+    each tile (`tests/conv_reference.py`) on every finite input. A tile
+    holding NaN pools to NaN, but its gradient goes nowhere, where the
+    argmax routed it to the first NaN; training never reaches that
+    backward pass, since it stops on a non-finite loss first.
+    """
+
+    _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def forward(self, x, train=False):
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        tiles = x.reshape(n, c, h // 2, 2, w // 2, 2).swapaxes(3, 4)
-        flat = tiles.reshape(n, c, h // 2, w // 2, 4)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return out, (idx, x.shape)
+        a, b, c, d = (x[:, :, i::2, j::2] for i, j in self._QUADRANTS)
+        out = np.maximum(np.maximum(d, c), np.maximum(b, a))
+        return out, (x, out)
 
     def backward(self, dout, cache):
-        idx, x_shape = cache
-        n, c, h, w = x_shape
-        flat = np.zeros((n, c, h // 2, w // 2, 4))
-        np.put_along_axis(flat, idx[..., None], dout[..., None], axis=-1)
-        dx = flat.reshape(n, c, h // 2, w // 2, 2, 2).swapaxes(3, 4)
-        return dx.reshape(n, c, h, w), {}
+        x, out = cache
+        dx = np.zeros(x.shape)
+        free = np.ones(out.shape, dtype=bool)
+        for i, j in self._QUADRANTS:
+            hit = free & (x[:, :, i::2, j::2] == out)
+            np.copyto(dx[:, :, i::2, j::2], dout, where=hit)
+            free ^= hit
+        return dx, {}
 
 
 class Upsample2x(Layer):

@@ -14,7 +14,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import iou
 from .motio import MotRecord, as_records
 
 
@@ -55,6 +54,20 @@ def _by_frame(records: Sequence[MotRecord]) -> Dict[int, List[Tuple[int, MotReco
     return frames
 
 
+def _iou_matrix(first: Sequence[MotRecord], second: Sequence[MotRecord]) -> np.ndarray:
+    """IoU of every (first, second) box pair, by the float operations of
+    `graph.iou`, so each entry equals that function's result."""
+    a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs],
+                     dtype=np.float64).reshape(-1, 4) for recs in (first, second))
+    left, top, width, height = (a[:, k, None] for k in range(4))
+    b_left, b_top, b_width, b_height = b.T
+    ix = np.minimum(left + width, b_left + b_width) - np.maximum(left, b_left)
+    iy = np.minimum(top + height, b_top + b_height) - np.maximum(top, b_top)
+    overlap = (ix > 0) & (iy > 0)
+    inter = np.where(overlap, ix * iy, 0.0)
+    return np.where(overlap, inter / (width * height + b_width * b_height - inter), 0.0)
+
+
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     """Score a hypothesis track set against ground-truth records."""
     gt_records = as_records(gt)
@@ -78,35 +91,37 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     pair_frames: Dict[Tuple[int, int], int] = defaultdict(int)
 
     for frame in sorted(gt_frames.keys() | hyp_frames.keys()):
-        gts = gt_frames.get(frame, [])
-        hyps = hyp_frames.get(frame, [])
-        for gid, _ in gts:
+        for gid, _ in gt_frames.get(frame, []):
             gt_present[gid] += 1
-        gt_boxes = {gid: rec.box for gid, rec in gts}
-        hyp_boxes = {hid: rec.box for hid, rec in hyps}
+        # one record per id, the last one if an id repeats in the frame
+        gts = dict(gt_frames.get(frame, []))
+        hyps = dict(hyp_frames.get(frame, []))
+        row = {gid: i for i, gid in enumerate(gts)}
+        col = {hid: j for j, hid in enumerate(hyps)}
+        scores = _iou_matrix(list(gts.values()), list(hyps.values()))
+        overlaps = scores >= iou_threshold
 
         # identity matching counts every overlapping co-occurrence
-        for gid, gbox in gt_boxes.items():
-            for hid, hbox in hyp_boxes.items():
-                if iou(gbox, hbox) >= iou_threshold:
-                    pair_frames[(gid, hid)] += 1
+        gid_list, hid_list = list(gts), list(hyps)
+        for i, j in zip(*np.nonzero(overlaps)):
+            pair_frames[(gid_list[i], hid_list[j])] += 1
 
         matches: Dict[int, int] = {}
-        for gid in sorted(gt_boxes):
+        for gid in sorted(gts):
             hid = assoc.get(gid)
-            if hid in hyp_boxes and hid not in matches.values():
-                if iou(gt_boxes[gid], hyp_boxes[hid]) >= iou_threshold:
+            if hid in hyps and hid not in matches.values():
+                if overlaps[row[gid], col[hid]]:
                     matches[gid] = hid
 
-        free_gt = sorted(g for g in gt_boxes if g not in matches)
-        free_hyp = sorted(h for h in hyp_boxes if h not in matches.values())
+        free_gt = sorted(g for g in gts if g not in matches)
+        free_hyp = sorted(h for h in hyps if h not in matches.values())
         if free_gt and free_hyp:
-            scores = np.array(
-                [[iou(gt_boxes[g], hyp_boxes[h]) for h in free_hyp] for g in free_gt]
-            )
-            rows, cols = linear_sum_assignment(-scores)
+            free_rows = [row[g] for g in free_gt]
+            free_cols = [col[h] for h in free_hyp]
+            free_scores = scores[np.ix_(free_rows, free_cols)]
+            rows, cols = linear_sum_assignment(-free_scores)
             for r, c in zip(rows, cols):
-                if scores[r, c] >= iou_threshold:
+                if free_scores[r, c] >= iou_threshold:
                     matches[free_gt[r]] = free_hyp[c]
 
         for gid, hid in matches.items():
@@ -114,10 +129,10 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
                 ids += 1
             assoc[gid] = hid
             gt_matched[gid] += 1
-            iou_sum += iou(gt_boxes[gid], hyp_boxes[hid])
+            iou_sum += float(scores[row[gid], col[hid]])
             num_matches += 1
-        fn += len(gt_boxes) - len(matches)
-        fp += len(hyp_boxes) - len(matches)
+        fn += len(gts) - len(matches)
+        fp += len(hyps) - len(matches)
 
     mota = 1.0 - (fp + fn + ids) / total_gt
     motp = iou_sum / num_matches if num_matches else 0.0
@@ -132,11 +147,11 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
 
     idtp = 0
     if pair_frames:
-        gids = sorted({g for g, _ in pair_frames})
-        hids = sorted({h for _, h in pair_frames})
+        gids = {g: i for i, g in enumerate(sorted({g for g, _ in pair_frames}))}
+        hids = {h: j for j, h in enumerate(sorted({h for _, h in pair_frames}))}
         weights = np.zeros((len(gids), len(hids)))
         for (g, h), count in pair_frames.items():
-            weights[gids.index(g), hids.index(h)] = count
+            weights[gids[g], hids[h]] = count
         rows, cols = linear_sum_assignment(-weights)
         idtp = int(weights[rows, cols].sum())
     idf1 = 2.0 * idtp / (total_gt + total_hyp) if total_hyp else 0.0

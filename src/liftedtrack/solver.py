@@ -20,7 +20,6 @@ from .graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
-    UnionFind,
     canonical_edge,
     component_labels,
 )
@@ -112,13 +111,20 @@ def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
     return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
 
 
-def _adjacency(num_nodes: int, edges: np.ndarray) -> List[List[Tuple[int, float]]]:
-    """Per node, (neighbour, cost) of each incident edge, in edge order."""
+def _incidence(num_nodes: int, edges: np.ndarray) -> Tuple[list, list, list]:
+    """Each edge seen from both endpoints, grouped by node in edge order: the
+    other endpoints, their costs, and per node its slice bounds into both."""
     ends = np.column_stack([edges["u"], edges["v"]]).ravel()
     order = np.argsort(ends, kind="stable")
     others = np.column_stack([edges["v"], edges["u"]]).ravel()[order].tolist()
     costs = np.repeat(edges["c"], 2)[order].tolist()
     bounds = np.searchsorted(ends[order], np.arange(num_nodes + 1)).tolist()
+    return others, costs, bounds
+
+
+def _adjacency(num_nodes: int, edges: np.ndarray) -> List[List[Tuple[int, float]]]:
+    """Per node, (neighbour, cost) of each incident edge, in edge order."""
+    others, costs, bounds = _incidence(num_nodes, edges)
     incident = list(zip(others, costs))
     return [incident[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -236,69 +242,95 @@ def solve_gaec(
     that total is positive, i.e. merging strictly lowers the objective.
     Only pairs adjacent through regular edges are contraction candidates;
     lifted costs between adjacent clusters are folded into their totals.
-    Ties pick the smallest canonical pair of cluster representatives. Pass
+    Ties pick the smallest canonical pair of cluster min nodes. Pass
     `trace` to record the objective after every contraction.
+
+    Cluster ids are stable: of a contracted pair, the cluster with more
+    regular plus lifted neighbours survives and takes over the other's
+    neighbour costs (small-to-large merging), so a contraction costs the
+    smaller side's adjacency. Each cluster's smallest node is kept apart
+    from its id and keys the heap, so the tie rule does not depend on
+    which side survives. A heap entry is acted on only while both clusters
+    live, stay adjacent, and its total and key are current. After a
+    contraction only the survivor's pairs whose total can have changed are
+    pushed again: those with the absorbed cluster's regular and lifted
+    neighbours that are now regular neighbours of the survivor. All of its
+    pairs are pushed only when its smallest node dropped, since that
+    changes their keys. Each merged cost is the sum of the two sides'
+    costs, and float addition is commutative, so partitions, traces and
+    objectives equal those of a contraction that always keeps the side with
+    the smaller min node (`tests/gaec_reference.py`).
     """
     n = instance.num_nodes
-    uf = UnionFind(n)
+
+    def neighbour_costs(edges):
+        others, costs, bounds = _incidence(n, edges)
+        return [dict(zip(others[lo:hi], costs[lo:hi]))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    reg, lif = neighbour_costs(instance.edges), neighbour_costs(instance.lifted_edges)
     min_node = list(range(n))
-    reg = [dict(incident) for incident in _adjacency(n, instance.edges)]
-    lif = [dict(incident) for incident in _adjacency(n, instance.lifted_edges)]
+    members = [[node] for node in range(n)]
+    alive = [True] * n
     obj = _sequential_sum(np.concatenate([instance.edges["c"],
                                           instance.lifted_edges["c"]]))
     if trace is not None:
         trace.append(obj)
 
-    def pair_total(a: int, b: int) -> float:
-        return reg[a][b] + lif[a].get(b, 0.0)
-
-    heap: List[Tuple[float, Tuple[int, int], int, int]] = []
-
-    def push(a: int, b: int) -> None:
-        t = pair_total(a, b)
-        if t > 0.0:
-            key = canonical_edge(min_node[a], min_node[b])
-            heapq.heappush(heap, (-t, key, a, b))
-
-    for u, v in zip(instance.edges["u"].tolist(), instance.edges["v"].tolist()):
-        push(u, v)
+    # E and F are disjoint, so each singleton pair's total is its edge cost.
+    attract = instance.edges[instance.edges["c"] > 0.0]
+    heap = [(-c, (u, v), u, v) for u, v, c in zip(*_columns(attract))]
+    heapq.heapify(heap)
 
     while heap:
         negt, key, a, b = heapq.heappop(heap)
-        if uf.find(a) != a or uf.find(b) != b or b not in reg[a]:
+        if not (alive[a] and alive[b] and b in reg[a]):
             continue
-        t = pair_total(a, b)
+        t = reg[a][b] + lif[a].get(b, 0.0)
         if -negt != t or key != canonical_edge(min_node[a], min_node[b]):
             continue  # stale entry; a fresh one was pushed on update
-        if t <= 0.0:
-            continue
-        # Contract b into a; keep the root with the smaller representative.
-        if min_node[b] < min_node[a]:
+        # Contract b into a, the side with more neighbours.
+        if len(reg[a]) + len(lif[a]) < len(reg[b]) + len(lif[b]):
             a, b = b, a
-        uf.parent[b] = a
-        uf.size[a] += uf.size[b]
-        min_node[a] = min(min_node[a], min_node[b])
+        alive[b] = False
+        # the member lists merge small-to-large as well
+        if len(members[a]) < len(members[b]):
+            members[a], members[b] = members[b], members[a]
+        members[a] += members[b]
+        dropped = min_node[b] < min_node[a]
+        if dropped:
+            min_node[a] = min_node[b]
         obj -= t
         if trace is not None:
             trace.append(obj)
-        reg[a].pop(b, None)
-        reg[b].pop(a, None)
+        del reg[a][b], reg[b][a]
         lif[a].pop(b, None)
         lif[b].pop(a, None)
-        for nbr, c in reg[b].items():
-            reg[a][nbr] = reg[a].get(nbr, 0.0) + c
-            del reg[nbr][b]
-            reg[nbr][a] = reg[a][nbr]
-        for nbr, c in lif[b].items():
-            lif[a][nbr] = lif[a].get(nbr, 0.0) + c
-            del lif[nbr][b]
-            lif[nbr][a] = lif[a][nbr]
-        reg[b].clear()
-        lif[b].clear()
-        for nbr in reg[a]:
-            push(a, nbr)
+        for adj in (reg, lif):
+            into = adj[a]
+            for nbr, c in adj[b].items():
+                into[nbr] = into.get(nbr, 0.0) + c
+                theirs = adj[nbr]
+                del theirs[b]
+                theirs[a] = into[nbr]
+        reg_a, lif_a = reg[a], lif[a]
+        if dropped:
+            changed = reg_a.keys()
+        else:
+            changed = (reg[b].keys() | lif[b].keys()) & reg_a.keys()
+        reg[b] = lif[b] = None
+        for nbr in changed:
+            total = reg_a[nbr] + lif_a.get(nbr, 0.0)
+            if total > 0.0:
+                key = canonical_edge(min_node[a], min_node[nbr])
+                heapq.heappush(heap, (-total, key, a, nbr))
 
-    partition = Partition.from_labels([uf.find(i) for i in range(n)])
+    labels = [0] * n
+    for cluster in range(n):
+        if alive[cluster]:
+            for node in members[cluster]:
+                labels[node] = cluster
+    partition = Partition.from_labels(labels)
     final = objective(instance, partition_to_labeling(instance, partition))
     return partition, final
 

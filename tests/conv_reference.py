@@ -1,11 +1,15 @@
-"""Frozen einsum copy of the convolution layer, kept as its reference.
+"""Frozen copies of the convolution and max-pooling layers, kept as references.
 
-Test-only differential reference: `tests/test_embedding.py` runs it next
-to `liftedtrack.embedding.layers.Conv2D`, the im2col layer, and requires
-`==` forward outputs, parameter gradients and input gradients, and `==`
-per-epoch training losses with this class patched into a model. Every
-pass pads with `np.pad` and contracts the window view with
-`np.einsum(..., optimize=True)`.
+Test-only differential references: `tests/test_embedding.py` runs them
+next to `liftedtrack.embedding.layers`. Against `Conv2D`, the im2col
+layer, it requires `==` forward outputs, parameter gradients and input
+gradients, and `==` per-epoch training losses with this class patched into
+a model; every pass here pads with `np.pad` and contracts the window view
+with `np.einsum(..., optimize=True)`. Against `MaxPool2x2`, the
+four-quadrant layer, it requires bitwise-equal outputs and input
+gradients, and `==` training with this class patched in; here each 2x2
+tile is copied out, pooled by `argmax` and `take_along_axis`, and the
+gradient is scattered back with `put_along_axis`.
 """
 
 from __future__ import annotations
@@ -68,3 +72,25 @@ class Conv2D(Layer):
         """Parameter gradients only, the entry point the model calls on its
         first layer: here the full backward with its dx discarded."""
         return self.backward(dout, cache)[1]
+
+
+class MaxPool2x2(Layer):
+    """2x2 max pooling with stride 2; first maximum wins on ties."""
+
+    def forward(self, x, train=False):
+        n, c, h, w = x.shape
+        if h % 2 or w % 2:
+            raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
+        tiles = x.reshape(n, c, h // 2, 2, w // 2, 2).swapaxes(3, 4)
+        flat = tiles.reshape(n, c, h // 2, w // 2, 4)
+        idx = flat.argmax(axis=-1)
+        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return out, (idx, x.shape)
+
+    def backward(self, dout, cache):
+        idx, x_shape = cache
+        n, c, h, w = x_shape
+        flat = np.zeros((n, c, h // 2, w // 2, 4))
+        np.put_along_axis(flat, idx[..., None], dout[..., None], axis=-1)
+        dx = flat.reshape(n, c, h // 2, w // 2, 2, 2).swapaxes(3, 4)
+        return dx.reshape(n, c, h, w), {}

@@ -27,7 +27,10 @@ from liftedtrack.embedding import (
     train,
     xavier_uniform,
 )
+from liftedtrack.affinity import latent_codes
 from liftedtrack.graph import BBox, Detection
+from liftedtrack.pipeline import default_arch, pregroup, tracklet_labels
+from liftedtrack.synth import benchmark_spec, synth_sequence
 
 import conv_reference
 from helpers import smooth_embedding_fixture
@@ -217,6 +220,65 @@ class TestMaxPool:
     def test_rejects_odd_dims(self):
         with pytest.raises(ValueError):
             MaxPool2x2().forward(np.zeros((1, 1, 3, 4)))
+
+
+def _bitwise_equal(a, b):
+    """Equal values, NaN included, and equal signs, zeros included."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestMaxPoolMatchesReference:
+    """The four-quadrant layer against the frozen argmax layer, bit for bit."""
+
+    SHAPES = ((1, 1, 2, 2), (3, 2, 4, 6), (5, 8, 16, 16), (7, 16, 8, 8))
+
+    @staticmethod
+    def _draws(rng, shape):
+        # {-0.0, 0.0, 1.0} fills tiles with ties, mixed-sign zeros among them
+        yield rng.choice([-0.0, 0.0, 1.0], size=shape)
+        yield np.maximum(rng.normal(size=shape), 0.0)
+        yield rng.normal(size=shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_and_backward_bit_identical(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        pool, ref = MaxPool2x2(), conv_reference.MaxPool2x2()
+        for _ in range(20):
+            for x in self._draws(rng, shape):
+                out, cache = pool.forward(x, True)
+                ref_out, ref_cache = ref.forward(x, True)
+                assert _bitwise_equal(out, ref_out)
+                for dout in self._draws(rng, out.shape):
+                    dx, _ = pool.backward(dout, cache)
+                    ref_dx, _ = ref.backward(dout, ref_cache)
+                    assert _bitwise_equal(dx, ref_dx)
+
+    def test_nan_tile_pools_to_nan(self):
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 1, 0] = np.nan
+        out, _ = MaxPool2x2().forward(x)
+        assert np.isnan(out[0, 0, 0, 0])
+        assert not np.isnan(out[0, 0, [0, 1, 1], [1, 0, 1]]).any()
+
+    def test_training_bit_identical(self):
+        # benchmark_spec(40) trained 2 epochs, the clustering term on from epoch 1
+        result = synth_sequence(benchmark_spec(num_frames=40), seed=0)
+        dets = list(result.detections)
+        tracklets = pregroup(dets, result.table)
+        labels = tracklet_labels(tracklets, len(dets))
+        config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.0), (1, 0.95)))
+        arch = default_arch(dets[0].image.shape)
+        model, ref = AutoEncoder(arch, seed=0), AutoEncoder(arch, seed=0)
+        for _, layer in ref.layer_items():
+            if isinstance(layer, MaxPool2x2):
+                layer.__class__ = conv_reference.MaxPool2x2
+        _, trace = train(model, dets, labels, config)
+        _, ref_trace = train(ref, dets, labels, config)
+        assert trace == ref_trace
+        for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(latent_codes(model, dets), latent_codes(ref, dets))
 
 
 class TestUpsample:

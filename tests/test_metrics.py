@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from liftedtrack.metrics import MotReport, evaluate_clear_mot
+from liftedtrack.graph import iou
+from liftedtrack.metrics import MotReport, _iou_matrix, evaluate_clear_mot
 from liftedtrack.motio import MotRecord
 
 
@@ -152,3 +153,30 @@ class TestValidationAndReport:
         assert lines[0] == "MOTA 0.750"
         assert "IDs 2" in lines
         assert "FN 5" in lines
+
+
+class TestIouMatrix:
+    def test_entries_equal_pairwise_iou(self):
+        # on a coarse grid, so boxes touch, nest and miss; two coincide
+        rng = np.random.default_rng(12)
+
+        def boxes(count):
+            return [MotRecord(frame=1, track_id=k + 1,
+                              left=float(rng.integers(0, 8)) * 2.5,
+                              top=float(rng.integers(0, 8)) * 2.5,
+                              width=float(rng.integers(1, 6)) * 2.5 + rng.choice([0, 0.1]),
+                              height=float(rng.integers(1, 6)) * 2.5, conf=1.0)
+                    for k in range(count)]
+
+        first = boxes(40)
+        second = boxes(30) + first[:2]
+        scores = _iou_matrix(first, second)
+        expected = [[iou(a.box, b.box) for b in second] for a in first]
+        assert scores.tolist() == expected
+        assert (scores == 0).any() and (scores > 0.99).any()
+        assert _iou_matrix(first, []).shape == (40, 0)
+
+    def test_motp_is_a_python_float(self):
+        gt = straight_track(1, range(1, 6))
+        hyp = [rec(r.frame, 2, left=r.left + np.float64(1.0)) for r in gt]
+        assert type(evaluate_clear_mot(gt, hyp).motp) is float

@@ -17,6 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helpers import random_instance, random_labeling, random_partition
+from gaec_reference import reference_solve_gaec
 from kl_reference import reference_solve_kl
 from liftedtrack.graph import (
     EdgeLabeling,
@@ -437,6 +438,69 @@ class TestGaec:
             _, got = solve_gaec(inst)
             _, best = solve_bruteforce(inst)
             assert got >= best - 1e-9
+
+
+def _integer_instance(rng, max_nodes=14):
+    """Random instance with small integer costs, so totals tie exactly."""
+    n = int(rng.integers(2, max_nodes + 1))
+    edge_prob = float(rng.uniform(0.2, 0.8))
+    edges, lifted = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                cost = float(rng.integers(-3, 4))
+                (lifted if rng.random() < 0.4 else edges).append((u, v, cost))
+    return MulticutInstance(n, tuple(edges), tuple(lifted))
+
+
+def _hub_instance(rng):
+    """Node n-1 joined to every other node by the largest costs.
+
+    The other pairs lie in a band (|u - v| <= 2) with smaller costs, so
+    every other node has at most 5 neighbours and the hub, with n - 1 >= 6,
+    has more. The first contraction is therefore a hub pair that keeps the
+    hub and absorbs a node smaller than the hub, lowering its min node.
+    """
+    n = int(rng.integers(7, 21))
+    hub = n - 1
+    edges = [(u, hub, float(rng.integers(3, 7))) for u in range(hub)]
+    lifted = []
+    for u in range(hub):
+        for v in range(u + 1, min(u + 3, hub)):
+            if rng.random() < 0.8:
+                cost = float(rng.integers(-3, 3))
+                (lifted if rng.random() < 0.5 else edges).append((u, v, cost))
+    return MulticutInstance(n, tuple(edges), tuple(lifted))
+
+
+def _gaec_cases():
+    """Normal, integer-cost and hub instances with lifted edges, a few large."""
+    rng = np.random.default_rng(71)
+    for _ in range(150):
+        yield random_instance(rng, max_nodes=16, edge_prob=float(rng.uniform(0.15, 0.8)),
+                              lifted_frac=0.4)
+    for _ in range(150):
+        yield _integer_instance(rng)
+    for _ in range(60):
+        yield _hub_instance(rng)
+    for _ in range(4):
+        yield random_instance(rng, max_nodes=80, edge_prob=0.1, lifted_frac=0.3)
+
+
+class TestGaecMatchesReference:
+    """Small-to-large GAEC against the frozen union-find contraction."""
+
+    def test_partitions_traces_and_objectives_equal(self):
+        contractions = 0
+        for inst in _gaec_cases():
+            ref_trace, got_trace = [], []
+            ref_part, ref_value = reference_solve_gaec(inst, trace=ref_trace)
+            got_part, got_value = solve_gaec(inst, trace=got_trace)
+            assert got_part.component_of == ref_part.component_of
+            assert got_trace == ref_trace
+            assert got_value == ref_value
+            contractions += len(got_trace) - 1
+        assert contractions > 1500
 
 
 # ---------------------------------------------------------------------------
