@@ -27,8 +27,6 @@ LIFTED_FEATURES = ("bias", "d_ae")
 
 PROB_EPS = 1e-6
 L2_WEIGHT = 1e-4
-# Detections encoded per `encode_batch` call in `latent_codes`.
-LATENT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -387,22 +385,13 @@ def edge_cost(p_same):
 
 
 def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
-    """Encode every detection image; requires images to be attached.
-
-    Images go through `encode_batch` LATENT_CHUNK at a time, which bounds
-    the memory of the stacked batch and its activations.
-    """
+    """Latent codes of the detections' images, which must be attached."""
     for i, det in enumerate(detections):
         if det.image is None:
             raise ValueError(f"detection {i} has no image to encode")
     if not detections:
         return np.array([])
-    images = [det.image for det in detections]
-    chunks = [
-        model.encode_batch(np.stack(images[i:i + LATENT_CHUNK]))[0]
-        for i in range(0, len(images), LATENT_CHUNK)
-    ]
-    codes = np.concatenate(chunks)
+    codes = model.encode_all([det.image for det in detections])
     bad = np.flatnonzero(~np.isfinite(codes).all(axis=1))
     if bad.size:
         raise ValueError(f"detection {bad[0]} has a non-finite latent code")

@@ -11,7 +11,7 @@ from .layers import (
     Upsample2x,
     xavier_uniform,
 )
-from .model import ArchConfig, AutoEncoder
+from .model import LATENT_CHUNK, ArchConfig, AutoEncoder
 from .training import (
     CentroidTable,
     EpochStats,
@@ -25,6 +25,7 @@ from .training import (
 )
 
 __all__ = [
+    "LATENT_CHUNK",
     "ArchConfig",
     "AutoEncoder",
     "BatchNorm",

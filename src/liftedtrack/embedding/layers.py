@@ -8,10 +8,14 @@ uses. All arithmetic is float64; inputs to conv/pool layers are batches
 shaped (N, C, H, W), dense inputs are (N, D).
 
 Convolutions are im2col matmuls (see `Conv2D`): each pass is one BLAS call
-on column matrices copied from a cached window view of the padded input,
-with no einsum path planning and no `np.pad`. Max pooling works on the four
-strided quadrant views of its input (see `MaxPool2x2`), with no tile copy
-and no argmax.
+on a column matrix filled by k*k slice copies of the unpadded input, with
+no einsum path planning, no padded copy and no window view. Max pooling
+works on the four strided quadrant views of its input (see `MaxPool2x2`),
+with no tile copy and no argmax, and the upsampling gradient adds the four
+strided views of its output gradient (see `Upsample2x`). Each layer hands
+BLAS and the float additions the same values in the same order and layout
+as the reference layers in `tests/conv_reference.py`, so training results
+are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 Cache = tuple
 Grads = Dict[str, np.ndarray]
@@ -49,24 +52,28 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 class Conv2D(Layer):
     """Same-padded stride-1 convolution (cross-correlation), square kernel.
 
-    Each pass is one matmul over im2col column matrices (Chellapilla, Puri
-    & Simard, 2006). The padded input's k x k windows form a view shaped
-    (N, C, H, W, k, k) that the forward pass caches; the column matrices
-    are copies made from it when needed and not kept:
+    Each pass is one matmul over an im2col column matrix (Chellapilla, Puri
+    & Simard, 2006). `_columns` fills it directly: a zeroed
+    (C*k*k, N*H*W) array laid out (c, i, j, n, h, w) takes k*k slice
+    copies of the unpadded input, one per kernel offset (i, j), and the
+    entries that would read the zero padding stay zero. There is no padded
+    copy and no window view.
 
-    * forward: ``W (O, C*k*k) @ cols (C*k*k, N*H*W)``, cols laid out
-      (c, i, j, n, h, w); the (O, N, H, W) product is returned as an NCHW
-      view and the bias added in place.
-    * dW: ``dout (O, N*H*W) @ rows (N*H*W, C*k*k)``, rows laid out
-      (n, h, w, c, i, j) and copied contiguous.
+    * forward: ``W (O, C*k*k) @ cols (C*k*k, N*H*W)``; the (O, N, H, W)
+      product is returned as an NCHW view and the bias added in place.
+      A training forward caches `cols`, an inference forward only `x`.
+    * dW: ``dout (O, N*H*W) @ rows (N*H*W, C*k*k)``, rows the transpose of
+      cols, copied contiguous.
     * dx: the rotated kernels ``(C, O*k*k) @ dcols (O*k*k, N*H*W)``, dcols
-      built from the padded `dout` as cols is from the padded input.
+      filled from `dout` as cols is from the input.
 
-    The operand order and layouts are the ones `np.einsum(..., optimize=True)`
-    hands to the same BLAS call for these contractions, so the results are
-    bit-identical to the einsum layer (`tests/conv_reference.py`); the other
-    order (`cols.T @ W.T`) or a transposed view in place of the contiguous
-    `rows` copy changes the last bits.
+    The operand order, values and memory layouts are the ones
+    `np.einsum(..., optimize=True)` hands to the same BLAS call for these
+    contractions, so the results are bit-identical to the einsum layer
+    (`tests/conv_reference.py`). The other order (`cols.T @ W.T`) or a
+    transposed view in place of the contiguous `rows` copy changes the last
+    bits; only for a 1x1 kernel on one image is `rows` that transposed
+    view, as the einsum's reshape of its window view is there too.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -85,20 +92,26 @@ class Conv2D(Layer):
             "b": np.zeros(out_channels),
         }
 
-    def _windows(self, x):
-        """k x k windows of `x` zero-padded by k // 2, shaped (N, C, H, W, k, k)."""
+    def _columns(self, x):
+        """Column matrix of `x` zero-padded by k // 2, (C*k*k, N*H*W)."""
         n, c, h, w = x.shape
         k = self.kernel_size
         p = k // 2
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        xp[:, :, p:p + h, p:p + w] = x
-        return sliding_window_view(xp, (k, k), axis=(2, 3))
+        cols = np.zeros((c, k, k, n, h, w))
+        x = x.transpose(1, 0, 2, 3)
+        for i in range(k):
+            # output row r reads input row r + i - p
+            r0, r1 = max(p - i, 0), min(h + p - i, h)
+            for j in range(k):
+                s0, s1 = max(p - j, 0), min(w + p - j, w)
+                cols[:, i, j, :, r0:r1, s0:s1] = (
+                    x[:, :, r0 + i - p:r1 + i - p, s0 + j - p:s1 + j - p])
+        return cols.reshape(c * k * k, n * h * w)
 
     @staticmethod
-    def _matmul_cols(a, windows):
-        """`a @ cols` over the windows' columns, returned as an NCHW view."""
-        n, c, h, w, k, _ = windows.shape
-        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    def _matmul_cols(a, cols, shape):
+        """`a @ cols` as an NCHW view over the (N, *, H, W) `shape`."""
+        n, _, h, w = shape
         return (a @ cols).reshape(a.shape[0], n, h, w).transpose(1, 0, 2, 3)
 
     def forward(self, x, train=False):
@@ -106,26 +119,30 @@ class Conv2D(Layer):
             raise ValueError(
                 f"conv expects (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        windows = self._windows(x)
+        cols = self._columns(x)
         W = self.params["W"]
-        out = self._matmul_cols(W.reshape(W.shape[0], -1), windows)
+        out = self._matmul_cols(W.reshape(W.shape[0], -1), cols, x.shape)
         out += self.params["b"][None, :, None, None]
-        return out, (windows,)
+        return out, (x, cols if train else None)
 
     def param_grads(self, dout, cache):
         """Gradients of W and b alone, for a layer whose input needs none."""
-        (windows,) = cache
-        n, c, h, w, k, _ = windows.shape
-        o = dout.shape[1]
-        rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * k * k)
+        x, cols = cache
+        if cols is None:
+            cols = self._columns(x)
+        n, o, h, w = dout.shape
+        k = self.kernel_size
+        # a 1x1 kernel on one image: the einsum's rows are this same view
+        rows = cols.T if k == 1 and n == 1 else np.ascontiguousarray(cols.T)
         dW = dout.transpose(1, 0, 2, 3).reshape(o, n * h * w) @ rows
-        return {"W": dW.reshape(o, c, k, k), "b": dout.sum(axis=(0, 2, 3))}
+        return {"W": dW.reshape(o, -1, k, k), "b": dout.sum(axis=(0, 2, 3))}
 
     def backward(self, dout, cache):
         # dx is the full correlation of dout with the 180-degree-rotated
         # kernels; for odd k its padding k - 1 - k // 2 is the forward's k // 2.
         w_rot = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = self._matmul_cols(w_rot.reshape(w_rot.shape[0], -1), self._windows(dout))
+        dx = self._matmul_cols(w_rot.reshape(w_rot.shape[0], -1),
+                               self._columns(dout), dout.shape)
         return dx, self.param_grads(dout, cache)
 
 
@@ -167,17 +184,23 @@ class MaxPool2x2(Layer):
 
 
 class Upsample2x(Layer):
-    """Nearest-neighbor 2x upsampling."""
+    """Nearest-neighbor 2x upsampling.
+
+    Each input pixel feeds a 2x2 tile of the output, so its gradient sums
+    the four stride-2 views of `dout` as ``(q00 + q01) + (q10 + q11)``.
+    That is the pairing `dout.reshape(N, C, H, 2, W, 2).sum(axis=(3, 5))`
+    uses, so the two agree bit for bit (`tests/conv_reference.py`);
+    ``((q00 + q01) + q10) + q11`` differs in the last bits.
+    """
 
     def forward(self, x, train=False):
         out = x.repeat(2, axis=2).repeat(2, axis=3)
-        return out, (x.shape,)
+        return out, ()
 
     def backward(self, dout, cache):
-        (x_shape,) = cache
-        n, c, h, w = x_shape
-        dx = dout.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-        return dx, {}
+        q00, q01 = dout[:, :, 0::2, 0::2], dout[:, :, 0::2, 1::2]
+        q10, q11 = dout[:, :, 1::2, 0::2], dout[:, :, 1::2, 1::2]
+        return (q00 + q01) + (q10 + q11), {}
 
 
 class ReLU(Layer):

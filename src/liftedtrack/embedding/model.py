@@ -20,6 +20,10 @@ from .layers import (
     Upsample2x,
 )
 
+# Images per `encode_batch` call in `AutoEncoder.encode_all`; bounds the
+# memory of the stacked batch and of every layer's activations.
+LATENT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -172,6 +176,17 @@ class AutoEncoder:
         grads[("enc", 0)] = self.encoder_layers[0].param_grads(d, enc_caches[0])
         return grads
 
+    def encode_all(self, images) -> np.ndarray:
+        """Latent codes (N, latent_dim) of an image sequence, inference mode.
+
+        The images go through `encode_batch` LATENT_CHUNK at a time; the
+        codes are the same as from one batch of all of them.
+        """
+        return np.concatenate([
+            self.encode_batch(images[i:i + LATENT_CHUNK])[0]
+            for i in range(0, len(images), LATENT_CHUNK)
+        ])
+
     def encode(self, image: np.ndarray) -> np.ndarray:
         """Latent vector of one image (inference mode)."""
         z, _ = self.encode_batch(np.asarray(image)[None], train=False)
@@ -203,11 +218,6 @@ class AutoEncoder:
     def layer_by_key(self, key) -> Layer:
         stack, i = key
         return (self.encoder_layers if stack == "enc" else self.decoder_layers)[i]
-
-    def check_finite(self) -> None:
-        for key, name, arr in self.parameter_items():
-            if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite parameter {name} in {key}")
 
     # -- checkpointing --------------------------------------------------------
 

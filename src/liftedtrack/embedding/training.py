@@ -145,13 +145,13 @@ def combined_loss(
 
 
 def compute_centroids(model: AutoEncoder, dataset, labels: Sequence[int]) -> CentroidTable:
-    """Mean latent vector per cluster label, from one inference pass."""
+    """Mean latent vector per cluster label, from one chunked inference pass."""
     x = _images_of(dataset)
     if len(labels) != len(x):
         raise ValueError(f"{len(labels)} labels for {len(x)} items")
     if len(x) == 0:
         raise ValueError("empty dataset")
-    z, _ = model.encode_batch(x, train=False)
+    z = model.encode_all(x)
     table: CentroidTable = {}
     counts: Dict[int, int] = {}
     for label, vec in zip(labels, z):
@@ -236,7 +236,12 @@ def train(
             loss_sum += total * weight
             rec_sum += rec * weight
             clu_sum += clu * weight
-        model.check_finite()
+        for key, name, arr in model.parameter_items():
+            if not np.isfinite(arr).all():
+                raise TrainingDiverged(
+                    f"non-finite parameter {name} in {key} after epoch {epoch} "
+                    f"(lr {lr:g}, lambda {lam:g})"
+                )
         n = len(dataset)
         trace.append(
             EpochStats(epoch, lam, lr, loss_sum / n, rec_sum / n, clu_sum / n)

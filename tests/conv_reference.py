@@ -1,4 +1,5 @@
-"""Frozen copies of the convolution and max-pooling layers, kept as references.
+"""Frozen copies of the convolution, max-pooling and upsampling layers, kept
+as references.
 
 Test-only differential references: `tests/test_embedding.py` runs them
 next to `liftedtrack.embedding.layers`. Against `Conv2D`, the im2col
@@ -9,7 +10,10 @@ with `np.einsum(..., optimize=True)`. Against `MaxPool2x2`, the
 four-quadrant layer, it requires bitwise-equal outputs and input
 gradients, and `==` training with this class patched in; here each 2x2
 tile is copied out, pooled by `argmax` and `take_along_axis`, and the
-gradient is scattered back with `put_along_axis`.
+gradient is scattered back with `put_along_axis`. Against `Upsample2x`,
+whose gradient adds the four stride-2 views of `dout`, it requires `==`
+outputs, input gradients and training; here the gradient is one
+`reshape(...).sum(axis=(3, 5))`.
 """
 
 from __future__ import annotations
@@ -94,3 +98,17 @@ class MaxPool2x2(Layer):
         np.put_along_axis(flat, idx[..., None], dout[..., None], axis=-1)
         dx = flat.reshape(n, c, h // 2, w // 2, 2, 2).swapaxes(3, 4)
         return dx.reshape(n, c, h, w), {}
+
+
+class Upsample2x(Layer):
+    """Nearest-neighbor 2x upsampling."""
+
+    def forward(self, x, train=False):
+        out = x.repeat(2, axis=2).repeat(2, axis=3)
+        return out, (x.shape,)
+
+    def backward(self, dout, cache):
+        (x_shape,) = cache
+        n, c, h, w = x_shape
+        dx = dout.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        return dx, {}

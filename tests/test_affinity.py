@@ -17,7 +17,6 @@ from scipy.special import expit
 from liftedtrack import affinity
 from liftedtrack.affinity import (
     L2_WEIGHT,
-    LATENT_CHUNK,
     LIFTED_FEATURES,
     NEARBY_FEATURES,
     PROB_EPS,
@@ -36,7 +35,7 @@ from liftedtrack.affinity import (
     read_match_table,
     write_match_table,
 )
-from liftedtrack.embedding import ArchConfig, AutoEncoder
+from liftedtrack.embedding import LATENT_CHUNK, ArchConfig, AutoEncoder
 from liftedtrack.graph import BBox, Detection, build_graph, iou
 from liftedtrack.solver import solve_bruteforce
 

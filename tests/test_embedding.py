@@ -10,6 +10,7 @@ import pytest
 from scipy import signal
 
 from liftedtrack.embedding import (
+    LATENT_CHUNK,
     ArchConfig,
     AutoEncoder,
     BatchNorm,
@@ -262,23 +263,31 @@ class TestMaxPoolMatchesReference:
         assert not np.isnan(out[0, 0, [0, 1, 1], [1, 0, 1]]).any()
 
     def test_training_bit_identical(self):
-        # benchmark_spec(40) trained 2 epochs, the clustering term on from epoch 1
-        result = synth_sequence(benchmark_spec(num_frames=40), seed=0)
-        dets = list(result.detections)
-        tracklets = pregroup(dets, result.table)
-        labels = tracklet_labels(tracklets, len(dets))
-        config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.0), (1, 0.95)))
-        arch = default_arch(dets[0].image.shape)
-        model, ref = AutoEncoder(arch, seed=0), AutoEncoder(arch, seed=0)
-        for _, layer in ref.layer_items():
-            if isinstance(layer, MaxPool2x2):
-                layer.__class__ = conv_reference.MaxPool2x2
-        _, trace = train(model, dets, labels, config)
-        _, ref_trace = train(ref, dets, labels, config)
-        assert trace == ref_trace
-        for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
-            assert np.array_equal(a, b)
-        assert np.array_equal(latent_codes(model, dets), latent_codes(ref, dets))
+        _assert_training_matches_reference(MaxPool2x2, conv_reference.MaxPool2x2)
+
+
+def _assert_training_matches_reference(cls, ref_cls):
+    """Training with `ref_cls` patched over every `cls` layer changes nothing.
+
+    benchmark_spec(40) trained 2 epochs, the clustering term on from epoch 1:
+    per-epoch stats, parameters and latent codes are ==.
+    """
+    result = synth_sequence(benchmark_spec(num_frames=40), seed=0)
+    dets = list(result.detections)
+    tracklets = pregroup(dets, result.table)
+    labels = tracklet_labels(tracklets, len(dets))
+    config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.0), (1, 0.95)))
+    arch = default_arch(dets[0].image.shape)
+    model, ref = AutoEncoder(arch, seed=0), AutoEncoder(arch, seed=0)
+    for _, layer in ref.layer_items():
+        if isinstance(layer, cls):
+            layer.__class__ = ref_cls
+    _, trace = train(model, dets, labels, config)
+    _, ref_trace = train(ref, dets, labels, config)
+    assert trace == ref_trace
+    for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(latent_codes(model, dets), latent_codes(ref, dets))
 
 
 class TestUpsample:
@@ -298,6 +307,30 @@ class TestUpsample:
         _, cache = up.forward(x)
         dx, _ = up.backward(dout, cache)
         assert np.allclose(dx, fd_layer_grad(up, x, dout), atol=1e-7)
+
+
+class TestUpsampleMatchesReference:
+    """The four-view gradient against the frozen reshape-sum layer, with ==."""
+
+    # (C, H, W) of the two upsample inputs of pipeline.default_arch()
+    SHAPES = ((16, 4, 4), (8, 8, 8))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_and_backward_bit_identical(self, shape):
+        up, ref = Upsample2x(), conv_reference.Upsample2x()
+        for n in range(1, 16):
+            rng = np.random.default_rng(n)
+            x = rng.normal(size=(n, *shape))
+            out, cache = up.forward(x, True)
+            ref_out, ref_cache = ref.forward(x, True)
+            assert np.array_equal(out, ref_out)
+            dout = rng.normal(size=out.shape)
+            dx, _ = up.backward(dout, cache)
+            ref_dx, _ = ref.backward(dout, ref_cache)
+            assert np.array_equal(dx, ref_dx)
+
+    def test_training_bit_identical(self):
+        _assert_training_matches_reference(Upsample2x, conv_reference.Upsample2x)
 
 
 class TestDenseRelu:
@@ -401,6 +434,16 @@ class TestArchConfig:
 
 
 class TestAutoEncoder:
+    def test_encode_all_equals_one_batch(self):
+        # compute_centroids and latent_codes encode in chunks; their codes
+        # must equal those of one batch of every image
+        model = AutoEncoder(default_arch(), seed=0)
+        x = np.random.default_rng(12).uniform(0.05, 0.95,
+                                              size=(2 * LATENT_CHUNK + 5, 3, 16, 16))
+        z, _ = model.encode_batch(x)
+        assert np.array_equal(model.encode_all(x), z)
+        assert np.array_equal(model.encode_all(list(x)), z)
+
     def test_shapes_roundtrip(self):
         model = AutoEncoder(SMALL, seed=0)
         rng = np.random.default_rng(11)
@@ -629,6 +672,18 @@ class TestTrain:
         # the absurd learning rate overflows by design
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             train(model, dets, [0, 1], config)
+
+    def test_non_finite_parameter_detected(self):
+        # one single-patch frame: the loss is finite, the first update is not
+        rng = np.random.default_rng(30)
+        dets = _toy_dataset(rng, frames=1)
+        model = AutoEncoder(SMALL, seed=6)
+        config = TrainingConfig(epochs=1, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingDiverged,
+            match=r"non-finite parameter W in \('enc', 0\) after epoch 0",
+        ):
+            train(model, dets, [0], config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for MOT CSV parsing, byte-exact roundtrips, and patch storage."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,21 @@ class TestDetectionsAndPatches:
         patches = rng.uniform(0, 1, size=(7, 3, 16, 16))
         path = tmp_path / "patches.npz"
         save_patches(path, patches)
+        assert np.array_equal(load_patches(path), patches)
+
+    def test_patches_stored_uncompressed(self, tmp_path):
+        path = tmp_path / "patches.npz"
+        save_patches(path, np.zeros((2, 3, 4, 4)))
+        with zipfile.ZipFile(path) as archive:
+            kinds = [info.compress_type for info in archive.infolist()]
+        assert kinds == [zipfile.ZIP_STORED]
+
+    def test_compressed_patch_file_still_loads(self, tmp_path):
+        # the form earlier versions of save_patches wrote
+        rng = np.random.default_rng(12)
+        patches = rng.uniform(0, 1, size=(5, 3, 16, 16))
+        path = tmp_path / "patches.npz"
+        np.savez_compressed(path, patches=patches)
         assert np.array_equal(load_patches(path), patches)
 
     def test_patch_rank_checked(self, tmp_path):
