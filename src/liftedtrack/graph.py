@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -13,39 +13,6 @@ from scipy.sparse.csgraph import connected_components
 Edge = Tuple[int, int]
 # One row per edge: canonical endpoints u < v and the real cost c.
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("c", np.float64)])
-
-
-def canonical_edge(u: int, v: int) -> Edge:
-    """Unordered node pair stored with the smaller id first."""
-    if u == v:
-        raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
-    return (u, v) if u < v else (v, u)
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 @dataclass(frozen=True)
@@ -206,29 +173,43 @@ class EdgeLabeling:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Node-to-component assignment with contiguous component ids 0..k-1."""
+    """Node-to-component assignment: one read-only int64 label array.
 
-    component_of: Tuple[int, ...]
+    Ids are 0..k-1 in first-occurrence order, so partitions into the same
+    blocks are `==`; `from_labels` renumbers arbitrary labels that way.
+    """
+
+    component_of: np.ndarray
 
     def __post_init__(self):
-        if self.component_of:
-            ids = set(self.component_of)
-            k = max(ids) + 1
-            if ids != set(range(k)):
-                raise ValueError("component ids must be contiguous 0..k-1")
+        labels = np.asarray(self.component_of)
+        if labels.ndim != 1:
+            raise ValueError(f"component ids must be one-dimensional, got {labels.shape}")
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"component ids must be integers, got {labels.dtype}")
+        labels = labels.astype(np.int64)
+        # first-occurrence order: each id is at most one above all ids before it
+        before = np.maximum.accumulate(np.concatenate([[-1], labels]))[:-1]
+        if not np.all((labels >= 0) & (labels <= before + 1)):
+            raise ValueError("component ids must be 0..k-1 in first-occurrence order")
+        labels.flags.writeable = False
+        object.__setattr__(self, "component_of", labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return np.array_equal(self.component_of, other.component_of)
 
     @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
+    def from_labels(cls, labels) -> "Partition":
         """Relabel arbitrary component labels to canonical first-occurrence order."""
-        remap: Dict[int, int] = {}
-        out = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap)
-            out.append(remap[lab])
-        return cls(tuple(out))
+        _, first, inverse = np.unique(np.asarray(labels), return_index=True,
+                                      return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return cls(rank[inverse])
 
     @property
     def num_nodes(self) -> int:
@@ -236,20 +217,13 @@ class Partition:
 
     @property
     def num_components(self) -> int:
-        return max(self.component_of) + 1 if self.component_of else 0
-
-    def canonical(self) -> "Partition":
-        return Partition.from_labels(self.component_of)
+        return int(self.component_of.max()) + 1 if self.num_nodes else 0
 
     def blocks(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.num_components)]
-        for node, comp in enumerate(self.component_of):
-            out[comp].append(node)
-        return out
-
-    def same_as(self, other: "Partition") -> bool:
-        """Equality up to component relabeling."""
-        return self.canonical() == other.canonical()
+        """Member nodes of each component, ascending, in component id order."""
+        order = np.argsort(self.component_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.component_of)).tolist()
+        return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
@@ -307,16 +281,20 @@ def build_graph(
     return MulticutInstance(len(detections), *edge_sets)
 
 
+def pair_components(num_nodes: int, u, v) -> np.ndarray:
+    """Component id per node of the undirected graph with edges (u[i], v[i])."""
+    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(num_nodes, num_nodes))
+    return connected_components(graph, directed=False)[1]
+
+
 def component_labels(instance: MulticutInstance, joined) -> np.ndarray:
     """Component id per node of the regular edges that the mask `joined` selects.
 
     `joined` is a boolean mask over E; lifted edges never connect nodes.
     Two nodes share an id exactly when a path of selected edges links them.
     """
-    n = instance.num_nodes
     edges = instance.edges[np.asarray(joined, dtype=bool)]
-    graph = coo_matrix((np.ones(len(edges)), (edges["u"], edges["v"])), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    return pair_components(instance.num_nodes, edges["u"], edges["v"])
 
 
 def labeling_to_partition(
@@ -328,4 +306,4 @@ def labeling_to_partition(
     """
     labeling.validate_for(instance)
     joined = labeling.labels[:instance.num_edges] == 0
-    return Partition.from_labels(component_labels(instance, joined).tolist())
+    return Partition.from_labels(component_labels(instance, joined))

@@ -27,7 +27,7 @@ from .affinity import (
     latent_distances,
 )
 from .embedding import ArchConfig, AutoEncoder, TrainingConfig, train
-from .graph import BBox, Detection, Partition, UnionFind, build_graph
+from .graph import BBox, Detection, Partition, build_graph, pair_components
 from .metrics import MotReport, evaluate_clear_mot
 from .motio import MotRecord
 from .solver import solve_gaec, solve_kl
@@ -202,8 +202,10 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
 
     Edges are considered between frames at distance 1..max_gap; per frame
     pair, conflicting edges are resolved by keeping the highest-scoring
-    one (ties: lower detection ids). Connected components of the accepted
-    edges become tracklets; every detection lands in exactly one.
+    one (ties: lower detection ids). Only that one-to-one acceptance is a
+    Python loop. The connected components of the accepted edges become
+    tracklets, numbered in order of their smallest member; every detection
+    lands in exactly one.
     """
     frames = np.array([det.frame for det in detections], dtype=np.int64)
     u, v, value = table.rows["u"], table.rows["v"], table.rows["value"]
@@ -214,22 +216,20 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
     last = np.maximum(frames[u], frames[v])
     order = np.lexsort((v, u, -value, last, first))
 
-    uf = UnionFind(len(detections))
     used = set()
+    accepted = []
     for key, a, b in zip(zip(first[order].tolist(), last[order].tolist()),
                          u[order].tolist(), v[order].tolist()):
         if (key, a) in used or (key, b) in used:
             continue
         used.update(((key, a), (key, b)))
-        uf.union(a, b)
+        accepted.append((a, b))
 
-    groups: Dict[int, List[int]] = {}
-    for det in range(len(detections)):
-        groups.setdefault(uf.find(det), []).append(det)
-    tracklets = []
-    for label, members in enumerate(sorted(groups.values(), key=min)):
-        tracklets.append(Tracklet(label=label, members=tuple(members)))
-    return tracklets
+    pairs = np.array(accepted, dtype=np.int64).reshape(-1, 2)
+    labels = pair_components(len(detections), pairs[:, 0], pairs[:, 1])
+    groups = Partition.from_labels(labels).blocks()
+    return [Tracklet(label=label, members=tuple(members))
+            for label, members in enumerate(groups)]
 
 
 def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> List[int]:
@@ -326,40 +326,34 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
                        min_cluster_size: int = 5) -> TrackSet:
     """Clusters to tracks: size filter, per-frame best box, interpolation.
 
-    Clusters below min_cluster_size are dropped. Per frame the highest
-    scoring member wins (ties: lower detection id). Missing interior
-    frames are filled by linear interpolation of the four box coordinates;
-    there is no extrapolation beyond the cluster's frame range.
+    Clusters below min_cluster_size members are dropped. Per frame the
+    highest scoring member wins (ties: lower detection id), found by one
+    lexsort over (cluster, frame, -score, id). Tracks are numbered by first
+    frame, then by the detection chosen there. Missing interior frames are
+    filled by linear interpolation of the four box coordinates; there is
+    no extrapolation beyond the cluster's frame range.
     """
-    kept = []
-    for members in partition.blocks():
-        if len(members) < min_cluster_size:
-            continue
-        best: Dict[int, int] = {}
-        for det in sorted(members):
-            frame = detections[det].frame
-            if frame not in best or detections[det].score > detections[best[frame]].score:
-                best[frame] = det
-        kept.append(best)
+    labels = partition.component_of
+    frames = np.array([det.frame for det in detections], dtype=np.int64)
+    scores = np.array([det.score for det in detections], dtype=np.float64)
+    cluster_frame = labels * (frames.max(initial=0) + 1) + frames
+    order = np.lexsort((np.arange(len(labels)), -scores, cluster_frame))
+    best = order[np.unique(cluster_frame[order], return_index=True)[1]]
+    best = best[np.bincount(labels)[labels[best]] >= min_cluster_size]
+    # `best` is sorted by (cluster, frame): one run per kept cluster
+    starts = np.flatnonzero(np.diff(labels[best], prepend=-1))
+    runs = np.split(best, starts[1:]) if len(best) else []
+    runs.sort(key=lambda run: (frames[run[0]], run[0]))
 
-    kept.sort(key=lambda best: (min(best), best[min(best)]))
     tracks = []
-    for track_id, best in enumerate(kept, start=1):
-        frames = np.array(sorted(best))
+    for track_id, chosen in enumerate(runs, start=1):
         coords = np.array(
-            [
-                [
-                    detections[best[f]].box.left,
-                    detections[best[f]].box.top,
-                    detections[best[f]].box.width,
-                    detections[best[f]].box.height,
-                ]
-                for f in frames
-            ]
+            [[box.left, box.top, box.width, box.height]
+             for box in (detections[det].box for det in chosen.tolist())]
         )
-        full = np.arange(frames[0], frames[-1] + 1)
+        full = np.arange(frames[chosen[0]], frames[chosen[-1]] + 1)
         filled = np.column_stack(
-            [np.interp(full, frames, coords[:, k]) for k in range(4)]
+            [np.interp(full, frames[chosen], coords[:, k]) for k in range(4)]
         )
         boxes = {
             int(f): BBox(*filled[i]) for i, f in enumerate(full)

@@ -20,8 +20,8 @@ from .graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
-    canonical_edge,
     component_labels,
+    pair_components,
 )
 
 BRUTEFORCE_MAX_NODES = 12
@@ -99,7 +99,7 @@ def partition_to_labeling(
             f"partition covers {partition.num_nodes} nodes, "
             f"instance has {instance.num_nodes}"
         )
-    block = np.array(partition.component_of, dtype=np.int64)
+    block = partition.component_of
     cut = block[instance.edges["u"]] != block[instance.edges["v"]]
     comp = component_labels(instance, ~cut)
     lifted_cut = comp[instance.lifted_edges["u"]] != comp[instance.lifted_edges["v"]]
@@ -224,7 +224,7 @@ def solve_bruteforce(instance: MulticutInstance) -> Tuple[Partition, float]:
             stable &= ~((table[:, u] == table[:, v]) & (comp[:, u] != comp[:, v]))
     best = float(np.min(np.where(stable, obj, np.inf)))
     idx = int(np.argmax(stable & (obj == best)))
-    return Partition(tuple(int(x) for x in table[idx])), best
+    return Partition(table[idx]), best
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +242,22 @@ def solve_gaec(
     that total is positive, i.e. merging strictly lowers the objective.
     Only pairs adjacent through regular edges are contraction candidates;
     lifted costs between adjacent clusters are folded into their totals.
-    Ties pick the smallest canonical pair of cluster min nodes. Pass
-    `trace` to record the objective after every contraction.
+    Ties pick the smallest ordered pair (lower first) of cluster min nodes.
+    Pass `trace` to record the objective after every contraction.
 
-    Cluster ids are stable: of a contracted pair, the cluster with more
-    regular plus lifted neighbours survives and takes over the other's
-    neighbour costs (small-to-large merging), so a contraction costs the
-    smaller side's adjacency. Each cluster's smallest node is kept apart
-    from its id and keys the heap, so the tie rule does not depend on
-    which side survives. A heap entry is acted on only while both clusters
-    live, stay adjacent, and its total and key are current. After a
-    contraction only the survivor's pairs whose total can have changed are
-    pushed again: those with the absorbed cluster's regular and lifted
-    neighbours that are now regular neighbours of the survivor. All of its
-    pairs are pushed only when its smallest node dropped, since that
+    Cluster ids are node ids, and they are stable: of a contracted pair,
+    the cluster with more regular plus lifted neighbours survives and takes
+    over the other's neighbour costs (small-to-large merging), so a
+    contraction costs the smaller side's adjacency. Each contraction
+    records its pair of cluster ids, and the nodes are labelled at the end
+    by the connected components of those pairs. Each cluster's smallest
+    node is kept apart from its id and keys the heap, so the tie rule does
+    not depend on which side survives. A heap entry is acted on only while
+    both clusters live, stay adjacent, and its total and key are current.
+    After a contraction only the survivor's pairs whose total can have
+    changed are pushed again: those with the absorbed cluster's regular and
+    lifted neighbours that are now regular neighbours of the survivor. All
+    of its pairs are pushed only when its smallest node dropped, since that
     changes their keys. Each merged cost is the sum of the two sides'
     costs, and float addition is commutative, so partitions, traces and
     objectives equal those of a contraction that always keeps the side with
@@ -270,8 +272,8 @@ def solve_gaec(
 
     reg, lif = neighbour_costs(instance.edges), neighbour_costs(instance.lifted_edges)
     min_node = list(range(n))
-    members = [[node] for node in range(n)]
     alive = [True] * n
+    contracted = []
     obj = _sequential_sum(np.concatenate([instance.edges["c"],
                                           instance.lifted_edges["c"]]))
     if trace is not None:
@@ -287,16 +289,14 @@ def solve_gaec(
         if not (alive[a] and alive[b] and b in reg[a]):
             continue
         t = reg[a][b] + lif[a].get(b, 0.0)
-        if -negt != t or key != canonical_edge(min_node[a], min_node[b]):
+        ma, mb = min_node[a], min_node[b]
+        if -negt != t or key != ((ma, mb) if ma < mb else (mb, ma)):
             continue  # stale entry; a fresh one was pushed on update
         # Contract b into a, the side with more neighbours.
         if len(reg[a]) + len(lif[a]) < len(reg[b]) + len(lif[b]):
             a, b = b, a
         alive[b] = False
-        # the member lists merge small-to-large as well
-        if len(members[a]) < len(members[b]):
-            members[a], members[b] = members[b], members[a]
-        members[a] += members[b]
+        contracted.append((a, b))
         dropped = min_node[b] < min_node[a]
         if dropped:
             min_node[a] = min_node[b]
@@ -313,7 +313,7 @@ def solve_gaec(
                 theirs = adj[nbr]
                 del theirs[b]
                 theirs[a] = into[nbr]
-        reg_a, lif_a = reg[a], lif[a]
+        reg_a, lif_a, ma = reg[a], lif[a], min_node[a]
         if dropped:
             changed = reg_a.keys()
         else:
@@ -322,15 +322,11 @@ def solve_gaec(
         for nbr in changed:
             total = reg_a[nbr] + lif_a.get(nbr, 0.0)
             if total > 0.0:
-                key = canonical_edge(min_node[a], min_node[nbr])
-                heapq.heappush(heap, (-total, key, a, nbr))
+                mn = min_node[nbr]
+                heapq.heappush(heap, (-total, (ma, mn) if ma < mn else (mn, ma), a, nbr))
 
-    labels = [0] * n
-    for cluster in range(n):
-        if alive[cluster]:
-            for node in members[cluster]:
-                labels[node] = cluster
-    partition = Partition.from_labels(labels)
+    u, v = np.array(contracted, dtype=np.int64).reshape(-1, 2).T
+    partition = Partition.from_labels(pair_components(n, u, v))
     final = objective(instance, partition_to_labeling(instance, partition))
     return partition, final
 
@@ -461,7 +457,7 @@ def solve_kl(
 
     # Split any block that is not connected in G; the true objective is
     # unchanged because such lifted pairs were already charged as cut.
-    labels = _cluster_labels(instance, np.array(initial.component_of, dtype=np.int64))
+    labels = _cluster_labels(instance, initial.component_of)
     obj = _sequential_sum(both["c"][labels[both["u"]] != labels[both["v"]]])
     if trace is not None:
         trace.append(obj)
@@ -513,7 +509,7 @@ def solve_kl(
         if trace is not None:
             trace.append(obj)
 
-    partition = Partition.from_labels(labels.tolist())
+    partition = Partition.from_labels(labels)
     final = objective(instance, partition_to_labeling(instance, partition))
     return partition, final
 
@@ -548,10 +544,15 @@ def read_instance(path) -> MulticutInstance:
     def parse(row, lineno):
         try:
             u, v, c = int(row[0]), int(row[1]), float(row[2])
+            if u == v:
+                raise ValueError(f"self-loop ({u}, {v})")
         except (ValueError, IndexError) as exc:
             raise ValueError(f"{path}: bad edge line {lineno}: {row!r}") from exc
-        return canonical_edge(u, v) + (c,)
+        return (u, v, c) if u < v else (v, u, c)
 
     edges = tuple(parse(rows[i], i + 1) for i in range(1, 1 + m))
     lifted = tuple(parse(rows[i], i + 1) for i in range(1 + m, 1 + m + k))
-    return MulticutInstance(n, edges, lifted)
+    try:
+        return MulticutInstance(n, edges, lifted)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -15,7 +15,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from liftedtrack.graph import MulticutInstance, Partition, UnionFind, canonical_edge
+from helpers import UnionFind, canonical_edge
+from liftedtrack.graph import MulticutInstance, Partition
 from liftedtrack.solver import (
     _adjacency,
     _sequential_sum,

@@ -1,9 +1,43 @@
-"""Shared generators for randomized solver and embedding tests."""
+"""Shared generators for randomized solver and embedding tests, and the
+union-find and pair ordering that the frozen solver references use."""
 
 import numpy as np
 
 from liftedtrack.embedding import AutoEncoder, BatchNorm
 from liftedtrack.graph import EdgeLabeling, MulticutInstance, Partition
+
+
+def canonical_edge(u, v):
+    """Unordered node pair stored with the smaller id first."""
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
+    return (u, v) if u < v else (v, u)
+
+
+class UnionFind:
+    """Disjoint-set forest with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
 
 
 def random_instance(rng, max_nodes=10, edge_prob=0.7, lifted_frac=0.2):

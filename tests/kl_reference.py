@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from liftedtrack.graph import MulticutInstance, Partition, UnionFind
+from helpers import UnionFind
+from liftedtrack.graph import MulticutInstance, Partition
 from liftedtrack.solver import objective, partition_to_labeling
 
 _IMPROVEMENT_EPS = 1e-11

@@ -11,7 +11,6 @@ embedding trained per sequence).
 import time
 
 import numpy as np
-import pytest
 from scipy.special import expit
 
 from helpers import (
@@ -26,9 +25,6 @@ from liftedtrack.affinity import NEARBY_FEATURES, edge_cost
 from liftedtrack.cli import main as cli_main
 from liftedtrack.embedding import (
     ArchConfig,
-    BatchNorm,
-    Conv2D,
-    Dense,
     compute_centroids,
     gradient_check,
 )

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import UnionFind, canonical_edge
+from partition_reference import reference_blocks, reference_from_labels
 from liftedtrack.graph import (
     EDGE_DTYPE,
     BBox,
@@ -12,9 +14,7 @@ from liftedtrack.graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
-    UnionFind,
     build_graph,
-    canonical_edge,
     component_labels,
     frame_pairs,
     iou,
@@ -197,6 +197,13 @@ class TestBenchmarkContract:
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(self.INSTANCE, edges=tuple(bumped))
 
+    def test_partition_labels_copy_and_from_label_list(self):
+        part = Partition.from_labels([4, 4, 9])
+        labels = np.array(part.component_of)
+        labels[2] = 0
+        assert type(part).from_labels(labels.tolist()) == Partition((0, 0, 0))
+        assert part.component_of.tolist() == [0, 0, 1]
+
 
 class TestEdgeLabeling:
     def test_rejects_bad_value(self):
@@ -224,7 +231,7 @@ class TestPartition:
 
     def test_from_labels_canonicalizes(self):
         p = Partition.from_labels([7, 7, 3, 7])
-        assert p.component_of == (0, 0, 1, 0)
+        assert p.component_of.tolist() == [0, 0, 1, 0]
 
     def test_blocks_and_counts(self):
         p = Partition((0, 1, 0))
@@ -232,9 +239,47 @@ class TestPartition:
         assert p.num_components == 2
         assert p.blocks() == [[0, 2], [1]]
 
-    def test_same_as_ignores_relabeling(self):
-        assert Partition((0, 1, 0)).same_as(Partition.from_labels([5, 2, 5]))
-        assert not Partition((0, 1, 0)).same_as(Partition((0, 0, 1)))
+    def test_equality_ignores_relabeling(self):
+        assert Partition((0, 1, 0)) == Partition.from_labels([5, 2, 5])
+        assert Partition((0, 1, 0)) != Partition((0, 0, 1))
+
+    def test_rejects_ids_out_of_first_occurrence_order(self):
+        for ids in ((1, 0), (0, 2, 1), (-1,), (0, -1)):
+            with pytest.raises(ValueError, match="first-occurrence"):
+                Partition(ids)
+
+    def test_rejects_non_integer_or_nested_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            Partition((0.0, 1.0))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Partition([[0, 1]])
+
+    def test_holds_a_read_only_int64_copy(self):
+        ids = np.array([0, 1, 0], dtype=np.int8)
+        p = Partition(ids)
+        ids[0] = 1
+        assert p.component_of.dtype == np.int64
+        assert p.component_of.tolist() == [0, 1, 0]
+        with pytest.raises(ValueError):
+            p.component_of[0] = 1
+
+    def test_empty(self):
+        p = Partition(())
+        assert (p.num_nodes, p.num_components, p.blocks()) == (0, 0, [])
+        assert Partition.from_labels([]) == p
+
+    def test_matches_dict_loop_reference(self):
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(0, 3)) if trial < 30 else int(rng.integers(0, 60))
+            pool = rng.integers(-2**62, 2**62, size=int(rng.integers(1, 8)))
+            labels = rng.choice(pool, size=n).tolist()
+            want = reference_from_labels(labels)
+            got = Partition.from_labels(labels)
+            assert got == Partition(want)
+            assert got.component_of.tolist() == list(want)
+            assert got.blocks() == reference_blocks(want)
+            assert got.num_components == len(reference_blocks(want))
 
 
 def _one_per_frame(num_frames):
@@ -337,22 +382,22 @@ class TestLabelingToPartition:
     def test_all_join_gives_graph_components(self):
         inst = MulticutInstance(4, ((0, 1, 1.0), (2, 3, 1.0)))
         lab = EdgeLabeling([0, 0])
-        assert labeling_to_partition(inst, lab).component_of == (0, 0, 1, 1)
+        assert labeling_to_partition(inst, lab).component_of.tolist() == [0, 0, 1, 1]
 
     def test_all_cut_gives_singletons(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)))
         lab = EdgeLabeling([1, 1])
-        assert labeling_to_partition(inst, lab).component_of == (0, 1, 2)
+        assert labeling_to_partition(inst, lab).component_of.tolist() == [0, 1, 2]
 
     def test_path_with_one_cut(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)))
         lab = EdgeLabeling([0, 1])
-        assert labeling_to_partition(inst, lab).component_of == (0, 0, 1)
+        assert labeling_to_partition(inst, lab).component_of.tolist() == [0, 0, 1]
 
     def test_lifted_edges_never_merge(self):
         inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 1.0),))
         lab = EdgeLabeling([0, 0])
-        assert labeling_to_partition(inst, lab).component_of == (0, 0, 1)
+        assert labeling_to_partition(inst, lab).component_of.tolist() == [0, 0, 1]
 
 
 class TestComponentLabels:

@@ -1,14 +1,17 @@
-"""Every import in the package's modules is used.
+"""Every import in the package's modules and in the test modules is used.
 
 `__init__.py` files re-export names without using them, so they are left
 out. The check reads the source with the standard library `ast` module:
 a name bound by an import must appear as a name somewhere in its module.
+Checking the tests too catches imports of names that moved out of the
+package, and any left over after their last use.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liftedtrack"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "liftedtrack"
 
 
 def unused_imports(source):
@@ -38,12 +41,21 @@ def test_finds_unused_names():
     assert unused_imports(source) == [(2, "os"), (4, "Optional")]
 
 
-def test_package_modules_use_every_import():
-    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+def _unused_in(modules, root):
     assert modules
-    unused = [
-        f"{path.relative_to(PACKAGE.parent)}:{line} {name}"
+    return [
+        f"{path.relative_to(root)}:{line} {name}"
         for path in modules
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
+
+
+def test_package_modules_use_every_import():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    unused = _unused_in(modules, PACKAGE.parent)
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_test_modules_use_every_import():
+    unused = _unused_in(sorted(TESTS.glob("*.py")), TESTS.parent)
     assert not unused, "unused imports: " + ", ".join(unused)

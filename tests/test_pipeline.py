@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import UnionFind
+from partition_reference import reference_clusters_to_tracks
 from liftedtrack import pipeline
 from liftedtrack.affinity import (
     LIFTED_FEATURES,
@@ -15,7 +17,7 @@ from liftedtrack.affinity import (
     latent_codes,
 )
 from liftedtrack.embedding import ArchConfig, AutoEncoder, TrainingDiverged
-from liftedtrack.graph import BBox, Detection, Partition, UnionFind, iou
+from liftedtrack.graph import BBox, Detection, Partition, iou
 from liftedtrack.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -182,6 +184,28 @@ class TestClustersToTracks:
         keys = [(r.frame, r.track_id) for r in records]
         assert keys == sorted(keys)
         assert all(r.conf == 1.0 for r in records)
+
+    def test_matches_per_member_reference(self):
+        rng = np.random.default_rng(41)
+        dropped = tied = 0
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            dets = [det(int(f), left=float(rng.uniform(0, 50)),
+                        top=float(rng.uniform(0, 50)),
+                        size=float(rng.uniform(5, 20)),
+                        score=float(rng.choice([0.5, 0.9])))
+                    for f in rng.integers(1, 9, n)]
+            labels = rng.integers(0, max(1, n // 6) + 1, n).tolist()
+            size = int(rng.integers(1, 7))
+            want = reference_clusters_to_tracks(dets, labels, size)
+            got = clusters_to_tracks(dets, Partition.from_labels(labels), size)
+            assert got == want
+            dropped += len(set(labels)) - len(got.tracks)
+            tied += len(dets) - len({(lab, d.frame, d.score)
+                                     for lab, d in zip(labels, dets)})
+        # clusters were dropped, and members tied on frame and score
+        assert dropped > 100
+        assert tied > 500
 
 
 class TestTrackTypes:

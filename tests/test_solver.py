@@ -11,19 +11,20 @@ Python and charges lifted edges through BFS connectivity, independently of
 the vectorized implementation under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from helpers import random_instance, random_labeling, random_partition
+from helpers import UnionFind, random_instance, random_labeling, random_partition
 from gaec_reference import reference_solve_gaec
 from kl_reference import reference_solve_kl
 from liftedtrack.graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
-    UnionFind,
     labeling_to_partition,
 )
 from liftedtrack.solver import (
@@ -316,7 +317,7 @@ class TestPartitionLabelingRoundtrip:
             # each other exactly.
             lab1 = partition_to_labeling(inst, part1)
             assert lab1 == lab0
-            assert labeling_to_partition(inst, lab1).same_as(part1)
+            assert labeling_to_partition(inst, lab1) == part1
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -340,7 +341,7 @@ class TestBruteForce:
     def test_triangle_optimum(self):
         part, value = solve_bruteforce(TRIANGLE)
         assert value == -2.0
-        assert part.component_of == (0, 1, 0)
+        assert part.component_of.tolist() == [0, 1, 0]
 
     def test_lifted_attraction_forces_bridge(self):
         # Without the connectivity charge, splitting {0,2} from {1} would
@@ -348,13 +349,13 @@ class TestBruteForce:
         inst = MulticutInstance(3, ((0, 1, -1.0), (1, 2, -1.0)), ((0, 2, 5.0),))
         part, value = solve_bruteforce(inst)
         assert value == 0.0
-        assert part.component_of == (0, 0, 0)
+        assert part.component_of.tolist() == [0, 0, 0]
 
     def test_lifted_repulsion_tie_break(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, 1.0)), ((0, 2, -10.0),))
         part, value = solve_bruteforce(inst)
         assert value == -9.0
-        assert part.component_of == (0, 0, 1)
+        assert part.component_of.tolist() == [0, 0, 1]
 
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(17)
@@ -363,7 +364,7 @@ class TestBruteForce:
             got_part, got_value = solve_bruteforce(inst)
             ref_assign, ref_value = reference_optimum(inst)
             assert got_value == ref_value
-            assert got_part.component_of == ref_assign
+            assert tuple(got_part.component_of.tolist()) == ref_assign
 
     def test_not_above_random_feasible_labelings(self):
         rng = np.random.default_rng(23)
@@ -394,14 +395,14 @@ class TestGaec:
     def test_planted_two_clusters(self):
         inst = MulticutInstance(4, ((0, 1, 3.0), (2, 3, 4.0), (1, 2, -5.0)))
         part, value = solve_gaec(inst)
-        assert part.same_as(Partition((0, 0, 1, 1)))
+        assert part == Partition((0, 0, 1, 1))
         assert value == -5.0
 
     def test_aggregate_costs_stop_contraction(self):
         # After contracting (0,1), cluster pair {0,1},{2} totals -3+2 = -1.
         inst = MulticutInstance(3, ((0, 1, 2.0), (0, 2, -3.0), (1, 2, 2.0)))
         part, value = solve_gaec(inst)
-        assert part.same_as(Partition((0, 0, 1)))
+        assert part == Partition((0, 0, 1))
         assert value == -1.0
 
     def test_all_repulsive_keeps_singletons(self):
@@ -496,7 +497,7 @@ class TestGaecMatchesReference:
             ref_trace, got_trace = [], []
             ref_part, ref_value = reference_solve_gaec(inst, trace=ref_trace)
             got_part, got_value = solve_gaec(inst, trace=got_trace)
-            assert got_part.component_of == ref_part.component_of
+            assert got_part == ref_part
             assert got_trace == ref_trace
             assert got_value == ref_value
             contractions += len(got_trace) - 1
@@ -513,19 +514,19 @@ class TestKl:
         part0, best = solve_bruteforce(TRIANGLE)
         part, value = solve_kl(TRIANGLE, part0)
         assert value == best
-        assert part.same_as(part0)
+        assert part == part0
 
     def test_singletons_reach_planted_partition(self):
         inst = MulticutInstance(4, ((0, 1, 3.0), (2, 3, 4.0), (1, 2, -5.0)))
         singletons = Partition((0, 1, 2, 3))
         part, value = solve_kl(inst, singletons)
-        assert part.same_as(Partition((0, 0, 1, 1)))
+        assert part == Partition((0, 0, 1, 1))
         assert value == -5.0
 
     def test_split_move_extracts_repelled_node(self):
         inst = MulticutInstance(3, ((0, 1, 1.0), (1, 2, -4.0)))
         part, value = solve_kl(inst, Partition((0, 0, 0)))
-        assert part.same_as(Partition((0, 0, 1)))
+        assert part == Partition((0, 0, 1))
         assert value == -4.0
 
     def test_never_worse_than_initial(self):
@@ -665,7 +666,7 @@ class TestKlMatchesReference:
         got_trace = _ExpectedTrace(ref_trace)
         got_part, got_value = solve_kl(inst, init, trace=got_trace)
         assert len(got_trace) == len(ref_trace)
-        assert got_part.component_of == ref_part.component_of
+        assert got_part == ref_part
         assert got_value == ref_value
         return len(got_trace) - 1
 
@@ -752,7 +753,7 @@ class TestKlEdgeCases:
 
     def test_one_node(self):
         part, value, trace = self._solve(MulticutInstance(1, ()), Partition((0,)))
-        assert part.component_of == (0,)
+        assert part.component_of.tolist() == [0]
         assert (value, trace) == (0.0, [0.0])
 
     def test_lifted_edges_without_regular_edges(self):
@@ -760,7 +761,7 @@ class TestKlEdgeCases:
         # every lifted pair stays cut, and no move is possible.
         inst = MulticutInstance(3, (), ((0, 1, 5.0), (1, 2, -1.0), (0, 2, 2.0)))
         part, value, trace = self._solve(inst, Partition((0, 0, 0)))
-        assert part.component_of == (0, 1, 2)
+        assert part.component_of.tolist() == [0, 1, 2]
         assert value == solve_bruteforce(inst)[1] == 6.0
         assert trace == [6.0]
 
@@ -771,7 +772,7 @@ class TestKlEdgeCases:
             self._solve(inst, random_partition(rng, inst.num_nodes))
         inst = MulticutInstance(4, ((0, 1, 3.0), (2, 3, 4.0), (1, 2, -5.0)))
         part, value, _ = self._solve(inst, Partition((0, 0, 0, 0)))
-        assert part.component_of == (0, 0, 1, 1)
+        assert part.component_of.tolist() == [0, 0, 1, 1]
         assert value == -5.0
 
     def test_initial_block_not_connected_in_g(self):
@@ -781,7 +782,7 @@ class TestKlEdgeCases:
                                 ((0, 3, 3.0),))
         part, value, trace = self._solve(inst, Partition((0, 1, 1, 0)))
         assert trace[0] == 7.0
-        assert part.component_of == (0, 0, 0, 0)
+        assert part.component_of.tolist() == [0, 0, 0, 0]
         assert value == solve_bruteforce(inst)[1] == 0.0
 
     def test_rounding_noise_is_no_improvement(self):
@@ -790,7 +791,7 @@ class TestKlEdgeCases:
         inst = MulticutInstance(4, ((0, 1, 0.3), (0, 2, 0.1), (0, 3, 0.2),
                                     (1, 2, -0.3), (2, 3, 1.0)))
         part, _, trace = self._solve(inst, Partition((0, 0, 1, 1)))
-        assert part.component_of == (0, 0, 1, 1)
+        assert part.component_of.tolist() == [0, 0, 1, 1]
         assert len(trace) == 1
 
 
@@ -936,3 +937,22 @@ class TestInstanceIO:
         path.write_text("")
         with pytest.raises(ValueError):
             read_instance(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["0 1 1.0", "2 2 1.0"], r"bad edge line 3: \['2', '2', '1.0'\]"),
+        (["0 1 1.0", "1 1 1.0", "0 2 1.0"], r"bad edge line 3: \['1', '1', '1.0'\]"),
+        (["0 1 1.0", "0 3 1.0"], r"edge \(0, 3\) outside node range"),
+        (["0 1 1.0", "1 0 2.0"], r"duplicate pair \(0, 1\)"),
+        (["2 0 1.0", "0 2 2.0"], r"duplicate pair \(0, 2\)"),
+    ])
+    def test_bad_edges_name_the_file(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 {len(lines) - 1} 1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read_instance(path)
+
+    def test_accepts_either_endpoint_order(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("3 2 1\n1 0 1.5\n2 1 -0.5\n2 0 0.25\n")
+        assert read_instance(path) == MulticutInstance(
+            3, ((0, 1, 1.5), (1, 2, -0.5)), ((0, 2, 0.25),))
