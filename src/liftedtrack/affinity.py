@@ -17,7 +17,16 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .graph import Detection, Edge, MulticutInstance, frame_pairs
+from .graph import (
+    Detection,
+    Edge,
+    MulticutInstance,
+    box_iou,
+    first_flagged,
+    frame_pairs,
+    pair_rows,
+    repeated_pairs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -60,38 +69,35 @@ class MatchTable:
     """Symmetric overlap scores per detection pair, keyed by detection index.
 
     `rows` is a read-only MATCH_DTYPE array of canonical pairs (u < v)
-    sorted by (u, v); any sequence of (u, v, value) triples is converted,
-    either endpoint first. A pair given twice with one value is kept once;
-    with two values it is rejected. Missing pairs read as 0.0.
+    sorted by (u, v); any sequence of (u, v, value) triples is converted by
+    `graph.pair_rows`, either endpoint first. The first self-loop, negative
+    id or value outside [0, 1] is rejected with its input position. A pair
+    given twice with one value is kept once; with two values it is
+    rejected, naming the first such two rows in (u, v) order. Missing
+    pairs read as 0.0.
     """
 
     rows: np.ndarray
 
     def __post_init__(self):
-        # numpy reads a tuple of tuples as one record, a list as rows
-        rows = np.array(self.rows if isinstance(self.rows, np.ndarray)
-                        else list(self.rows), dtype=MATCH_DTYPE)
-        if rows.ndim != 1:
-            raise ValueError(f"match table rows must be (u, v, value), got {rows.shape}")
-        rows["u"], rows["v"] = np.sort([rows["u"], rows["v"]], axis=0)
-        u, v, value = rows["u"], rows["v"], rows["value"]
-        checks = (
+        rows = pair_rows(self.rows, MATCH_DTYPE, "match table rows must be (u, v, value)")
+        u, v = np.sort([rows["u"], rows["v"]], axis=0)
+        value = rows["value"]
+        flagged = first_flagged((
             (u == v, "self-loop ({u}, {v}) is not a valid pair"),
             (u < 0, "negative detection id in pair ({u}, {v})"),
             (~((value >= 0.0) & (value <= 1.0)),
              "overlap for pair ({u}, {v}) outside [0,1]: {value!r}"),
-        )
-        bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
-        if bad.size:
-            i = bad[0]
-            message = next(text for mask, text in checks if mask[i])
-            raise MatchTableError(message.format(u=int(u[i]), v=int(v[i]),
-                                                 value=float(value[i])), (int(i),))
-        order = np.lexsort((v, u))
+        ))
+        if flagged:
+            i, text = flagged
+            raise MatchTableError(text.format(u=int(u[i]), v=int(v[i]),
+                                              value=float(value[i])), (i,))
+        order, repeat = repeated_pairs(u, v)
         rows = rows[order]
-        u, v, value = rows["u"], rows["v"], rows["value"]
-        repeat = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
-        conflict = np.flatnonzero(repeat & (value[1:] != value[:-1]))
+        rows["u"], rows["v"] = u[order], v[order]
+        u, v, value, repeat = rows["u"], rows["v"], rows["value"], repeat[order]
+        conflict = np.flatnonzero(repeat[1:] & (value[1:] != value[:-1]))
         if conflict.size:
             i = conflict[0]
             raise MatchTableError(
@@ -99,9 +105,7 @@ class MatchTable:
                 f"{float(value[i])!r} and {float(value[i + 1])!r}",
                 (int(order[i]), int(order[i + 1])),
             )
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = ~repeat
-        rows = rows[first]
+        rows = rows[~repeat]
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -134,19 +138,15 @@ def iou_match_table(
 ) -> MatchTable:
     """Fallback overlap estimate: box IoU for frame distances 1..max_frame_gap.
 
-    Computes `graph.iou` for every pair at once, in its operation order,
-    and stores the pairs that overlap.
+    Computes `graph.box_iou` for every pair at once and stores the pairs
+    that overlap.
     """
     frames = [det.frame for det in detections]
     u, v = frame_pairs(frames, range(1, max_frame_gap + 1)).T
-    left, top, right, bottom, area = np.array(
-        [(det.box.left, det.box.top, det.box.right, det.box.bottom, det.box.area)
-         for det in detections]).reshape(-1, 5).T
-    ix = np.minimum(right[u], right[v]) - np.maximum(left[u], left[v])
-    iy = np.minimum(bottom[u], bottom[v]) - np.maximum(top[u], top[v])
-    hit = (ix > 0) & (iy > 0)
-    u, v, inter = u[hit], v[hit], ix[hit] * iy[hit]
-    value = inter / (area[u] + area[v] - inter)
+    boxes = np.array([(det.box.left, det.box.top, det.box.width, det.box.height)
+                      for det in detections], dtype=np.float64).reshape(-1, 4)
+    # np.take gathers whole rows several times faster than boxes[u]
+    value = box_iou(np.take(boxes, u, axis=0), np.take(boxes, v, axis=0))
     keep = value > 0.0
     return MatchTable(np.rec.fromarrays((u[keep], v[keep], value[keep]),
                                         dtype=MATCH_DTYPE))

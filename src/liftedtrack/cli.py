@@ -75,11 +75,15 @@ def _write_tracklets(path, tracklets):
 
 
 def _read_tracklets(path):
+    """One tracklet per line, labelled by line order; bad lines name path:lineno."""
     tracklets = []
     with open(path, encoding="ascii") as fh:
         for label, line in enumerate(fh):
-            members = tuple(int(tok) for tok in line.split())
-            tracklets.append(Tracklet(label=label, members=members))
+            try:
+                members = tuple(int(tok) for tok in line.split())
+                tracklets.append(Tracklet(label=label, members=members))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{label + 1}: {exc}") from exc
     return tracklets
 
 

@@ -57,6 +57,22 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_iou(first, second) -> np.ndarray:
+    """IoU of broadcastable (..., 4) float arrays of left, top, width, height.
+
+    Each entry is computed by the float operations of `iou`, so it equals
+    that function's result on the two boxes; disjoint pairs read 0.0.
+    """
+    left, top, width, height = np.moveaxis(first, -1, 0)
+    b_left, b_top, b_width, b_height = np.moveaxis(second, -1, 0)
+    ix = np.minimum(left + width, b_left + b_width) - np.maximum(left, b_left)
+    iy = np.minimum(top + height, b_top + b_height) - np.maximum(top, b_top)
+    overlap = (ix > 0) & (iy > 0)
+    inter = ix * iy
+    return np.divide(inter, width * height + b_width * b_height - inter,
+                     out=np.zeros(overlap.shape), where=overlap)
+
+
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One detector box in one frame.
@@ -78,14 +94,51 @@ class Detection:
             raise ValueError("Detection.score must be finite")
 
 
+def pair_rows(rows, dtype: np.dtype, what: str) -> np.ndarray:
+    """Read-only 1-D `dtype` array of pair rows: an array, or any sequence of
+    triples. Any other shape is rejected as "`what`, got shape"."""
+    # numpy reads a tuple of tuples as one record, a list as rows
+    rows = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=dtype)
+    if rows.ndim != 1:
+        raise ValueError(f"{what}, got {rows.shape}")
+    rows.flags.writeable = False
+    return rows
+
+
+def first_flagged(checks) -> Optional[Tuple[int, str]]:
+    """The first row that any of the (mask, template) `checks` flags, and the
+    template of the first check that flags it; None if no row is flagged."""
+    bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, next(text for mask, text in checks if mask[i])
+
+
+def repeated_pairs(u, v) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable (u, v) sort order of the rows, and a mask in input order
+    flagging each row whose (u, v) an earlier row already holds.
+
+    The sort is stable, so equal pairs sit together in input order and a
+    row repeats exactly when the row before it in the order holds its pair.
+    """
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    return order, repeat
+
+
 @dataclass(frozen=True, eq=False)
 class MulticutInstance:
     """Graph G=(V, E) with an extra lifted edge set F and real edge costs.
 
     `edges` hold the connectivity-defining pairs, `lifted_edges` contribute
-    cost without connectivity. Both are read-only EDGE_DTYPE arrays; any
-    sequence of (u, v, c) triples is converted. Pairs are canonical
-    (u < v), unique within and across the two sets.
+    cost without connectivity. Both are read-only EDGE_DTYPE arrays, stored
+    in input order; any sequence of (u, v, c) triples is converted by
+    `pair_rows`. Pairs are canonical (u < v) node ids with finite costs,
+    unique within and across the two sets; the first bad row, in E then F
+    order, is named by the first check it fails.
     """
 
     num_nodes: int
@@ -96,33 +149,23 @@ class MulticutInstance:
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be >= 0")
         for name in ("edges", "lifted_edges"):
-            edges = getattr(self, name)
-            # numpy reads a tuple of tuples as one record, a list as rows
-            edges = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
-                             dtype=EDGE_DTYPE)
-            if edges.ndim != 1:
-                raise ValueError(f"{name} must be (u, v, c) triples, got {edges.shape}")
-            edges.flags.writeable = False
-            object.__setattr__(self, name, edges)
+            object.__setattr__(self, name, pair_rows(
+                getattr(self, name), EDGE_DTYPE, f"{name} must be (u, v, c) triples"))
         both = np.concatenate([self.edges, self.lifted_edges])
         u, v, c, n = both["u"], both["v"], both["c"], self.num_nodes
-        repeat = np.ones(len(both), dtype=bool)
-        repeat[np.unique(both[["u", "v"]], return_index=True)[1]] = False
-        checks = (
+        flagged = first_flagged((
             (u == v, "self-loop {name} ({u}, {v})"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "{name} ({u}, {v}) outside node range"),
             (u > v, "{name} ({u}, {v}) not canonical (need u < v)"),
             (~np.isfinite(c), "{name} ({u}, {v}) has non-finite cost {c!r}"),
-            (repeat, "duplicate pair ({u}, {v}) across E and F"),
-        )
-        bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
-        if bad.size:
-            i = bad[0]
-            message = next(text for mask, text in checks if mask[i])
+            (repeated_pairs(u, v)[1], "duplicate pair ({u}, {v}) across E and F"),
+        ))
+        if flagged:
+            i, text = flagged
             name = "edge" if i < self.num_edges else "lifted edge"
-            raise ValueError(message.format(name=name, u=int(u[i]), v=int(v[i]),
-                                            c=float(c[i])))
+            raise ValueError(text.format(name=name, u=int(u[i]), v=int(v[i]),
+                                         c=float(c[i])))
 
     def __eq__(self, other):
         if not isinstance(other, MulticutInstance):

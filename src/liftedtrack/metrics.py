@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .graph import box_iou
 from .motio import MotRecord, as_records
 
 
@@ -54,20 +55,6 @@ def _by_frame(records: Sequence[MotRecord]) -> Dict[int, List[Tuple[int, MotReco
     return frames
 
 
-def _iou_matrix(first: Sequence[MotRecord], second: Sequence[MotRecord]) -> np.ndarray:
-    """IoU of every (first, second) box pair, by the float operations of
-    `graph.iou`, so each entry equals that function's result."""
-    a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs],
-                     dtype=np.float64).reshape(-1, 4) for recs in (first, second))
-    left, top, width, height = (a[:, k, None] for k in range(4))
-    b_left, b_top, b_width, b_height = b.T
-    ix = np.minimum(left + width, b_left + b_width) - np.maximum(left, b_left)
-    iy = np.minimum(top + height, b_top + b_height) - np.maximum(top, b_top)
-    overlap = (ix > 0) & (iy > 0)
-    inter = np.where(overlap, ix * iy, 0.0)
-    return np.where(overlap, inter / (width * height + b_width * b_height - inter), 0.0)
-
-
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     """Score a hypothesis track set against ground-truth records."""
     gt_records = as_records(gt)
@@ -98,7 +85,9 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
         hyps = dict(hyp_frames.get(frame, []))
         row = {gid: i for i, gid in enumerate(gts)}
         col = {hid: j for j, hid in enumerate(hyps)}
-        scores = _iou_matrix(list(gts.values()), list(hyps.values()))
+        a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs.values()],
+                         dtype=np.float64).reshape(-1, 4) for recs in (gts, hyps))
+        scores = box_iou(a[:, None], b[None])
         overlaps = scores >= iou_threshold
 
         # identity matching counts every overlapping co-occurrence

@@ -127,6 +127,7 @@ class PipelineConfig:
         if not 0 <= self.lifted_percentile <= 100:
             raise ValueError(f"bad lifted percentile {self.lifted_percentile}")
         AffinityConfig(self.t_low, self.t_high)
+        self.training_config()
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -171,8 +172,12 @@ def write_config(path, config: PipelineConfig):
 
 
 def read_config(path) -> PipelineConfig:
-    """Parse flat key = value text; unknown keys are rejected with line numbers."""
-    overrides = {}
+    """Parse flat key = value text.
+
+    Unknown and repeated keys are rejected with their line numbers, and
+    invalid values with the path.
+    """
+    overrides, linenos = {}, {}
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -184,11 +189,18 @@ def read_config(path) -> PipelineConfig:
             key = key.strip()
             if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in linenos:
+                raise ValueError(f"{path}:{linenos[key]},{lineno}: "
+                                 f"key {key!r} given twice")
+            linenos[key] = lineno
             try:
                 overrides[key] = _PARSERS[key](raw.strip())
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return PipelineConfig(**overrides)
+    try:
+        return PipelineConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def default_arch(patch_shape=(3, 16, 16)) -> ArchConfig:
@@ -233,10 +245,21 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
 
 
 def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> List[int]:
-    """Per-detection tracklet label vector for embedding training."""
+    """Per-detection tracklet label vector for embedding training.
+
+    Every detection id 0..num_detections-1 must be a member of exactly one
+    tracklet; a member outside that range, or listed twice, is rejected
+    with its tracklet's label.
+    """
     labels = [-1] * num_detections
+    placed = set()
     for tracklet in tracklets:
         for det in tracklet.members:
+            if det in placed or not 0 <= det < num_detections:
+                fault = ("listed twice" if det in placed
+                         else f"outside 0..{num_detections - 1}")
+                raise ValueError(f"tracklet {tracklet.label}: detection {det} {fault}")
+            placed.add(det)
             labels[det] = tracklet.label
     if any(lab < 0 for lab in labels):
         missing = [i for i, lab in enumerate(labels) if lab < 0]

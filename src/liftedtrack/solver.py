@@ -396,17 +396,17 @@ def _articulation_sums(
     size = len(members)
     local = np.full(instance.num_nodes, -1)
     local[members] = np.arange(size)
-    induced = []
-    for edges in (instance.edges, instance.lifted_edges):
-        edges = edges[(local[edges["u"]] >= 0) & (local[edges["v"]] >= 0)]
+    reg, lif = (edges[(local[edges["u"]] >= 0) & (local[edges["v"]] >= 0)]
+                for edges in (instance.edges, instance.lifted_edges))
+    # `members` ascend, so `local` keeps each induced pair canonical, unique
+    # and in range: the checks `MulticutInstance` ran on the instance hold.
+    for edges in (reg, lif):
         edges["u"], edges["v"] = local[edges["u"]], local[edges["v"]]
-        induced.append(edges)
-    cluster = MulticutInstance(size, *induced)
-    reg, lif = cluster.edges, cluster.lifted_edges
     points = sorted(_articulation_points(set(range(size)), _adjacency(size, reg)))
     sums = []
     for x in points:
-        part = component_labels(cluster, (reg["u"] != x) & (reg["v"] != x))
+        kept = reg[(reg["u"] != x) & (reg["v"] != x)]
+        part = pair_components(size, kept["u"], kept["v"])
         cut = (lif["u"] != x) & (lif["v"] != x) & (part[lif["u"]] != part[lif["v"]])
         sums.append(_sequential_sum(lif["c"][cut]))
     return members[points], np.array(sums)

@@ -1,5 +1,6 @@
-"""Shared generators for randomized solver and embedding tests, and the
-union-find and pair ordering that the frozen solver references use."""
+"""Shared generators for randomized solver and embedding tests, the
+union-find and pair ordering that the frozen solver references use, and
+the outcome comparison of the pair-row differential tests."""
 
 import numpy as np
 
@@ -112,3 +113,26 @@ def random_labeling(rng, instance):
     """Random 0/1 labels over E then F."""
     return EdgeLabeling(rng.integers(0, 2, instance.num_edges + instance.num_lifted))
 
+
+
+def pair_rows_outcome(build, *args):
+    """What `build(*args)` gives: its stored arrays as (dtype, rows,
+    writeable) triples, or the ValueError's type, message and `rows`."""
+    try:
+        stored = build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "rows", None)
+    return [(a.dtype, a.tolist(), a.flags.writeable) for a in stored]
+
+
+def shaped_rows(rng, rows, dtype):
+    """`rows` as a list, a tuple of tuples or a `dtype` array, or rarely as
+    a 2-D float array, which both pair-row validators reject."""
+    form = rng.choice(["list", "tuple", "array", "2-D"], p=[0.3, 0.3, 0.35, 0.05])
+    if form == "list":
+        return list(rows)
+    if form == "tuple":
+        return tuple(rows)
+    if form == "array":
+        return np.array(rows, dtype=dtype)
+    return np.zeros((len(rows) + 1, 3))

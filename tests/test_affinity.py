@@ -14,10 +14,13 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from helpers import pair_rows_outcome, shaped_rows
+from pair_rows_reference import reference_match_rows
 from liftedtrack import affinity
 from liftedtrack.affinity import (
     L2_WEIGHT,
     LIFTED_FEATURES,
+    MATCH_DTYPE,
     NEARBY_FEATURES,
     PROB_EPS,
     AffinityConfig,
@@ -195,6 +198,63 @@ class TestMatchTable:
         path.write_text("1 0 7 0 0.5\n")
         with pytest.raises(ValueError, match="no detection"):
             read_match_table(path, dets)
+
+
+def fuzzed_match_rows(rng):
+    """(u, v, value) rows in either endpoint order with planted self-loops,
+    negative ids, values outside [0, 1] or non-finite, and equal and
+    conflicting repeats; one case in ten has up to 300 rows."""
+    big = rng.random() < 0.1
+    n = int(rng.integers(2, 40) if big else rng.integers(2, 9))
+    count = int(rng.integers(0, 300) if big else rng.integers(0, 12))
+    # values tied to the pair, on a quarter grid, or uniform
+    mode = rng.choice(["pair", "grid", "uniform"])
+    by_pair = {}
+    rows = []
+    for _ in range(count):
+        u, v = rng.choice(n, size=2, replace=False).tolist()
+        if mode == "pair":
+            value = by_pair.setdefault((min(u, v), max(u, v)), float(rng.random()))
+        else:
+            value = float(rng.integers(0, 5)) / 4 if mode == "grid" else float(rng.random())
+        rows.append([u, v, value])
+    rate = rng.choice([0.0, 0.05, 0.3])
+    for i, row in enumerate(rows):
+        if rng.random() >= rate:
+            continue
+        kind = int(rng.integers(5))
+        earlier = rows[int(rng.integers(i))] if i else row
+        if kind == 0:
+            row[1] = row[0]
+        elif kind == 1:
+            row[int(rng.integers(2))] = -int(rng.integers(1, 3))
+        elif kind == 2:
+            row[2] = float(rng.choice([1.5, -0.25, 1.0 + 1e-12, np.nan, np.inf, -np.inf]))
+        elif kind == 3:
+            row[:] = [earlier[1], earlier[0], earlier[2]] if rng.random() < 0.5 else earlier
+        else:
+            row[:] = earlier[:2] + [float(rng.random())]
+    return shaped_rows(rng, [tuple(r) for r in rows], MATCH_DTYPE)
+
+
+class TestMatchTableMatchesReference:
+    """`MatchTable` validates, sorts and collapses as the frozen validator did."""
+
+    KINDS = ("self-loop", "negative detection id", "overlap for pair",
+             "conflicting overlap values", "match table rows must be")
+
+    def test_fuzzed_rows(self):
+        rng = np.random.default_rng(14)
+        kinds = set()
+        for _ in range(1500):
+            rows = fuzzed_match_rows(rng)
+            want = pair_rows_outcome(lambda: (reference_match_rows(rows),))
+            assert pair_rows_outcome(lambda: (MatchTable(rows).rows,)) == want, rows
+            if isinstance(want, list):
+                kinds.add("collapsed" if len(want[0][1]) < len(rows) else "accepted")
+            else:
+                kinds.add(next(k for k in self.KINDS if want[1].startswith(k)))
+        assert kinds == {"accepted", "collapsed", *self.KINDS}
 
 
 class TestGenerateLabels:

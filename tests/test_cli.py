@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import re
 import shutil
 
 import numpy as np
@@ -187,6 +188,32 @@ class TestErrors:
         capsys.readouterr()
         assert main(["train-embedding", *argv_common]) == 1
         assert capsys.readouterr().err.startswith("error [train]: non-finite loss")
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 1 2 -1", r"error \[train\]: tracklet \d+: detection -1 outside 0\.\.\d+"),
+        ("100000", r"error \[train\]: tracklet \d+: detection 100000 outside"),
+        ("3", r"error \[train\]: tracklet \d+: detection 3 listed twice"),
+        ("", r"error \[train-embedding\]: .*tracklets\.txt:(\d+): tracklet must have "
+             r"at least one member"),
+        ("4 x", r"error \[train-embedding\]: .*tracklets\.txt:(\d+): invalid literal"),
+    ], ids=["negative", "out-of-range", "repeated", "blank", "non-integer"])
+    def test_bad_tracklet_line_fails_before_training(self, tmp_path, capsys, line,
+                                                      message):
+        config = tmp_path / "cfg.txt"
+        config.write_text("epochs = 1\n")
+        argv_common = ["--dir", str(tmp_path), "--config", str(config)]
+        assert main(["synth", *argv_common, "--frames", "5"]) == 0
+        assert main(["pregroup", *argv_common]) == 0
+        tracklets = tmp_path / "tracklets.txt"
+        lines = tracklets.read_text().splitlines()
+        tracklets.write_text("\n".join(lines + [line]) + "\n")
+        capsys.readouterr()
+        assert main(["train-embedding", *argv_common]) == 1
+        err = capsys.readouterr().err
+        match = re.match(message, err)
+        assert match, err
+        assert match.groups() in ((), (str(len(lines) + 1),))
+        assert not (tmp_path / "model.npz").exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import UnionFind, canonical_edge
+from helpers import UnionFind, canonical_edge, pair_rows_outcome, shaped_rows
+from pair_rows_reference import reference_instance_rows
 from partition_reference import reference_blocks, reference_from_labels
 from liftedtrack.graph import (
     EDGE_DTYPE,
@@ -14,6 +15,7 @@ from liftedtrack.graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
+    box_iou,
     build_graph,
     component_labels,
     frame_pairs,
@@ -85,6 +87,67 @@ class TestIoU:
             ab = iou(a, b)
             assert ab == iou(b, a)
             assert 0.0 <= ab <= 1.0
+
+
+def grid_boxes(rng, count):
+    """(count, 4) left, top, width, height boxes on a coarse grid, so pairs
+    touch, nest and miss; the first two are repeated at the end."""
+    boxes = np.column_stack([rng.integers(0, 8, size=(count, 2)) * 2.5,
+                             rng.integers(1, 6, size=(count, 2)) * 2.5])
+    boxes[:, 2] += rng.choice([0.0, 0.1], size=count)
+    return np.concatenate([boxes, boxes[:2]])
+
+
+class TestBoxIou:
+    """`box_iou` is bitwise `iou`, in both broadcast shapes the package uses."""
+
+    @staticmethod
+    def expected(first, second):
+        return np.array([iou(BBox(*a), BBox(*b)) for a, b in zip(first, second)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairwise_rows_bitwise_equal_iou(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = grid_boxes(rng, 60)
+        random = np.column_stack([rng.uniform(-10, 10, size=(60, 2)),
+                                  rng.uniform(0.1, 10, size=(60, 2))])
+        for boxes in (grid, random):
+            u, v = rng.integers(0, len(boxes), size=(2, 400))
+            got = box_iou(boxes[u], boxes[v])
+            want = self.expected(boxes[u], boxes[v])
+            assert got.dtype == np.float64 and got.shape == (400,)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outer_product_bitwise_equal_iou(self, seed):
+        rng = np.random.default_rng(seed)
+        first, second = grid_boxes(rng, 30), grid_boxes(rng, 20)
+        got = box_iou(first[:, None], second[None])
+        assert got.shape == (len(first), len(second))
+        for row, a in zip(got, first):
+            assert row.tobytes() == self.expected([a] * len(second), second).tobytes()
+        assert (got == 0).any() and (got > 0).any() and (got < 1).any()
+
+    def test_touching_contained_and_identical_boxes(self):
+        boxes = np.array([
+            [0.0, 0.0, 4.0, 2.0],
+            [4.0, 0.0, 3.0, 2.0],    # touches the right side
+            [0.0, 2.0, 4.0, 1.0],    # touches the bottom
+            [4.0, 2.0, 1.0, 1.0],    # touches a corner
+            [1.0, 0.5, 2.0, 1.0],    # contained
+            [-1.0, -1.0, 6.0, 4.0],  # contains it
+            [0.0, 0.0, 4.0, 2.0],    # identical
+            [0.1, 0.3, 4.0, 2.0],    # shifted
+        ])
+        outer = box_iou(boxes[:, None], boxes[None])
+        for row, a in zip(outer, boxes):
+            assert row.tobytes() == self.expected([a] * len(boxes), boxes).tobytes()
+        assert box_iou(boxes[0], boxes).tobytes() == outer[0].tobytes()
+        assert outer[0, 1:4].tolist() == [0.0, 0.0, 0.0]
+        assert outer[0, 4] == 0.25 and outer[0, 6] == 1.0
+
+    def test_empty_side_gives_empty_matrix(self):
+        assert box_iou(np.zeros((40, 1, 4)), np.zeros((1, 0, 4))).shape == (40, 0)
 
 
 class TestDetection:
@@ -163,6 +226,68 @@ class TestMulticutInstance:
         assert a != MulticutInstance(4, a.edges, a.lifted_edges)
         assert a != MulticutInstance(3, a.edges, ((0, 2, 2.5),))
         assert a != MulticutInstance(3, a.edges)
+
+
+def fuzzed_instance_input(rng):
+    """(num_nodes, edges, lifted_edges) with planted self-loops, negative,
+    out-of-range and non-canonical ids, non-finite costs, and pairs repeated
+    within and across E and F; one case in ten has up to 300 rows."""
+    big = rng.random() < 0.1
+    n = int(rng.integers(2, 40) if big else rng.integers(0, 9))
+    count = int(rng.integers(0, 300) if big else rng.integers(0, 12))
+    if n > 1 and rng.random() < 0.5:
+        # distinct canonical pairs, so that faults come from planting alone
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picked = rng.permutation(len(pairs))[:count]
+        rows = [[*pairs[k], float(rng.normal())] for k in picked]
+    else:
+        rows = [[*sorted(rng.integers(0, max(n, 1), size=2).tolist()),
+                 float(rng.normal())] for _ in range(count)]
+    rate = rng.choice([0.0, 0.05, 0.3])
+    for i, row in enumerate(rows):
+        if rng.random() >= rate:
+            continue
+        kind = int(rng.integers(7))
+        if kind == 0:
+            row[1] = row[0]
+        elif kind == 1:
+            row[int(rng.integers(2))] = -int(rng.integers(1, 3))
+        elif kind == 2:
+            row[int(rng.integers(2))] = n + int(rng.integers(0, 2))
+        elif kind == 3:
+            row[0], row[1] = row[1], row[0]
+        elif kind == 4:
+            row[2] = float(rng.choice([np.nan, np.inf, -np.inf]))
+        elif i:
+            row[:2] = rows[int(rng.integers(i))][:2]
+    split = int(rng.integers(0, count + 1))
+    return (n, shaped_rows(rng, [tuple(r) for r in rows[:split]], EDGE_DTYPE),
+            shaped_rows(rng, [tuple(r) for r in rows[split:]], EDGE_DTYPE))
+
+
+def stored_instance_rows(num_nodes, edges, lifted_edges):
+    instance = MulticutInstance(num_nodes, edges, lifted_edges)
+    return instance.edges, instance.lifted_edges
+
+
+class TestInstanceMatchesReference:
+    """`MulticutInstance` validates and stores as the frozen validator did."""
+
+    # one per error template; each message contains only its own kind
+    KINDS = ("self-loop edge", "self-loop lifted edge", "outside node range",
+             "not canonical", "has non-finite cost", "duplicate pair",
+             "lifted_edges must be", "edges must be")
+
+    def test_fuzzed_rows(self):
+        rng = np.random.default_rng(14)
+        kinds = set()
+        for _ in range(1500):
+            args = fuzzed_instance_input(rng)
+            want = pair_rows_outcome(reference_instance_rows, *args)
+            assert pair_rows_outcome(stored_instance_rows, *args) == want, args
+            kinds.add("accepted" if isinstance(want, list) else
+                      next(k for k in self.KINDS if k in want[1]))
+        assert kinds == {"accepted", *self.KINDS}
 
 
 class TestBenchmarkContract:

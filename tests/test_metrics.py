@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from liftedtrack.graph import iou
-from liftedtrack.metrics import MotReport, _iou_matrix, evaluate_clear_mot
+from liftedtrack.graph import box_iou, iou
+from liftedtrack.metrics import MotReport, evaluate_clear_mot
 from liftedtrack.motio import MotRecord
 
 
@@ -153,6 +153,13 @@ class TestValidationAndReport:
         assert lines[0] == "MOTA 0.750"
         assert "IDs 2" in lines
         assert "FN 5" in lines
+
+
+def _iou_matrix(first, second):
+    """`box_iou` of every (first, second) record pair, as `evaluate_clear_mot` calls it."""
+    a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs],
+                     dtype=np.float64).reshape(-1, 4) for recs in (first, second))
+    return box_iou(a[:, None], b[None])
 
 
 class TestIouMatrix:

@@ -132,6 +132,17 @@ class TestPregroup:
         with pytest.raises(ValueError, match="without a tracklet"):
             tracklet_labels([Tracklet(label=0, members=(0, 1))], 3)
 
+    @pytest.mark.parametrize("members, message", [
+        ((2, -1), r"^tracklet 1: detection -1 outside 0\.\.2$"),
+        ((2, 3), r"^tracklet 1: detection 3 outside 0\.\.2$"),
+        ((1, 2), r"^tracklet 1: detection 1 listed twice$"),
+        ((2, 2), r"^tracklet 1: detection 2 listed twice$"),
+    ], ids=["negative", "out-of-range", "in-two-tracklets", "repeated-in-one"])
+    def test_labels_reject_bad_members(self, members, message):
+        tracklets = [Tracklet(label=0, members=(0, 1)), Tracklet(label=1, members=members)]
+        with pytest.raises(ValueError, match=message):
+            tracklet_labels(tracklets, 3)
+
 
 class TestClustersToTracks:
     def test_small_cluster_dropped(self):
@@ -276,6 +287,25 @@ class TestConfigIO:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nseed = 4\n")
         assert read_config(path).seed == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 3\nseed = 1\nepochs = 4\n", r"run\.cfg:1,3: key 'epochs' given twice"),
+        ("epochs = 0\n", r"run\.cfg: epochs must be >= 1"),
+        ("learning_rate = 0\n", r"run\.cfg: learning_rate must be > 0"),
+        ("lambda_schedule = 0:0.0,8:1.5\n", r"run\.cfg: lambda 1\.5 outside \[0, 1\]"),
+        ("t_low = 0.9\n", r"run\.cfg: need 0 <= t_low < t_high <= 1"),
+    ], ids=["repeated-key", "zero-epochs", "zero-rate", "lambda-above-one", "t-low"])
+    def test_read_rejects_bad_file_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_config(path)
+
+    def test_training_rules_checked_on_construction(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            PipelineConfig(epochs=0)
+        with pytest.raises(ValueError, match="strictly increase"):
+            dataclasses.replace(PipelineConfig(), lambda_schedule=((3, 0.5), (1, 0.9)))
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
