@@ -219,16 +219,26 @@ def generate_labels(table: MatchTable, config: AffinityConfig = AffinityConfig()
     return rows, (rows["value"] > config.t_high).astype(np.int64)
 
 
+def check_feature_config(feature_config: Tuple[str, ...]) -> None:
+    """Reject a feature subset that is empty, repeats a name or names an
+    unknown feature."""
+    if not feature_config:
+        raise ValueError("feature subset needs at least one feature")
+    if len(feature_config) != len(set(feature_config)):
+        raise ValueError(f"duplicate feature names in {feature_config}")
+    for name in feature_config:
+        if name not in FEATURE_NAMES:
+            raise ValueError(f"unknown feature name {name!r}")
+
+
 def feature_matrix(iou_dm, d_ae, feature_config=NEARBY_FEATURES) -> np.ndarray:
     """One row per pair holding the configured feature subset, in order."""
+    check_feature_config(feature_config)
     iou_dm, d_ae = np.broadcast_arrays(np.asarray(iou_dm, dtype=float),
                                        np.asarray(d_ae, dtype=float))
     columns = {"bias": np.ones_like(d_ae), "iou_dm": iou_dm, "d_ae": d_ae,
                "product": iou_dm * d_ae}
-    try:
-        rows = np.column_stack([columns[name] for name in feature_config])
-    except KeyError as exc:
-        raise ValueError(f"unknown feature name {exc.args[0]!r}") from exc
+    rows = np.column_stack([columns[name] for name in feature_config])
     _reject_non_finite(rows)
     return rows
 
@@ -325,11 +335,7 @@ class AffinityModel:
     def __post_init__(self):
         config = tuple(self.feature_config)
         beta = tuple(float(b) for b in self.beta)
-        if len(config) != len(set(config)):
-            raise ValueError(f"duplicate feature names in {config}")
-        for name in config:
-            if name not in FEATURE_NAMES:
-                raise ValueError(f"unknown feature name {name!r}")
+        check_feature_config(config)
         if len(beta) != len(config):
             raise ValueError(
                 f"{len(beta)} coefficients for {len(config)} features"

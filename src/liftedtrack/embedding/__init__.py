@@ -13,7 +13,6 @@ from .layers import (
 )
 from .model import LATENT_CHUNK, ArchConfig, AutoEncoder
 from .training import (
-    CentroidTable,
     EpochStats,
     TrainingConfig,
     TrainingDiverged,
@@ -29,7 +28,6 @@ __all__ = [
     "ArchConfig",
     "AutoEncoder",
     "BatchNorm",
-    "CentroidTable",
     "Conv2D",
     "Dense",
     "EpochStats",

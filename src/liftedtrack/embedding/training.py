@@ -1,26 +1,34 @@
 """Autoencoder training: combined reconstruction + clustering objective.
 
 The loss is L = (1-lam) * L_rec + lam * L_clu where L_rec is the mean (over
-the batch) per-sample sum of squared reconstruction errors and L_clu pulls
-each latent code toward the centroid of its assigned cluster. lam follows a
-step schedule (0 while visual features form, then large), batches are whole
-frames in seeded random order, and the learning rate decays exponentially
-by a factor of 10 over the run.
+the batch) per-sample sum of squared reconstruction errors and L_clu is the
+mean squared distance of each latent code to its target, the centroid of
+its item's cluster. lam follows a step schedule (0 while visual features
+form, then large), batches are whole frames in seeded random order, and
+the learning rate decays exponentially by a factor of 10 over the run.
+
+Training data are arrays: an (N, C, H, W) image stack, one integer cluster
+label per item, and, while lam > 0, an (N, latent_dim) target matrix whose
+row i is the centroid of item i's cluster. Each frame's batch is one run of
+a stable sort of the items by frame, so its members keep their item order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import AutoEncoder
 from .layers import BatchNorm
 
-# A latent vector is a plain float64 array of length latent_dim; a centroid
-# table maps cluster label -> latent vector.
-CentroidTable = Dict[int, np.ndarray]
+# `gradient_check` probes each tensor with central differences of this step
+# at up to this many entries, drawn by a generator with this seed.
+CHECK_STEP = 1e-3
+CHECK_ENTRIES_PER_TENSOR = 24
+CHECK_SEED = 0
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,8 +52,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be > 0 and finite, "
+                             f"got {self.learning_rate!r}")
         prev = -1
         for epoch, lam in self.lambda_schedule:
             if epoch <= prev:
@@ -75,39 +84,25 @@ class EpochStats:
     clustering: float
 
 
-def _images_of(dataset) -> np.ndarray:
-    """Accepts an (N,C,H,W) array or a sequence of objects with `.image`."""
-    if isinstance(dataset, np.ndarray):
-        return np.asarray(dataset, dtype=np.float64)
-    images = []
-    for item in dataset:
-        image = getattr(item, "image", None)
-        if image is None:
-            raise ValueError("dataset item has no image patch")
-        images.append(np.asarray(image, dtype=np.float64))
-    if not images:
-        raise ValueError("empty dataset")
-    return np.stack(images)
-
-
-def _centroid_matrix(
-    centroids: Mapping[int, np.ndarray], labels: Sequence[int], latent_dim: int
-) -> np.ndarray:
-    rows = []
-    for label in labels:
-        if label not in centroids:
-            raise KeyError(f"no centroid for cluster label {label!r}")
-        rows.append(np.asarray(centroids[label], dtype=np.float64))
-    out = np.stack(rows)
-    if out.shape[1] != latent_dim:
-        raise ValueError(f"centroid dim {out.shape[1]} != latent dim {latent_dim}")
-    return out
+def _checked_targets(model, n, targets, lam):
+    """The clustering targets of a batch of n as float64 rows when lam > 0,
+    None when lam is 0; lam outside [0, 1], and targets not shaped
+    (n, latent_dim) when lam > 0, are rejected."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda {lam!r} outside [0, 1]")
+    if lam == 0.0:
+        return None
+    shape = (n, model.config.latent_dim)
+    if np.shape(targets) != shape:
+        raise ValueError(f"targets of shape {np.shape(targets)} for a batch "
+                         f"needing {shape}")
+    return np.asarray(targets, dtype=np.float64)
 
 
 def _loss_terms(x, recon, z, cmat, lam):
     n = x.shape[0]
     rec = float(np.sum((recon - x) ** 2) / n)
-    if lam == 0.0 or cmat is None:
+    if lam == 0.0:
         return rec, 0.0, (1 - lam) * rec
     clu = float(np.sum((z - cmat) ** 2) / n)
     return rec, clu, (1 - lam) * rec + lam * clu
@@ -119,57 +114,49 @@ def _forward_loss(model, x, cmat, lam, train):
     return rec, clu, total, recon, z, caches
 
 
-def reconstruction_loss(model: AutoEncoder, batch) -> float:
+def reconstruction_loss(model: AutoEncoder, batch: np.ndarray) -> float:
     """Mean over the batch of the per-sample sum of squared errors."""
-    x = _images_of(batch)
-    rec, _, _, _, _, _ = _forward_loss(model, x, None, 0.0, train=False)
-    return rec
+    return combined_loss(model, batch, None, 0.0)
 
 
 def combined_loss(
-    model: AutoEncoder,
-    batch,
-    labels: Sequence[int],
-    centroids: CentroidTable,
-    lam: float,
+    model: AutoEncoder, batch: np.ndarray, targets: np.ndarray, lam: float
 ) -> float:
-    """(1-lam) * reconstruction + lam * mean squared latent-to-centroid distance."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda {lam!r} outside [0, 1]")
-    x = _images_of(batch)
-    cmat = None
-    if lam > 0.0:
-        cmat = _centroid_matrix(centroids, labels, model.config.latent_dim)
+    """(1-lam) * reconstruction + lam * mean squared latent-to-target distance.
+
+    `targets` holds one row per batch item, such as the rows of
+    `compute_centroids` for those items; it is read only when lam > 0.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    cmat = _checked_targets(model, len(x), targets, lam)
     _, _, total, _, _, _ = _forward_loss(model, x, cmat, lam, train=False)
     return total
 
 
-def compute_centroids(model: AutoEncoder, dataset, labels: Sequence[int]) -> CentroidTable:
-    """Mean latent vector per cluster label, from one chunked inference pass."""
-    x = _images_of(dataset)
+def compute_centroids(
+    model: AutoEncoder, images: np.ndarray, labels: Sequence[int]
+) -> np.ndarray:
+    """Per-item clustering targets from one chunked inference pass.
+
+    Returns an (N, latent_dim) array whose row i is the mean latent code
+    of every item with item i's label. Each cluster is summed in item order.
+    """
+    x = np.asarray(images, dtype=np.float64)
     if len(labels) != len(x):
         raise ValueError(f"{len(labels)} labels for {len(x)} items")
     if len(x) == 0:
         raise ValueError("empty dataset")
     z = model.encode_all(x)
-    table: CentroidTable = {}
-    counts: Dict[int, int] = {}
-    for label, vec in zip(labels, z):
-        if label in table:
-            table[label] = table[label] + vec
-            counts[label] += 1
-        else:
-            table[label] = vec.copy()
-            counts[label] = 1
-    for label in table:
-        table[label] /= counts[label]
-    return table
+    _, cluster, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), z.shape[1]))
+    np.add.at(sums, cluster, z)
+    return (sums / counts[:, None])[cluster]
 
 
 def _backward_losses(model, x, recon, z, cmat, lam, caches):
     n = x.shape[0]
     d_recon = (1 - lam) * 2.0 * (recon - x) / n
-    if lam > 0.0 and cmat is not None:
+    if lam > 0.0:
         d_latent = lam * 2.0 * (z - cmat) / n
     else:
         d_latent = np.zeros_like(z)
@@ -184,48 +171,49 @@ def train(
 ) -> Tuple[AutoEncoder, List[EpochStats]]:
     """Gradient descent on the combined loss with per-frame batches.
 
+    `dataset` items carry `.frame` and `.image`; `labels` holds one cluster
+    label per item. The images are stacked once, and one stable argsort of
+    the frames, split where the frame changes, gives each frame's batch in
+    item order; an epoch visits the frames in a seeded random order. While
+    lam > 0, `compute_centroids` gives the per-item targets once per epoch
+    and each step gathers its items' rows.
+
     Mutates `model` in place and returns it with the per-epoch loss trace.
-    Centroids are recomputed once per epoch while lam > 0. Raises
-    TrainingDiverged on the first non-finite loss or parameter.
+    Raises TrainingDiverged on the first non-finite loss or parameter.
     """
     frames = [getattr(item, "frame", None) for item in dataset]
     if any(f is None for f in frames):
         raise ValueError("train expects dataset items with a frame attribute")
     if len(labels) != len(dataset):
         raise ValueError(f"{len(labels)} labels for {len(dataset)} items")
-    images = _images_of(dataset)
-    labels = list(labels)
+    if any(getattr(item, "image", None) is None for item in dataset):
+        raise ValueError("dataset item has no image patch")
+    if not dataset:
+        raise ValueError("empty dataset")
+    images = np.stack([np.asarray(item.image, dtype=np.float64) for item in dataset])
 
-    by_frame: Dict[int, List[int]] = {}
-    for idx, f in enumerate(frames):
-        by_frame.setdefault(f, []).append(idx)
-    frame_ids = sorted(by_frame)
+    frames = np.asarray(frames)
+    order = np.argsort(frames, kind="stable")
+    batches = np.split(order, np.flatnonzero(np.diff(frames[order])) + 1)
 
     rng = np.random.default_rng(config.seed)
     trace: List[EpochStats] = []
     for epoch in range(config.epochs):
         lam = config.lambda_at(epoch)
         lr = config.learning_rate_at(epoch)
-        centroids = None
-        if lam > 0.0:
-            centroids = compute_centroids(model, images, labels)
+        targets = compute_centroids(model, images, labels) if lam > 0.0 else None
         loss_sum = rec_sum = clu_sum = 0.0
-        order = rng.permutation(len(frame_ids))
-        for pos in order:
-            idx = by_frame[frame_ids[pos]]
+        for pos in rng.permutation(len(batches)):
+            idx = batches[pos]
             x = images[idx]
-            cmat = None
-            if lam > 0.0:
-                cmat = _centroid_matrix(
-                    centroids, [labels[i] for i in idx], model.config.latent_dim
-                )
+            cmat = targets[idx] if lam > 0.0 else None
             rec, clu, total, recon, z, caches = _forward_loss(
                 model, x, cmat, lam, train=True
             )
             if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss {total!r} at epoch {epoch}, "
-                    f"frame {frame_ids[pos]} (lr {lr:g}, lambda {lam:g})"
+                    f"frame {frames[idx[0]]} (lr {lr:g}, lambda {lam:g})"
                 )
             grads = _backward_losses(model, x, recon, z, cmat, lam, caches)
             for key, layer_grads in grads.items():
@@ -252,29 +240,24 @@ def train(
 
 def gradient_check(
     model: AutoEncoder,
-    batch,
-    labels: Optional[Sequence[int]] = None,
-    centroids: Optional[CentroidTable] = None,
+    batch: np.ndarray,
+    targets: Optional[np.ndarray] = None,
     lam: float = 0.0,
-    step: float = 1e-3,
-    max_entries_per_tensor: int = 24,
-    rng: Optional[np.random.Generator] = None,
     detail: bool = False,
 ):
     """Max relative error between analytic and central-difference gradients.
 
-    Both sides evaluate the training-mode loss path, so batchnorm is checked
+    `targets` are the batch's clustering targets, as for `combined_loss`,
+    and are needed only when lam > 0. Each parameter tensor is probed at
+    up to CHECK_ENTRIES_PER_TENSOR entries (all of a smaller tensor, else a
+    draw of a generator seeded with CHECK_SEED) with step CHECK_STEP. Both
+    sides evaluate the training-mode loss path, so batchnorm is checked
     through its batch-statistics branch. With `detail=True`, returns a dict
     mapping (stack, layer index, parameter name) to that tensor's max error.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x = _images_of(batch)
-    cmat = None
-    if lam > 0.0:
-        if labels is None or centroids is None:
-            raise ValueError("clustering term needs labels and centroids")
-        cmat = _centroid_matrix(centroids, labels, model.config.latent_dim)
+    x = np.asarray(batch, dtype=np.float64)
+    cmat = _checked_targets(model, len(x), targets, lam)
+    rng = np.random.default_rng(CHECK_SEED)
 
     # Train-mode forwards update batchnorm running stats; snapshot them so
     # the check leaves the model as it found it.
@@ -293,19 +276,19 @@ def gradient_check(
                 if analytic is None:
                     analytic = np.zeros_like(arr)
                 flat = arr.reshape(-1)
-                if flat.size <= max_entries_per_tensor:
+                if flat.size <= CHECK_ENTRIES_PER_TENSOR:
                     picks = np.arange(flat.size)
                 else:
-                    picks = rng.choice(flat.size, max_entries_per_tensor, replace=False)
+                    picks = rng.choice(flat.size, CHECK_ENTRIES_PER_TENSOR, replace=False)
                 worst = 0.0
                 for i in picks:
                     orig = flat[i]
-                    flat[i] = orig + step
+                    flat[i] = orig + CHECK_STEP
                     _, _, up, _, _, _ = _forward_loss(model, x, cmat, lam, train=True)
-                    flat[i] = orig - step
+                    flat[i] = orig - CHECK_STEP
                     _, _, down, _, _, _ = _forward_loss(model, x, cmat, lam, train=True)
                     flat[i] = orig
-                    numeric = (up - down) / (2 * step)
+                    numeric = (up - down) / (2 * CHECK_STEP)
                     a = analytic.reshape(-1)[i]
                     denom = max(abs(a), abs(numeric), 1e-6)
                     worst = max(worst, abs(a - numeric) / denom)

@@ -294,6 +294,20 @@ def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+def checked_frame_gaps(max_frame_gap: int, lifted_gaps: Iterable[int]) -> List[int]:
+    """The distinct lifted gaps in ascending order, after checking that
+    max_frame_gap is at least 1 and that every lifted gap exceeds it."""
+    if max_frame_gap < 1:
+        raise ValueError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
+    gaps = sorted(set(int(g) for g in lifted_gaps))
+    for g in gaps:
+        if g <= max_frame_gap:
+            raise ValueError(
+                f"lifted gap {g} must exceed max_frame_gap {max_frame_gap}"
+            )
+    return gaps
+
+
 def build_graph(
     detections: Sequence[Detection],
     max_frame_gap: int,
@@ -307,14 +321,7 @@ def build_graph(
     all exceed max_frame_gap so that F and E stay disjoint. Node ids follow
     input order; both edge sets are sorted by (u, v).
     """
-    if max_frame_gap < 1:
-        raise ValueError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
-    gaps = sorted(set(int(g) for g in lifted_gaps))
-    for g in gaps:
-        if g <= max_frame_gap:
-            raise ValueError(
-                f"lifted gap {g} must exceed max_frame_gap {max_frame_gap}"
-            )
+    gaps = checked_frame_gaps(max_frame_gap, lifted_gaps)
     frames = [det.frame for det in detections]
     edge_sets = []
     for group in (range(max_frame_gap + 1), gaps):

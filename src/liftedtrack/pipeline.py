@@ -21,13 +21,22 @@ from .affinity import (
     AffinityModel,
     MatchTable,
     assemble_costs,
+    check_feature_config,
     fit_affinity_model,
     generate_labels,
     latent_codes,
     latent_distances,
 )
 from .embedding import ArchConfig, AutoEncoder, TrainingConfig, train
-from .graph import BBox, Detection, Partition, build_graph, pair_components
+from .graph import (
+    BBox,
+    Detection,
+    Partition,
+    build_graph,
+    checked_frame_gaps,
+    first_flagged,
+    pair_components,
+)
 from .metrics import MotReport, evaluate_clear_mot
 from .motio import MotRecord
 from .solver import solve_gaec, solve_kl
@@ -52,6 +61,12 @@ class Tracklet:
     def __post_init__(self):
         if not self.members:
             raise ValueError("tracklet must have at least one member")
+        if not isinstance(self.label, (int, np.integer)):
+            raise ValueError(f"tracklet label {self.label!r} is not an integer")
+        for det in self.members:
+            if not isinstance(det, (int, np.integer)):
+                raise ValueError(f"tracklet {self.label}: member {det!r} "
+                                 f"is not an integer detection id")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
@@ -122,11 +137,15 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.pregroup_threshold < 1:
             raise ValueError(f"bad pregroup threshold {self.pregroup_threshold}")
+        if self.pregroup_max_gap < 1:
+            raise ValueError(f"bad pregroup_max_gap {self.pregroup_max_gap}")
         if self.min_cluster_size < 1:
             raise ValueError(f"bad min_cluster_size {self.min_cluster_size}")
         if not 0 <= self.lifted_percentile <= 100:
             raise ValueError(f"bad lifted percentile {self.lifted_percentile}")
         AffinityConfig(self.t_low, self.t_high)
+        check_feature_config(self.nearby_features)
+        checked_frame_gaps(self.max_frame_gap, self.lifted_gaps)
         self.training_config()
 
     def training_config(self) -> TrainingConfig:
@@ -244,26 +263,33 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
             for label, members in enumerate(groups)]
 
 
-def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> List[int]:
-    """Per-detection tracklet label vector for embedding training.
+def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> np.ndarray:
+    """Per-detection tracklet labels (an int64 array) for embedding training.
 
-    Every detection id 0..num_detections-1 must be a member of exactly one
-    tracklet; a member outside that range, or listed twice, is rejected
-    with its tracklet's label.
+    Labels may be any integers. Every detection id 0..num_detections-1 must
+    be a member of exactly one tracklet. Of the members in tracklet order,
+    the first that lies outside that range or was listed before is rejected
+    with its tracklet's label; then the first five detections no tracklet
+    lists are named.
     """
-    labels = [-1] * num_detections
-    placed = set()
-    for tracklet in tracklets:
-        for det in tracklet.members:
-            if det in placed or not 0 <= det < num_detections:
-                fault = ("listed twice" if det in placed
-                         else f"outside 0..{num_detections - 1}")
-                raise ValueError(f"tracklet {tracklet.label}: detection {det} {fault}")
-            placed.add(det)
-            labels[det] = tracklet.label
-    if any(lab < 0 for lab in labels):
-        missing = [i for i, lab in enumerate(labels) if lab < 0]
-        raise ValueError(f"detections without a tracklet: {missing[:5]}")
+    members = np.array([det for t in tracklets for det in t.members], dtype=np.int64)
+    owners = np.repeat(np.array([t.label for t in tracklets], dtype=np.int64),
+                       [len(t.members) for t in tracklets])
+    repeat = np.ones(len(members), dtype=bool)
+    repeat[np.unique(members, return_index=True)[1]] = False
+    flagged = first_flagged([
+        (repeat, "listed twice"),
+        ((members < 0) | (members >= num_detections),
+         f"outside 0..{num_detections - 1}"),
+    ])
+    if flagged is not None:
+        i, fault = flagged
+        raise ValueError(f"tracklet {owners[i]}: detection {members[i]} {fault}")
+    missing = np.flatnonzero(np.bincount(members, minlength=num_detections) == 0)
+    if missing.size:
+        raise ValueError(f"detections without a tracklet: {missing[:5].tolist()}")
+    labels = np.empty(num_detections, dtype=np.int64)
+    labels[members] = owners
     return labels
 
 
@@ -271,8 +297,9 @@ def train_embedding(detections: Sequence[Detection], tracklets: Sequence[Trackle
                     config: PipelineConfig, arch: ArchConfig = None):
     """Train the autoencoder with tracklet labels driving the clustering term.
 
-    Any failure, such as no detections or a non-finite patch, is raised as
-    PipelineError at stage "train".
+    Each detection's cluster is its tracklet's label (`tracklet_labels`).
+    Any failure, such as no detections, a bad tracklet member or a
+    non-finite patch, is raised as PipelineError at stage "train".
     """
     with _stage("train"):
         if arch is None:
@@ -280,7 +307,7 @@ def train_embedding(detections: Sequence[Detection], tracklets: Sequence[Trackle
             arch = default_arch(shape)
         labels = tracklet_labels(tracklets, len(detections))
         model = AutoEncoder(arch, seed=config.seed)
-        return train(model, list(detections), labels, config.training_config())
+        return train(model, detections, labels, config.training_config())
 
 
 @contextmanager

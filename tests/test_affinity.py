@@ -309,6 +309,16 @@ class TestFeatureVector:
         with pytest.raises(ValueError, match="unknown feature"):
             feature_matrix([0.5], [1.0], ("bias", "velocity"))
 
+    @pytest.mark.parametrize("config, message", [
+        ((), "at least one feature"),
+        (("bias", "d_ae", "bias"), "duplicate feature names"),
+    ], ids=["empty", "repeated"])
+    def test_bad_subset_rejected_before_fitting(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            feature_matrix([0.5], [1.0], config)
+        with pytest.raises(ValueError, match=message):
+            fit_affinity_model([(0.5, 1.0), (0.1, 3.0)], [1.0, 0.0], config)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite.*row 1"):
             feature_matrix([0.5, 0.5], [1.0, math.inf], NEARBY_FEATURES)

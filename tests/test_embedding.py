@@ -34,6 +34,7 @@ from liftedtrack.pipeline import default_arch, pregroup, tracklet_labels
 from liftedtrack.synth import benchmark_spec, synth_sequence
 
 import conv_reference
+import training_reference
 from helpers import smooth_embedding_fixture
 
 SMALL = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
@@ -551,7 +552,7 @@ class TestLosses:
         model = AutoEncoder(SMALL, seed=0)
         rng = np.random.default_rng(17)
         x = small_batch(rng)
-        assert combined_loss(model, x, [0] * 4, {}, 0.0) == reconstruction_loss(
+        assert combined_loss(model, x, None, 0.0) == reconstruction_loss(
             model, x
         )
 
@@ -560,8 +561,7 @@ class TestLosses:
         rng = np.random.default_rng(18)
         x = small_batch(rng)
         z, _ = model.encode_batch(x)
-        centroids = {i: z[i] for i in range(4)}
-        assert combined_loss(model, x, [0, 1, 2, 3], centroids, 1.0) == pytest.approx(
+        assert combined_loss(model, x, z, 1.0) == pytest.approx(
             0.0, abs=1e-18
         )
 
@@ -569,36 +569,36 @@ class TestLosses:
         model = AutoEncoder(SMALL, seed=0)
         rng = np.random.default_rng(19)
         x = small_batch(rng)
-        centroids = {0: np.zeros(5)}
-        labels = [0] * 4
-        lo = combined_loss(model, x, labels, centroids, 0.0)
-        hi = combined_loss(model, x, labels, centroids, 1.0)
-        mid = combined_loss(model, x, labels, centroids, 0.5)
+        targets = np.zeros((4, 5))
+        lo = combined_loss(model, x, targets, 0.0)
+        hi = combined_loss(model, x, targets, 1.0)
+        mid = combined_loss(model, x, targets, 0.5)
         assert mid == pytest.approx(0.5 * lo + 0.5 * hi, rel=1e-12)
 
     def test_missing_centroid_raises(self):
         model = AutoEncoder(SMALL, seed=0)
         x = small_batch(np.random.default_rng(20))
-        with pytest.raises(KeyError):
-            combined_loss(model, x, [0, 0, 0, 9], {0: np.zeros(5)}, 0.5)
+        with pytest.raises(ValueError, match=r"targets of shape \(3, 5\)"):
+            combined_loss(model, x, np.zeros((3, 5)), 0.5)
 
 
 class TestCentroids:
     def test_single_member_equals_latent(self):
         model = AutoEncoder(SMALL, seed=0)
         x = small_batch(np.random.default_rng(21), n=1)
-        table = compute_centroids(model, x, [5])
-        assert np.allclose(table[5], model.encode(x[0]))
+        targets = compute_centroids(model, x, [5])
+        assert np.allclose(targets[0], model.encode(x[0]))
 
     def test_mean_of_three_members(self):
         model = AutoEncoder(SMALL, seed=0)
         x = small_batch(np.random.default_rng(22), n=3)
         z, _ = model.encode_batch(x)
-        table = compute_centroids(model, x, [1, 1, 1])
+        targets = compute_centroids(model, x, [1, 1, 1])
         manual = np.array(
             [sum(z[i][d] for i in range(3)) / 3 for d in range(5)]
         )
-        assert np.allclose(table[1], manual, atol=1e-12)
+        for row in targets:
+            assert np.allclose(row, manual, atol=1e-12)
 
     def test_permutation_invariant(self):
         model = AutoEncoder(SMALL, seed=0)
@@ -607,8 +607,7 @@ class TestCentroids:
         t1 = compute_centroids(model, x, labels)
         perm = [3, 1, 4, 0, 5, 2]
         t2 = compute_centroids(model, x[perm], [labels[i] for i in perm])
-        for k in t1:
-            assert np.allclose(t1[k], t2[k], atol=1e-12)
+        assert np.allclose(t1[perm], t2, atol=1e-12)
 
     def test_empty_dataset_raises(self):
         model = AutoEncoder(SMALL, seed=0)
@@ -700,6 +699,61 @@ class TestTrain:
         assert cfg.learning_rate_at(10) == pytest.approx(1e-4)
 
 
+def _scrambled_dataset():
+    """30 detections in shuffled order over frames 1, 2, 5, 6, 11 and 40
+    (gaps, two frames of one, one frame of 17); five labels, negative,
+    large and non-contiguous, each shared by items of several frames."""
+    rng = np.random.default_rng(7)
+    frames = rng.permutation(np.repeat([1, 2, 5, 6, 11, 40], [1, 17, 1, 3, 6, 2]))
+    dets = [Detection(frame=int(f), box=BBox(0, 0, 4, 4),
+                      image=rng.uniform(0.1, 0.9, size=(3, 8, 8)))
+            for f in frames]
+    labels = rng.choice([-7, -1, 4, 10**6, 2**40], size=len(dets)).tolist()
+    return SMALL, dets, labels
+
+
+def _scene_dataset():
+    """benchmark_spec(40), data seed 1, without frames 10-12 and 25, with one
+    detection left in each of frames 30-33, in shuffled order; tracklet
+    labels mapped to negative (odd) and large (even) values."""
+    result = synth_sequence(benchmark_spec(num_frames=40), seed=1)
+    dets = list(result.detections)
+    labels = tracklet_labels(pregroup(dets, result.table), len(dets))
+    labels = np.where(labels % 2, -1000 * labels - 1, labels * 10**9)
+    keep, single = [], set()
+    for i, det in enumerate(dets):
+        if det.frame in (10, 11, 12, 25) or det.frame in single:
+            continue
+        if 30 <= det.frame <= 33:
+            single.add(det.frame)
+        keep.append(i)
+    order = np.random.default_rng(2).permutation(keep)
+    return default_arch(dets[0].image.shape), [dets[i] for i in order], labels[order]
+
+
+class TestTrainingMatchesReference:
+    """`train` and `compute_centroids` against the frozen dict-based loop."""
+
+    @pytest.mark.parametrize("make", [_scrambled_dataset, _scene_dataset],
+                             ids=["scrambled", "scene"])
+    def test_training_and_centroids_equal(self, make):
+        arch, dets, labels = make()
+        config = TrainingConfig(epochs=3, lambda_schedule=((0, 0.0), (1, 0.9)), seed=3)
+        model, ref = AutoEncoder(arch, seed=1), AutoEncoder(arch, seed=1)
+        _, trace = train(model, dets, labels, config)
+        _, ref_trace = training_reference.reference_train(ref, dets, labels, config)
+        assert trace == ref_trace
+        for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(latent_codes(model, dets), latent_codes(ref, dets))
+        images = np.stack([det.image for det in dets])
+        targets = compute_centroids(model, images, labels)
+        table = training_reference.reference_compute_centroids(model, images, labels)
+        assert targets.shape == (len(dets), arch.latent_dim)
+        for row, label in zip(targets, labels):
+            assert np.array_equal(row, table[label])
+
+
 class TestGradientCheck:
     def test_linear_autoencoder_tight(self):
         # Two dense layers, no nonlinearity: gradients are exact to FD noise.
@@ -743,8 +797,8 @@ class TestGradientCheck:
     def test_full_model_with_clustering_term(self):
         model, x = smooth_embedding_fixture(SMALL, seed=9)
         labels = [0, 0, 1, 1]
-        centroids = compute_centroids(model, x, labels)
-        assert gradient_check(model, x, labels, centroids, lam=0.95) < 1e-4
+        targets = compute_centroids(model, x, labels)
+        assert gradient_check(model, x, targets, lam=0.95) < 1e-4
 
     def test_batchnorm_model(self):
         # Single stage keeps the composed 1/sigma curvature of batchnorm
@@ -755,8 +809,8 @@ class TestGradientCheck:
         )
         model, x = smooth_embedding_fixture(cfg, seed=1, batch=8)
         labels = [0, 0, 1, 1, 0, 1, 0, 1]
-        centroids = compute_centroids(model, x, labels)
-        err = gradient_check(model, x, labels, centroids, lam=0.5)
+        targets = compute_centroids(model, x, labels)
+        err = gradient_check(model, x, targets, lam=0.5)
         assert err < 1e-4
         # the check must not leave batchnorm running stats disturbed
         for layer in model.encoder_layers:

@@ -8,11 +8,16 @@ somewhere in its module. Checking the tests too catches imports of names
 that moved out of the package, and any left over after their last use.
 A `_`-prefixed function, class or variable at module level must be read
 somewhere in the package outside the statement that defines it, so a
-helper left behind after its last caller is gone fails.
+helper left behind after its last caller is gone fails. The `__all__` of
+each package lists every public name its `__init__.py` imports, once each,
+and nothing the package lacks.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "liftedtrack"
@@ -133,3 +138,16 @@ def test_package_reads_every_private_name():
                for path in sorted(PACKAGE.rglob("*.py"))}
     unread = unreferenced_private_names(sources)
     assert not unread, "private names never read: " + ", ".join(unread)
+
+
+@pytest.mark.parametrize("package", ["liftedtrack", "liftedtrack.embedding"])
+def test_all_lists_each_reexport_once(package):
+    module = importlib.import_module(package)
+    exported = module.__all__
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in exported if not hasattr(module, name)] == []
+    assert sorted(name for name in set(exported) if exported.count(name) > 1) == []
+    assert sorted(name for name in imported
+                  if not name.startswith("_") and name not in exported) == []

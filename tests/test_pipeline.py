@@ -137,11 +137,28 @@ class TestPregroup:
         ((2, 3), r"^tracklet 1: detection 3 outside 0\.\.2$"),
         ((1, 2), r"^tracklet 1: detection 1 listed twice$"),
         ((2, 2), r"^tracklet 1: detection 2 listed twice$"),
-    ], ids=["negative", "out-of-range", "in-two-tracklets", "repeated-in-one"])
+        ((2, 1.0), r"^tracklet 1: member 1\.0 is not an integer detection id$"),
+    ], ids=["negative", "out-of-range", "in-two-tracklets", "repeated-in-one",
+            "non-integer"])
     def test_labels_reject_bad_members(self, members, message):
-        tracklets = [Tracklet(label=0, members=(0, 1)), Tracklet(label=1, members=members)]
         with pytest.raises(ValueError, match=message):
+            tracklets = [Tracklet(label=0, members=(0, 1)),
+                         Tracklet(label=1, members=members)]
             tracklet_labels(tracklets, 3)
+
+    @pytest.mark.parametrize("label", [1.5, "a", None])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match=r"^tracklet label .* is not an integer$"):
+            Tracklet(label=label, members=(0,))
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (-1, 0), (2**40, -7)],
+                             ids=["small", "negative", "large-and-negative"])
+    def test_labels_accept_any_integer_label(self, first, second):
+        tracklets = [Tracklet(label=first, members=(0,)),
+                     Tracklet(label=second, members=(2, 1))]
+        labels = tracklet_labels(tracklets, 3)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [first, second, second]
 
 
 class TestClustersToTracks:
@@ -294,7 +311,15 @@ class TestConfigIO:
         ("learning_rate = 0\n", r"run\.cfg: learning_rate must be > 0"),
         ("lambda_schedule = 0:0.0,8:1.5\n", r"run\.cfg: lambda 1\.5 outside \[0, 1\]"),
         ("t_low = 0.9\n", r"run\.cfg: need 0 <= t_low < t_high <= 1"),
-    ], ids=["repeated-key", "zero-epochs", "zero-rate", "lambda-above-one", "t-low"])
+        ("nearby_features = bias,foo\n", r"run\.cfg: unknown feature name 'foo'"),
+        ("nearby_features =\n", r"run\.cfg: feature subset needs at least one feature"),
+        ("nearby_features = bias,bias\n", r"run\.cfg: duplicate feature names"),
+        ("max_frame_gap = 0\n", r"run\.cfg: max_frame_gap must be >= 1, got 0"),
+        ("pregroup_max_gap = 0\n", r"run\.cfg: bad pregroup_max_gap 0"),
+        ("learning_rate = inf\n", r"run\.cfg: learning_rate must be > 0 and finite"),
+    ], ids=["repeated-key", "zero-epochs", "zero-rate", "lambda-above-one", "t-low",
+            "unknown-feature", "no-feature", "repeated-feature", "zero-frame-gap",
+            "zero-pregroup-gap", "infinite-rate"])
     def test_read_rejects_bad_file_naming_it(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
         path.write_text(text)
@@ -368,10 +393,10 @@ class TestRunTrackingStages:
         assert error.stage == "encode"
         assert "detection 5 has a non-finite latent code" in str(error)
 
-    def test_lifted_gap_within_max_frame_gap_fails_at_graph(self):
-        error = self._failure(self._detections(), max_frame_gap=5, lifted_gaps=(5,))
-        assert error.stage == "graph"
-        assert "lifted gap 5" in str(error)
+    def test_lifted_gap_within_max_frame_gap_rejected_by_config(self):
+        # the config rejects it on construction, before any stage runs
+        with pytest.raises(ValueError, match="lifted gap 5 must exceed max_frame_gap 5"):
+            self._track(self._detections(), max_frame_gap=5, lifted_gaps=(5,))
 
     def test_all_lifted_edges_gated_away_tracks_as_without_lifted(self):
         # percentile 0 keeps no lifted edge: no distance is below the minimum
