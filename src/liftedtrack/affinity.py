@@ -27,6 +27,7 @@ from .graph import (
     pair_rows,
     repeated_pairs,
 )
+from .motio import parse_lines
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +37,8 @@ LIFTED_FEATURES = ("bias", "d_ae")
 
 PROB_EPS = 1e-6
 L2_WEIGHT = 1e-4
+FIT_TOL = 1e-9
+FIT_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -180,27 +183,16 @@ def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
     different values are both named.
     """
     lookup = {key: i for i, key in enumerate(_frame_local_indices(detections))}
-    triples, linenos = [], []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                fa, ia, fb, ib = (int(p) for p in parts[:4])
-                value = float(parts[4])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                triples.append((lookup[(fa, ia)], lookup[(fb, ib)], value))
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: no detection at (frame, idx) {exc.args[0]}"
-                ) from exc
-            linenos.append(lineno)
+
+    def triple(parts):
+        fa, ia, fb, ib = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+        value = float(parts[4])
+        try:
+            return lookup[(fa, ia)], lookup[(fb, ib)], value
+        except KeyError as exc:
+            raise ValueError(f"no detection at (frame, idx) {exc.args[0]}") from exc
+
+    linenos, triples = parse_lines(path, triple, 5)
     try:
         return MatchTable(triples)
     except MatchTableError as exc:
@@ -255,19 +247,19 @@ def latent_distances(latents, u, v) -> np.ndarray:
     return np.linalg.norm(latents[u] - latents[v], axis=1)
 
 
-def _nll(beta, features, labels, l2):
+def _nll(beta, features, labels):
     margins = features @ beta
     # log(1 + exp(-m)) for label 1, log(1 + exp(m)) for label 0, stably
     signed = np.where(labels == 1, -margins, margins)
     losses = np.logaddexp(0.0, signed)
-    return float(np.mean(losses) + 0.5 * l2 * float(beta @ beta))
+    return float(np.mean(losses) + 0.5 * L2_WEIGHT * float(beta @ beta))
 
 
 @dataclass(frozen=True, eq=False)
 class LogisticFit:
     """A fitted beta, the Newton steps taken and the gradient norm at beta.
 
-    `converged` means the gradient norm fell below the fit's `tol`.
+    `converged` means the gradient norm fell below `FIT_TOL`.
     """
 
     beta: np.ndarray
@@ -276,15 +268,14 @@ class LogisticFit:
     grad_norm: float
 
 
-def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 50,
-                 tol: float = 1e-9) -> LogisticFit:
+def fit_logistic(features, labels) -> LogisticFit:
     """Fit beta by Newton's method (IRLS) on the L2-regularized mean log loss.
 
     Each step solves the k x k system H d = -g, with Hessian
-    H = X^T diag(p(1-p)) X / n + l2 I, and stops once |g| < tol, after
-    `max_iters` steps, or when backtracking along d finds no decrease, so
-    the loss never rises; starting from beta = 0 makes the result
-    deterministic.
+    H = X^T diag(p(1-p)) X / n + L2_WEIGHT I, and stops once |g| < FIT_TOL,
+    after FIT_MAX_ITERS steps, or when backtracking along d finds no
+    decrease, so the loss never rises; starting from beta = 0 makes the
+    result deterministic.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -300,21 +291,22 @@ def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 50,
         )
     n, k = features.shape
     beta = np.zeros(k)
-    loss = _nll(beta, features, labels, l2)
+    loss = _nll(beta, features, labels)
     iterations = 0
     while True:
         probs = expit(features @ beta)
-        grad = features.T @ (probs - labels) / n + l2 * beta
+        grad = features.T @ (probs - labels) / n + L2_WEIGHT * beta
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tol or iterations == max_iters:
+        if grad_norm < FIT_TOL or iterations == FIT_MAX_ITERS:
             break
-        hessian = (features.T * (probs * (1.0 - probs))) @ features / n + l2 * np.eye(k)
+        hessian = ((features.T * (probs * (1.0 - probs))) @ features / n
+                   + L2_WEIGHT * np.eye(k))
         direction = -np.linalg.solve(hessian, grad)
         slope = float(grad @ direction)
         step = 1.0
         while step > 1e-12:
             candidate = beta + step * direction
-            new_loss = _nll(candidate, features, labels, l2)
+            new_loss = _nll(candidate, features, labels)
             if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -322,7 +314,7 @@ def fit_logistic(features, labels, l2: float = L2_WEIGHT, max_iters: int = 50,
             break
         beta, loss = candidate, new_loss
         iterations += 1
-    return LogisticFit(beta, iterations, grad_norm < tol, grad_norm)
+    return LogisticFit(beta, iterations, grad_norm < FIT_TOL, grad_norm)
 
 
 @dataclass(frozen=True)

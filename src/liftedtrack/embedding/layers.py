@@ -27,6 +27,11 @@ import numpy as np
 Cache = tuple
 Grads = Dict[str, np.ndarray]
 
+# BatchNorm keeps BN_MOMENTUM of its running statistics per training batch,
+# and adds BN_EPS to the variance before the square root
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 class Layer:
     """Base layer; parameter-free unless `params` is populated."""
@@ -267,11 +272,9 @@ class BatchNorm(Layer):
     estimates; inference mode uses the running estimates.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.params = {
             "gamma": np.ones(num_features),
             "beta": np.zeros(num_features),
@@ -297,16 +300,12 @@ class BatchNorm(Layer):
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var.reshape(shape) + self.eps)
+        inv_std = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
         xhat = (x - mean.reshape(shape)) * inv_std
         out = gamma * xhat + beta
         return out, (xhat, inv_std, gamma, train, axes, shape, x.shape)

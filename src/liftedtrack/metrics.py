@@ -9,7 +9,7 @@ its last known partner. MOTP is reported as mean IoU over matches.
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -48,10 +48,18 @@ class MotReport:
         ]
 
 
-def _by_frame(records: Sequence[MotRecord]) -> Dict[int, List[Tuple[int, MotRecord]]]:
-    frames: Dict[int, List[Tuple[int, MotRecord]]] = defaultdict(list)
-    for rec in records:
-        frames[rec.frame].append((rec.track_id, rec))
+def _by_frame(records, name: str) -> Dict[int, Dict[int, MotRecord]]:
+    """Records keyed by frame, then id; an id given twice in a frame is
+    rejected, naming both records' positions."""
+    frames: Dict[int, Dict[int, MotRecord]] = defaultdict(dict)
+    first: Dict[Tuple[int, int], int] = {}
+    for i, rec in enumerate(records):
+        key = (rec.frame, rec.track_id)
+        if key in first:
+            raise ValueError(f"{name} records {first[key]} and {i} both give "
+                             f"id {rec.track_id} in frame {rec.frame}")
+        first[key] = i
+        frames[rec.frame][rec.track_id] = rec
     return frames
 
 
@@ -64,8 +72,8 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     if any(rec.track_id < 1 for rec in gt_records):
         raise ValueError("ground-truth ids must be positive")
 
-    gt_frames = _by_frame(gt_records)
-    hyp_frames = _by_frame(hyp_records)
+    gt_frames = _by_frame(gt_records, "ground-truth")
+    hyp_frames = _by_frame(hyp_records, "hypothesis")
     total_gt = len(gt_records)
     total_hyp = len(hyp_records)
 
@@ -78,11 +86,10 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     pair_frames: Dict[Tuple[int, int], int] = defaultdict(int)
 
     for frame in sorted(gt_frames.keys() | hyp_frames.keys()):
-        for gid, _ in gt_frames.get(frame, []):
+        gts = gt_frames.get(frame, {})
+        hyps = hyp_frames.get(frame, {})
+        for gid in gts:
             gt_present[gid] += 1
-        # one record per id, the last one if an id repeats in the frame
-        gts = dict(gt_frames.get(frame, []))
-        hyps = dict(hyp_frames.get(frame, []))
         row = {gid: i for i, gid in enumerate(gts)}
         col = {hid: j for j, hid in enumerate(hyps)}
         a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs.values()],

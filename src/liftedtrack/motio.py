@@ -3,6 +3,8 @@
 Records follow the standard CSV layout "frame,id,left,top,width,height,
 conf,x,y,z". Values are written back with the shortest exact decimal form
 so that canonical files survive a read/write roundtrip byte for byte.
+`parse_lines` is the one line reader of the working directory's tables:
+MOT files, match tables and multicut instances.
 """
 
 import math
@@ -53,34 +55,48 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def read_mot(path) -> List[MotRecord]:
-    """Parse a MOT CSV file; malformed lines report their line number."""
-    records = []
+def parse_lines(path, parse, fields: int, sep=None) -> Tuple[List[int], list]:
+    """The line numbers and `parse(parts)` values of a text file's non-blank lines.
+
+    Each line is stripped and split on `sep` (whitespace by default). A
+    line without exactly `fields` parts, or whose `parse` raises
+    ValueError, fails as "path:lineno: message", lineno counting every
+    line of the file. The line numbers let a check over many lines name
+    the lines at fault.
+    """
+    linenos, values = [], []
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != _FIELDS:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {_FIELDS} fields, got {len(parts)}"
-                )
+            parts = line.split(sep)
             try:
-                record = MotRecord(
-                    frame=int(parts[0]),
-                    track_id=int(parts[1]),
-                    left=float(parts[2]),
-                    top=float(parts[3]),
-                    width=float(parts[4]),
-                    height=float(parts[5]),
-                    conf=float(parts[6]),
-                    world=(float(parts[7]), float(parts[8]), float(parts[9])),
-                )
+                if len(parts) != fields:
+                    raise ValueError(f"expected {fields} fields, got {len(parts)}")
+                values.append(parse(parts))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
-    return records
+            linenos.append(lineno)
+    return linenos, values
+
+
+def _mot_record(parts) -> MotRecord:
+    return MotRecord(
+        frame=int(parts[0]),
+        track_id=int(parts[1]),
+        left=float(parts[2]),
+        top=float(parts[3]),
+        width=float(parts[4]),
+        height=float(parts[5]),
+        conf=float(parts[6]),
+        world=(float(parts[7]), float(parts[8]), float(parts[9])),
+    )
+
+
+def read_mot(path) -> List[MotRecord]:
+    """Parse a MOT CSV file; malformed lines report their line number."""
+    return parse_lines(path, _mot_record, _FIELDS, sep=",")[1]
 
 
 def as_records(source) -> List[MotRecord]:

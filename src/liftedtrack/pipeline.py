@@ -51,6 +51,11 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but True is no detection id or label
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tracklet:
     """High-confidence pre-grouped fragment; members are detection ids."""
@@ -61,10 +66,10 @@ class Tracklet:
     def __post_init__(self):
         if not self.members:
             raise ValueError("tracklet must have at least one member")
-        if not isinstance(self.label, (int, np.integer)):
+        if not _is_integer(self.label):
             raise ValueError(f"tracklet label {self.label!r} is not an integer")
         for det in self.members:
-            if not isinstance(det, (int, np.integer)):
+            if not _is_integer(det):
                 raise ValueError(f"tracklet {self.label}: member {det!r} "
                                  f"is not an integer detection id")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
@@ -157,37 +162,36 @@ class PipelineConfig:
         )
 
 
-def _fmt_value(key, value):
-    if key in ("lifted_gaps", "nearby_features"):
-        return ",".join(str(v) for v in value)
-    if key == "lambda_schedule":
-        return ",".join(f"{e}:{lam!r}" for e, lam in value)
-    return str(value)
+def _items(text, item) -> tuple:
+    return tuple(item(p) for p in text.split(",") if p)
 
 
-_PARSERS = {
-    "max_frame_gap": int,
-    "lifted_gaps": lambda s: tuple(int(p) for p in s.split(",") if p),
-    "lifted_percentile": float,
-    "pregroup_threshold": float,
-    "pregroup_max_gap": int,
-    "min_cluster_size": int,
-    "t_low": float,
-    "t_high": float,
-    "lambda_schedule": lambda s: tuple(
-        (int(p.split(":")[0]), float(p.split(":")[1])) for p in s.split(",") if p
+def _epoch_lambda(text) -> Tuple[int, float]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected epoch:lambda, got {text!r}")
+    return int(parts[0]), float(parts[1])
+
+
+# One (parse, format) codec per kind of PipelineConfig value, keyed by the
+# field's type. Lists are comma-separated, and empty items are skipped.
+_KIND_CODECS = {
+    int: (int, str),
+    float: (float, str),
+    Tuple[int, ...]: (lambda s: _items(s, int), lambda v: ",".join(map(str, v))),
+    Tuple[str, ...]: (lambda s: _items(s, str), ",".join),
+    Tuple[Tuple[int, float], ...]: (
+        lambda s: _items(s, _epoch_lambda),
+        lambda v: ",".join(f"{e}:{lam!r}" for e, lam in v),
     ),
-    "learning_rate": float,
-    "epochs": int,
-    "seed": int,
-    "nearby_features": lambda s: tuple(p for p in s.split(",") if p),
 }
+_CODECS = {f.name: _KIND_CODECS[f.type] for f in dataclasses.fields(PipelineConfig)}
 
 
 def write_config(path, config: PipelineConfig):
     with open(path, "w", encoding="ascii") as fh:
-        for f in dataclasses.fields(config):
-            fh.write(f"{f.name} = {_fmt_value(f.name, getattr(config, f.name))}\n")
+        for key, (_, fmt) in _CODECS.items():
+            fh.write(f"{key} = {fmt(getattr(config, key))}\n")
 
 
 def read_config(path) -> PipelineConfig:
@@ -206,15 +210,15 @@ def read_config(path) -> PipelineConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _PARSERS:
+            if key not in _CODECS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in linenos:
                 raise ValueError(f"{path}:{linenos[key]},{lineno}: "
                                  f"key {key!r} given twice")
             linenos[key] = lineno
             try:
-                overrides[key] = _PARSERS[key](raw.strip())
-            except (ValueError, IndexError) as exc:
+                overrides[key] = _CODECS[key][0](raw.strip())
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     try:
         return PipelineConfig(**overrides)

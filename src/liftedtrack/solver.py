@@ -9,6 +9,7 @@ edges and is minimized.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -23,6 +24,7 @@ from .graph import (
     component_labels,
     pair_components,
 )
+from .motio import parse_lines
 
 BRUTEFORCE_MAX_NODES = 12
 
@@ -527,32 +529,31 @@ def write_instance(instance: MulticutInstance, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _instance_header(parts) -> Tuple[int, int, int]:
+    n, m, k = int(parts[0]), int(parts[1]), int(parts[2])
+    if min(n, m, k) < 0:
+        raise ValueError(f"negative count in header {n} {m} {k}")
+    return n, m, k
+
+
+def _instance_edge(parts) -> Tuple[int, int, float]:
+    u, v, c = int(parts[0]), int(parts[1]), float(parts[2])
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {v})")
+    return (u, v, c) if u < v else (v, u, c)
+
+
 def read_instance(path) -> MulticutInstance:
-    text = Path(path).read_text().split("\n")
-    rows = [line.split() for line in text if line.strip()]
+    """Parse the "n m k" header, then m edge and k lifted edge lines "u v cost"."""
+    # the first non-blank line is the header, every later one an edge
+    parsers = itertools.chain([_instance_header], itertools.repeat(_instance_edge))
+    _, rows = parse_lines(path, lambda parts: next(parsers)(parts), 3)
     if not rows:
         raise ValueError(f"{path}: empty instance file")
+    (n, m, k), edges = rows[0], rows[1:]
+    if len(edges) != m + k:
+        raise ValueError(f"{path}: expected {m} + {k} edge lines, found {len(edges)}")
     try:
-        n, m, k = (int(x) for x in rows[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header {rows[0]!r}") from exc
-    if len(rows) != 1 + m + k:
-        raise ValueError(
-            f"{path}: expected {m} + {k} edge lines, found {len(rows) - 1}"
-        )
-
-    def parse(row, lineno):
-        try:
-            u, v, c = int(row[0]), int(row[1]), float(row[2])
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v})")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: bad edge line {lineno}: {row!r}") from exc
-        return (u, v, c) if u < v else (v, u, c)
-
-    edges = tuple(parse(rows[i], i + 1) for i in range(1, 1 + m))
-    lifted = tuple(parse(rows[i], i + 1) for i in range(1 + m, 1 + m + k))
-    try:
-        return MulticutInstance(n, edges, lifted)
+        return MulticutInstance(n, edges[:m], edges[m:])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

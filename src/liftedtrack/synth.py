@@ -159,25 +159,32 @@ def synth_sequence(spec: SequenceSpec, seed: int = 0) -> SynthResult:
     return SynthResult(tuple(gt), tuple(detections), stacked, table)
 
 
-def benchmark_spec(num_frames: int = 100, appearance_gap: float = 0.12,
-                   brightness_range=(0.3, 1.7),
-                   brightness_period: float = 24.0) -> SequenceSpec:
+# benchmark_spec's scene: the hue gap of crossing partners, the global
+# brightness range and its period in frames, and the crossing lanes'
+# vertical pixels per frame
+APPEARANCE_GAP = 0.12
+BRIGHTNESS_RANGE = (0.3, 1.7)
+BRIGHTNESS_PERIOD = 24.0
+CROSSING_SLOPE = 1.6
+
+
+def benchmark_spec(num_frames: int = 100) -> SequenceSpec:
     """Five-identity occlusion benchmark.
 
     Identities 2/3 and 4/5 swap lanes during shared occlusion windows, so
     the frames right after each window pair best with the wrong identity
     on box overlap alone; appearance and longer-range evidence are needed
     to keep identities straight. Identity 1 has a plain occlusion. The
-    crossing partners sit appearance_gap apart on the hue knob, and the
-    global brightness nuisance spans brightness_range.
+    crossing partners sit APPEARANCE_GAP apart on the hue knob, and the
+    global brightness nuisance spans BRIGHTNESS_RANGE.
     """
     cross_a = _crossing_pair(
         track_ids=(2, 3), occlusion=(34, 36), cross_frame=35,
-        mid_top=120.0, appearance=(0.30, 0.30 + appearance_gap),
+        mid_top=120.0, appearance=(0.30, 0.30 + APPEARANCE_GAP),
     )
     cross_b = _crossing_pair(
         track_ids=(4, 5), occlusion=(64, 66), cross_frame=65,
-        mid_top=400.0, appearance=(0.72, 0.72 + appearance_gap),
+        mid_top=400.0, appearance=(0.72, 0.72 + APPEARANCE_GAP),
     )
     plain = IdentitySpec(
         track_id=1, start=(10.0, 10.0), velocity=(1.0, 0.0),
@@ -190,30 +197,29 @@ def benchmark_spec(num_frames: int = 100, appearance_gap: float = 0.12,
         box_noise=0.4,
         score_noise=0.05,
         pixel_noise=0.02,
-        brightness_range=tuple(brightness_range),
-        brightness_period=brightness_period,
+        brightness_range=BRIGHTNESS_RANGE,
+        brightness_period=BRIGHTNESS_PERIOD,
     )
 
 
-def _crossing_pair(track_ids, occlusion, cross_frame, mid_top, appearance,
-                   slope: float = 1.6):
+def _crossing_pair(track_ids, occlusion, cross_frame, mid_top, appearance):
     """Two identities whose vertical paths meet at cross_frame.
 
-    The slope is steep enough that the pair only overlaps near the
+    CROSSING_SLOPE is steep enough that the pair only overlaps near the
     crossing, yet shallow enough that consecutive same-identity frames
     stay above the pre-grouping overlap threshold.
     """
     first = IdentitySpec(
         track_id=track_ids[0],
-        start=(10.0, mid_top - slope * (cross_frame - 1)),
-        velocity=(1.0, slope),
+        start=(10.0, mid_top - CROSSING_SLOPE * (cross_frame - 1)),
+        velocity=(1.0, CROSSING_SLOPE),
         occlusions=(occlusion,),
         appearance=appearance[0],
     )
     second = IdentitySpec(
         track_id=track_ids[1],
-        start=(10.0, mid_top + slope * (cross_frame - 1)),
-        velocity=(1.0, -slope),
+        start=(10.0, mid_top + CROSSING_SLOPE * (cross_frame - 1)),
+        velocity=(1.0, -CROSSING_SLOPE),
         occlusions=(occlusion,),
         appearance=appearance[1],
     )

@@ -5,7 +5,6 @@ the regularized loss (scipy BFGS) rather than against the implementation's
 own optimizer.
 """
 
-import functools
 import logging
 import math
 
@@ -366,12 +365,11 @@ class TestFitLogistic:
         assert not caplog.records
 
         features = feature_matrix(raw[:, 0], raw[:, 1], NEARBY_FEATURES)
-        capped = fit_logistic(features, labels, max_iters=1)
+        monkeypatch.setattr(affinity, "FIT_MAX_ITERS", 1)
+        capped = fit_logistic(features, labels)
         assert (capped.iterations, capped.converged) == (1, False)
         assert capped.grad_norm > 1e-9
 
-        monkeypatch.setattr(affinity, "fit_logistic",
-                            functools.partial(fit_logistic, max_iters=1))
         with caplog.at_level(logging.WARNING, logger="liftedtrack.affinity"):
             model = fit_affinity_model(raw, labels, NEARBY_FEATURES)
         assert model.beta == tuple(capped.beta)

@@ -29,6 +29,7 @@ from liftedtrack.embedding import (
     xavier_uniform,
 )
 from liftedtrack.affinity import latent_codes
+from liftedtrack.embedding.layers import BN_EPS
 from liftedtrack.graph import BBox, Detection
 from liftedtrack.pipeline import default_arch, pregroup, tracklet_labels
 from liftedtrack.synth import benchmark_spec, synth_sequence
@@ -372,7 +373,7 @@ class TestBatchNorm:
         for _ in range(200):
             bn.forward(x, train=True)
         out, _ = bn.forward(x, train=False)
-        ref = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + bn.eps)
+        ref = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)
         assert np.allclose(out, ref, atol=1e-2)
 
     def test_train_gradient_matches_fd(self):

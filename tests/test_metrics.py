@@ -109,7 +109,8 @@ class TestMatchingRules:
         hyp = list(gt)
         scores = []
         for extra in range(3):
-            clutter = [rec(f, 50 + extra, left=200.0 + 30 * k)
+            # one id per clutter box: an id may not repeat within a frame
+            clutter = [rec(f, 50 + 10 * extra + k, left=200.0 + 30 * k)
                        for k in range(extra) for f in (1, 2)]
             scores.append(evaluate_clear_mot(gt, hyp + clutter).mota)
         assert scores[0] >= scores[1] >= scores[2]
@@ -135,6 +136,16 @@ class TestValidationAndReport:
     def test_non_positive_gt_id_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             evaluate_clear_mot([rec(1, -1)], [])
+
+    @pytest.mark.parametrize("which, name", [(0, "ground-truth"), (1, "hypothesis")])
+    def test_repeated_id_in_a_frame_rejected(self, which, name):
+        # id 7 twice in frame 1, one box on target and one stray: keeping
+        # either one alone would score a record set it was not given
+        tracks = [[rec(1, 7), rec(1, 7, left=200.0), rec(2, 7)], [rec(1, 1), rec(2, 1)]]
+        gt, hyp = tracks if which == 0 else tracks[::-1]
+        with pytest.raises(ValueError, match=f"^{name} records 0 and 1 both give id 7 "
+                                             f"in frame 1$"):
+            evaluate_clear_mot(gt, hyp)
 
     def test_report_rejects_mota_above_one(self):
         with pytest.raises(ValueError, match="mota"):

@@ -138,15 +138,16 @@ class TestPregroup:
         ((1, 2), r"^tracklet 1: detection 1 listed twice$"),
         ((2, 2), r"^tracklet 1: detection 2 listed twice$"),
         ((2, 1.0), r"^tracklet 1: member 1\.0 is not an integer detection id$"),
+        ((2, True), r"^tracklet 1: member True is not an integer detection id$"),
     ], ids=["negative", "out-of-range", "in-two-tracklets", "repeated-in-one",
-            "non-integer"])
+            "non-integer", "bool"])
     def test_labels_reject_bad_members(self, members, message):
         with pytest.raises(ValueError, match=message):
             tracklets = [Tracklet(label=0, members=(0, 1)),
                          Tracklet(label=1, members=members)]
             tracklet_labels(tracklets, 3)
 
-    @pytest.mark.parametrize("label", [1.5, "a", None])
+    @pytest.mark.parametrize("label", [1.5, "a", None, True])
     def test_non_integer_label_rejected(self, label):
         with pytest.raises(ValueError, match=r"^tracklet label .* is not an integer$"):
             Tracklet(label=label, members=(0,))
@@ -317,9 +318,12 @@ class TestConfigIO:
         ("max_frame_gap = 0\n", r"run\.cfg: max_frame_gap must be >= 1, got 0"),
         ("pregroup_max_gap = 0\n", r"run\.cfg: bad pregroup_max_gap 0"),
         ("learning_rate = inf\n", r"run\.cfg: learning_rate must be > 0 and finite"),
+        ("lambda_schedule = 0:0.0:5\n",
+         r"run\.cfg:1: expected epoch:lambda, got '0:0\.0:5'"),
+        ("lambda_schedule = 0:0.0,8\n", r"run\.cfg:1: expected epoch:lambda, got '8'"),
     ], ids=["repeated-key", "zero-epochs", "zero-rate", "lambda-above-one", "t-low",
             "unknown-feature", "no-feature", "repeated-feature", "zero-frame-gap",
-            "zero-pregroup-gap", "infinite-rate"])
+            "zero-pregroup-gap", "infinite-rate", "lambda-three-parts", "lambda-one-part"])
     def test_read_rejects_bad_file_naming_it(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
         path.write_text(text)

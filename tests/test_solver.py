@@ -938,9 +938,25 @@ class TestInstanceIO:
         with pytest.raises(ValueError):
             read_instance(path)
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("3 1 1\n0 1 1.0\n2 2 1.0\n", 3, r"self-loop \(2, 2\)"),
+        ("3 2 1\n0 1 1.0\n1 1 1.0\n0 2 1.0\n", 3, r"self-loop \(1, 1\)"),
+        ("3 2 0\n\n0 1 1.0\n\n1 x 2.0\n", 5, r"invalid literal for int\(\) .*'x'"),
+        ("3 1 0\n0 1 1.0 extra\n", 2, "expected 3 fields, got 4"),
+        ("2 -1 1\n", 1, "negative count in header 2 -1 1"),
+        ("3 x 0\n0 1 1.0\n", 1, r"invalid literal for int\(\) .*'x'"),
+    ], ids=["self-loop-in-e", "self-loop-in-f", "blank-lines-counted", "extra-field",
+            "negative-header-count", "bad-header"])
+    def test_bad_line_names_its_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        where = f"^{re.escape(str(path))}:{lineno}: "
+        with pytest.raises(ValueError, match=f"{where}{message}$"):
+            read_instance(path)
+
     @pytest.mark.parametrize("lines, message", [
-        (["0 1 1.0", "2 2 1.0"], r"bad edge line 3: \['2', '2', '1.0'\]"),
-        (["0 1 1.0", "1 1 1.0", "0 2 1.0"], r"bad edge line 3: \['1', '1', '1.0'\]"),
+        (["0 1 inf", "0 2 1.0"], r"edge \(0, 1\) has non-finite cost inf"),
+        (["0 1 1.0", "0 2 nan"], r"lifted edge \(0, 2\) has non-finite cost nan"),
         (["0 1 1.0", "0 3 1.0"], r"edge \(0, 3\) outside node range"),
         (["0 1 1.0", "1 0 2.0"], r"duplicate pair \(0, 1\)"),
         (["2 0 1.0", "0 2 2.0"], r"duplicate pair \(0, 2\)"),
