@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -21,6 +21,7 @@ from .graph import (
     Detection,
     Edge,
     MulticutInstance,
+    RowError,
     box_iou,
     first_flagged,
     frame_pairs,
@@ -59,14 +60,6 @@ class AffinityConfig:
 MATCH_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("value", np.float64)])
 
 
-class MatchTableError(ValueError):
-    """A bad match-table row; `rows` are the input positions at fault."""
-
-    def __init__(self, message: str, rows: Tuple[int, ...]):
-        super().__init__(message)
-        self.rows = rows
-
-
 @dataclass(frozen=True, eq=False)
 class MatchTable:
     """Symmetric overlap scores per detection pair, keyed by detection index.
@@ -94,8 +87,8 @@ class MatchTable:
         ))
         if flagged:
             i, text = flagged
-            raise MatchTableError(text.format(u=int(u[i]), v=int(v[i]),
-                                              value=float(value[i])), (i,))
+            raise RowError(text.format(u=int(u[i]), v=int(v[i]),
+                                       value=float(value[i])), (i,))
         order, repeat = repeated_pairs(u, v)
         rows = rows[order]
         rows["u"], rows["v"] = u[order], v[order]
@@ -103,7 +96,7 @@ class MatchTable:
         conflict = np.flatnonzero(repeat[1:] & (value[1:] != value[:-1]))
         if conflict.size:
             i = conflict[0]
-            raise MatchTableError(
+            raise RowError(
                 f"conflicting overlap values for pair ({int(u[i])}, {int(v[i])}): "
                 f"{float(value[i])!r} and {float(value[i + 1])!r}",
                 (int(order[i]), int(order[i + 1])),
@@ -195,7 +188,7 @@ def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
     linenos, triples = parse_lines(path, triple, 5)
     try:
         return MatchTable(triples)
-    except MatchTableError as exc:
+    except RowError as exc:
         where = ",".join(str(linenos[i]) for i in exc.rows)
         raise ValueError(f"{path}:{where}: {exc}") from exc
 
@@ -382,14 +375,29 @@ def edge_cost(p_same):
     return np.log(p) - np.log1p(-p)
 
 
-def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
-    """Latent codes of the detections' images, which must be attached."""
+def detection_patches(detections: Sequence[Detection]) -> List[np.ndarray]:
+    """The detections' image patches, in detection order.
+
+    Training and encoding read the patches only through this list; a
+    detection without an image is named.
+    """
     for i, det in enumerate(detections):
         if det.image is None:
-            raise ValueError(f"detection {i} has no image to encode")
-    if not detections:
+            raise ValueError(f"detection {i} has no image")
+    return [det.image for det in detections]
+
+
+def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
+    """Latent codes of the detections' images, which must be attached.
+
+    `encode_all` stacks the patches LATENT_CHUNK at a time; one stack of
+    every patch, made anew on each call, page-faults its memory in again
+    each time.
+    """
+    patches = detection_patches(detections)
+    if not patches:
         return np.array([])
-    codes = model.encode_all([det.image for det in detections])
+    codes = model.encode_all(patches)
     bad = np.flatnonzero(~np.isfinite(codes).all(axis=1))
     if bad.size:
         raise ValueError(f"detection {bad[0]} has a non-finite latent code")

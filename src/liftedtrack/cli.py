@@ -20,6 +20,7 @@ from .affinity import (
     write_match_table,
 )
 from .embedding import AutoEncoder
+from .graph import RowError
 from .metrics import evaluate_clear_mot
 from .motio import (
     MotRecord,
@@ -32,7 +33,6 @@ from .motio import (
 from .pipeline import (
     PipelineConfig,
     PipelineError,
-    Tracklet,
     ablation_cell,
     ablation_embeddings,
     fit_affinity_models,
@@ -71,19 +71,22 @@ def _load_detections(workdir: Path):
 def _write_tracklets(path, tracklets):
     with open(path, "w", encoding="ascii") as fh:
         for tracklet in tracklets:
-            fh.write(" ".join(str(m) for m in tracklet.members) + "\n")
+            fh.write(" ".join(str(m) for m in tracklet) + "\n")
 
 
 def _read_tracklets(path):
-    """One tracklet per line, labelled by line order; bad lines name path:lineno."""
+    """One tracklet per line as sorted detection ids, so its position is its
+    line order; an empty or non-integer line is named as path:lineno."""
     tracklets = []
     with open(path, encoding="ascii") as fh:
-        for label, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             try:
-                members = tuple(int(tok) for tok in line.split())
-                tracklets.append(Tracklet(label=label, members=members))
+                members = sorted(int(tok) for tok in line.split())
+                if not members:
+                    raise ValueError("tracklet must have at least one member")
             except ValueError as exc:
-                raise ValueError(f"{path}:{label + 1}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            tracklets.append(members)
     return tracklets
 
 
@@ -161,10 +164,24 @@ def _cmd_track(args) -> int:
     return 0
 
 
+def _record_lines(path):
+    """The number of each non-blank line of a file that `read_mot` has read,
+    that is, of each of its records."""
+    with open(path, encoding="ascii") as fh:
+        return [lineno for lineno, line in enumerate(fh, 1) if line.strip()]
+
+
 def _cmd_eval(args) -> int:
     gt = read_mot(args.gt)
     hyp = read_mot(args.hyp)
-    report = evaluate_clear_mot(gt, hyp, iou_threshold=args.iou_threshold)
+    try:
+        report = evaluate_clear_mot(gt, hyp, iou_threshold=args.iou_threshold)
+    except RowError as exc:
+        # the rows count the ground-truth records, then the hypothesis records
+        where = [(path, lineno) for path in (args.gt, args.hyp)
+                 for lineno in _record_lines(path)]
+        lines = ",".join(str(where[i][1]) for i in exc.rows)
+        raise ValueError(f"{where[exc.rows[0]][0]}:{lines}: {exc}") from exc
     for line in report.lines():
         print(line)
     return 0

@@ -19,7 +19,6 @@ from .training import (
     combined_loss,
     compute_centroids,
     gradient_check,
-    reconstruction_loss,
     train,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "combined_loss",
     "compute_centroids",
     "gradient_check",
-    "reconstruction_loss",
     "train",
     "xavier_uniform",
 ]

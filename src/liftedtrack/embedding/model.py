@@ -30,12 +30,13 @@ class ArchConfig:
     """Autoencoder shape: conv+pool stages mirrored by upsample+conv stages.
 
     Spatial size halves per encoder stage, so input H and W must be
-    divisible by 2**len(conv_channels).
+    divisible by 2**len(conv_channels). The defaults are the network that
+    `pipeline.train_embedding` trains on 16x16 patches.
     """
 
-    input_shape: Tuple[int, int, int] = (3, 32, 32)
-    conv_channels: Tuple[int, ...] = (8, 16, 32)
-    latent_dim: int = 32
+    input_shape: Tuple[int, int, int] = (3, 16, 16)
+    conv_channels: Tuple[int, ...] = (8, 16)
+    latent_dim: int = 16
     kernel_size: int = 3
     batchnorm: bool = False
 
@@ -136,11 +137,6 @@ class AutoEncoder:
         return x, caches
 
     def decode_batch(self, z: np.ndarray, train: bool = False):
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != self.config.latent_dim:
-            raise ValueError(
-                f"expected latent batch of shape (N, {self.config.latent_dim}), got {z.shape}"
-            )
         caches = []
         for layer in self.decoder_layers:
             z, cache = layer.forward(z, train)
@@ -187,16 +183,6 @@ class AutoEncoder:
             for i in range(0, len(images), LATENT_CHUNK)
         ])
 
-    def encode(self, image: np.ndarray) -> np.ndarray:
-        """Latent vector of one image (inference mode)."""
-        z, _ = self.encode_batch(np.asarray(image)[None], train=False)
-        return z[0]
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        """Image reconstruction of one latent vector (inference mode)."""
-        out, _ = self.decode_batch(np.asarray(z)[None], train=False)
-        return out[0]
-
     # -- parameter plumbing ---------------------------------------------------
 
     def layer_items(self):
@@ -211,9 +197,6 @@ class AutoEncoder:
         for key, layer in self.layer_items():
             for name, arr in layer.params.items():
                 yield key, name, arr
-
-    def num_parameters(self) -> int:
-        return sum(arr.size for _, _, arr in self.parameter_items())
 
     def layer_by_key(self, key) -> Layer:
         stack, i = key

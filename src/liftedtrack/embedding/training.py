@@ -7,10 +7,11 @@ its item's cluster. lam follows a step schedule (0 while visual features
 form, then large), batches are whole frames in seeded random order, and
 the learning rate decays exponentially by a factor of 10 over the run.
 
-Training data are arrays: an (N, C, H, W) image stack, one integer cluster
-label per item, and, while lam > 0, an (N, latent_dim) target matrix whose
-row i is the centroid of item i's cluster. Each frame's batch is one run of
-a stable sort of the items by frame, so its members keep their item order.
+Training data are arrays: an (N, C, H, W) image stack, one frame and one
+integer cluster label per item, and, while lam > 0, an (N, latent_dim)
+target matrix whose row i is the centroid of item i's cluster. Each
+frame's batch is one run of a stable sort of the items by frame, so its
+members keep their item order.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ def _forward_loss(model, x, cmat, lam, train):
     return rec, clu, total, recon, z, caches
 
 
-def reconstruction_loss(model: AutoEncoder, batch: np.ndarray) -> float:
-    """Mean over the batch of the per-sample sum of squared errors."""
-    return combined_loss(model, batch, None, 0.0)
-
-
 def combined_loss(
     model: AutoEncoder, batch: np.ndarray, targets: np.ndarray, lam: float
 ) -> float:
@@ -165,34 +161,30 @@ def _backward_losses(model, x, recon, z, cmat, lam, caches):
 
 def train(
     model: AutoEncoder,
-    dataset: Sequence,
+    images: np.ndarray,
+    frames: np.ndarray,
     labels: Sequence[int],
     config: TrainingConfig,
 ) -> Tuple[AutoEncoder, List[EpochStats]]:
     """Gradient descent on the combined loss with per-frame batches.
 
-    `dataset` items carry `.frame` and `.image`; `labels` holds one cluster
-    label per item. The images are stacked once, and one stable argsort of
-    the frames, split where the frame changes, gives each frame's batch in
-    item order; an epoch visits the frames in a seeded random order. While
-    lam > 0, `compute_centroids` gives the per-item targets once per epoch
-    and each step gathers its items' rows.
+    `images` is the (N, C, H, W) float64 stack of the items, `frames` gives
+    each item's frame and `labels` its integer cluster label. One stable
+    argsort of the frames, split where the frame changes, gives each
+    frame's batch in item order; an epoch visits the frames in a seeded
+    random order. While lam > 0, `compute_centroids` gives the per-item
+    targets once per epoch and each step gathers its items' rows.
 
     Mutates `model` in place and returns it with the per-epoch loss trace.
     Raises TrainingDiverged on the first non-finite loss or parameter.
     """
-    frames = [getattr(item, "frame", None) for item in dataset]
-    if any(f is None for f in frames):
-        raise ValueError("train expects dataset items with a frame attribute")
-    if len(labels) != len(dataset):
-        raise ValueError(f"{len(labels)} labels for {len(dataset)} items")
-    if any(getattr(item, "image", None) is None for item in dataset):
-        raise ValueError("dataset item has no image patch")
-    if not dataset:
-        raise ValueError("empty dataset")
-    images = np.stack([np.asarray(item.image, dtype=np.float64) for item in dataset])
-
+    images = np.asarray(images, dtype=np.float64)
     frames = np.asarray(frames)
+    if not len(images) == len(frames) == len(labels):
+        raise ValueError(f"{len(images)} images, {len(frames)} frames "
+                         f"and {len(labels)} labels")
+    if not len(images):
+        raise ValueError("empty dataset")
     order = np.argsort(frames, kind="stable")
     batches = np.split(order, np.flatnonzero(np.diff(frames[order])) + 1)
 
@@ -230,7 +222,7 @@ def train(
                     f"non-finite parameter {name} in {key} after epoch {epoch} "
                     f"(lr {lr:g}, lambda {lam:g})"
                 )
-        n = len(dataset)
+        n = len(images)
         trace.append(
             EpochStats(epoch, lam, lr, loss_sum / n, rec_sum / n, clu_sum / n)
         )

@@ -105,6 +105,14 @@ def pair_rows(rows, dtype: np.dtype, what: str) -> np.ndarray:
     return rows
 
 
+class RowError(ValueError):
+    """A bad input row; `rows` are the input positions at fault."""
+
+    def __init__(self, message: str, rows: Tuple[int, ...]):
+        super().__init__(message)
+        self.rows = rows
+
+
 def first_flagged(checks) -> Optional[Tuple[int, str]]:
     """The first row that any of the (mask, template) `checks` flags, and the
     template of the first check that flags it; None if no row is flagged."""
@@ -138,7 +146,9 @@ class MulticutInstance:
     in input order; any sequence of (u, v, c) triples is converted by
     `pair_rows`. Pairs are canonical (u < v) node ids with finite costs,
     unique within and across the two sets; the first bad row, in E then F
-    order, is named by the first check it fails.
+    order, is named by the first check it fails, and raised as a RowError
+    whose `rows` hold its position in E then F (a repeated pair: the later
+    row).
     """
 
     num_nodes: int
@@ -164,8 +174,8 @@ class MulticutInstance:
         if flagged:
             i, text = flagged
             name = "edge" if i < self.num_edges else "lifted edge"
-            raise ValueError(text.format(name=name, u=int(u[i]), v=int(v[i]),
-                                         c=float(c[i])))
+            raise RowError(text.format(name=name, u=int(u[i]), v=int(v[i]),
+                                       c=float(c[i])), (i,))
 
     def __eq__(self, other):
         if not isinstance(other, MulticutInstance):

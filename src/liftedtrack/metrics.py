@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import box_iou
+from .graph import RowError, box_iou
 from .motio import MotRecord, as_records
 
 
@@ -48,23 +48,29 @@ class MotReport:
         ]
 
 
-def _by_frame(records, name: str) -> Dict[int, Dict[int, MotRecord]]:
+def _by_frame(records, name: str, offset: int) -> Dict[int, Dict[int, MotRecord]]:
     """Records keyed by frame, then id; an id given twice in a frame is
-    rejected, naming both records' positions."""
+    rejected as a RowError naming both records' positions, whose `rows`
+    are those positions plus `offset`."""
     frames: Dict[int, Dict[int, MotRecord]] = defaultdict(dict)
     first: Dict[Tuple[int, int], int] = {}
     for i, rec in enumerate(records):
         key = (rec.frame, rec.track_id)
         if key in first:
-            raise ValueError(f"{name} records {first[key]} and {i} both give "
-                             f"id {rec.track_id} in frame {rec.frame}")
+            raise RowError(f"{name} records {first[key]} and {i} both give "
+                           f"id {rec.track_id} in frame {rec.frame}",
+                           (offset + first[key], offset + i))
         first[key] = i
         frames[rec.frame][rec.track_id] = rec
     return frames
 
 
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
-    """Score a hypothesis track set against ground-truth records."""
+    """Score a hypothesis track set against ground-truth records.
+
+    A (frame, id) given twice on one side raises a RowError whose `rows`
+    count the ground-truth records first, then the hypothesis records.
+    """
     gt_records = as_records(gt)
     hyp_records = as_records(hyp)
     if not gt_records:
@@ -72,8 +78,8 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     if any(rec.track_id < 1 for rec in gt_records):
         raise ValueError("ground-truth ids must be positive")
 
-    gt_frames = _by_frame(gt_records, "ground-truth")
-    hyp_frames = _by_frame(hyp_records, "hypothesis")
+    gt_frames = _by_frame(gt_records, "ground-truth", 0)
+    hyp_frames = _by_frame(hyp_records, "hypothesis", len(gt_records))
     total_gt = len(gt_records)
     total_hyp = len(hyp_records)
 

@@ -22,6 +22,7 @@ from .affinity import (
     MatchTable,
     assemble_costs,
     check_feature_config,
+    detection_patches,
     fit_affinity_model,
     generate_labels,
     latent_codes,
@@ -52,27 +53,8 @@ class PipelineError(RuntimeError):
 
 
 def _is_integer(value) -> bool:
-    # bool is an int subclass, but True is no detection id or label
+    # bool is an int subclass, but True is no detection id
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Tracklet:
-    """High-confidence pre-grouped fragment; members are detection ids."""
-
-    label: int
-    members: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("tracklet must have at least one member")
-        if not _is_integer(self.label):
-            raise ValueError(f"tracklet label {self.label!r} is not an integer")
-        for det in self.members:
-            if not _is_integer(det):
-                raise ValueError(f"tracklet {self.label}: member {det!r} "
-                                 f"is not an integer detection id")
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
 @dataclass(frozen=True)
@@ -226,21 +208,16 @@ def read_config(path) -> PipelineConfig:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def default_arch(patch_shape=(3, 16, 16)) -> ArchConfig:
-    return ArchConfig(input_shape=tuple(patch_shape), conv_channels=(8, 16),
-                      latent_dim=16)
-
-
 def pregroup(detections: Sequence[Detection], table: MatchTable,
-             threshold: float = 0.7, max_gap: int = 3) -> List[Tracklet]:
+             threshold: float = 0.7, max_gap: int = 3) -> List[List[int]]:
     """Group detections whose overlap score exceeds the threshold.
 
     Edges are considered between frames at distance 1..max_gap; per frame
     pair, conflicting edges are resolved by keeping the highest-scoring
     one (ties: lower detection ids). Only that one-to-one acceptance is a
     Python loop. The connected components of the accepted edges become
-    tracklets, numbered in order of their smallest member; every detection
-    lands in exactly one.
+    tracklets, lists of ascending detection ids in order of their smallest
+    member; every detection lands in exactly one.
     """
     frames = np.array([det.frame for det in detections], dtype=np.int64)
     u, v, value = table.rows["u"], table.rows["v"], table.rows["value"]
@@ -262,23 +239,28 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
 
     pairs = np.array(accepted, dtype=np.int64).reshape(-1, 2)
     labels = pair_components(len(detections), pairs[:, 0], pairs[:, 1])
-    groups = Partition.from_labels(labels).blocks()
-    return [Tracklet(label=label, members=tuple(members))
-            for label, members in enumerate(groups)]
+    return Partition.from_labels(labels).blocks()
 
 
-def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> np.ndarray:
+def tracklet_labels(tracklets: Sequence[Sequence[int]], num_detections: int) -> np.ndarray:
     """Per-detection tracklet labels (an int64 array) for embedding training.
 
-    Labels may be any integers. Every detection id 0..num_detections-1 must
-    be a member of exactly one tracklet. Of the members in tracklet order,
-    the first that lies outside that range or was listed before is rejected
-    with its tracklet's label; then the first five detections no tracklet
-    lists are named.
+    Each tracklet is a non-empty list of detection ids, labelled by its
+    position. Every detection id 0..num_detections-1 must be a member of
+    exactly one tracklet. A member that is not an integer is rejected
+    first; then, of the members in tracklet order, the first that lies
+    outside that range or was listed before; then the first five
+    detections no tracklet lists are named.
     """
-    members = np.array([det for t in tracklets for det in t.members], dtype=np.int64)
-    owners = np.repeat(np.array([t.label for t in tracklets], dtype=np.int64),
-                       [len(t.members) for t in tracklets])
+    for label, members in enumerate(tracklets):
+        if not len(members):
+            raise ValueError("tracklet must have at least one member")
+        for det in members:
+            if not _is_integer(det):
+                raise ValueError(f"tracklet {label}: member {det!r} "
+                                 f"is not an integer detection id")
+    members = np.array([det for t in tracklets for det in t], dtype=np.int64)
+    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])
     repeat = np.ones(len(members), dtype=bool)
     repeat[np.unique(members, return_index=True)[1]] = False
     flagged = first_flagged([
@@ -297,21 +279,29 @@ def tracklet_labels(tracklets: Sequence[Tracklet], num_detections: int) -> np.nd
     return labels
 
 
-def train_embedding(detections: Sequence[Detection], tracklets: Sequence[Tracklet],
+def train_embedding(detections: Sequence[Detection],
+                    tracklets: Sequence[Sequence[int]],
                     config: PipelineConfig, arch: ArchConfig = None):
     """Train the autoencoder with tracklet labels driving the clustering term.
 
-    Each detection's cluster is its tracklet's label (`tracklet_labels`).
-    Any failure, such as no detections, a bad tracklet member or a
-    non-finite patch, is raised as PipelineError at stage "train".
+    This is where detections and tracklets become training data: one
+    (N, C, H, W) stack of the `detection_patches`, the detections' frames,
+    and each detection's tracklet position as its cluster label
+    (`tracklet_labels`). Without `arch`, the network is `ArchConfig` at
+    the patches' shape. Any failure, such as no detections, a bad
+    tracklet member or a non-finite patch, is raised as PipelineError at
+    stage "train".
     """
     with _stage("train"):
-        if arch is None:
-            shape = detections[0].image.shape if detections else (3, 16, 16)
-            arch = default_arch(shape)
         labels = tracklet_labels(tracklets, len(detections))
+        images = np.array(detection_patches(detections))
+        frames = np.array([det.frame for det in detections], dtype=np.int64)
+        if arch is None:
+            # no detections give no patch shape; `train` rejects them
+            shape = images.shape[1:] if len(images) else ArchConfig().input_shape
+            arch = ArchConfig(input_shape=shape)
         model = AutoEncoder(arch, seed=config.seed)
-        return train(model, detections, labels, config.training_config())
+        return train(model, images, frames, labels, config.training_config())
 
 
 @contextmanager
@@ -417,7 +407,7 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
 
 
 def ablation_embeddings(detections: Sequence[Detection],
-                        tracklets: Sequence[Tracklet], config: PipelineConfig
+                        tracklets: Sequence[Sequence[int]], config: PipelineConfig
                         ) -> Dict[str, np.ndarray]:
     """Train the ablation's two embeddings and return their latent codes.
 

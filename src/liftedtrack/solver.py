@@ -21,6 +21,7 @@ from .graph import (
     EdgeLabeling,
     MulticutInstance,
     Partition,
+    RowError,
     component_labels,
     pair_components,
 )
@@ -544,10 +545,13 @@ def _instance_edge(parts) -> Tuple[int, int, float]:
 
 
 def read_instance(path) -> MulticutInstance:
-    """Parse the "n m k" header, then m edge and k lifted edge lines "u v cost"."""
+    """Parse the "n m k" header, then m edge and k lifted edge lines "u v cost".
+
+    A row that `MulticutInstance` rejects is named as path:lineno.
+    """
     # the first non-blank line is the header, every later one an edge
     parsers = itertools.chain([_instance_header], itertools.repeat(_instance_edge))
-    _, rows = parse_lines(path, lambda parts: next(parsers)(parts), 3)
+    linenos, rows = parse_lines(path, lambda parts: next(parsers)(parts), 3)
     if not rows:
         raise ValueError(f"{path}: empty instance file")
     (n, m, k), edges = rows[0], rows[1:]
@@ -555,5 +559,5 @@ def read_instance(path) -> MulticutInstance:
         raise ValueError(f"{path}: expected {m} + {k} edge lines, found {len(edges)}")
     try:
         return MulticutInstance(n, edges[:m], edges[m:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except RowError as exc:
+        raise ValueError(f"{path}:{linenos[1 + exc.rows[0]]}: {exc}") from exc

@@ -4,16 +4,18 @@ Test-only differential references: `tests/test_graph.py` and
 `tests/test_affinity.py` require the two constructors, which share
 `liftedtrack.graph.pair_rows`, `first_flagged` and `repeated_pairs`, to
 accept and reject the same inputs as these copies of their own former
-bodies, with the same exception type, message and `MatchTableError.rows`,
+bodies, with the same exception type, message and `RowError.rows`,
 and to store `==` arrays. Here the instance finds repeated pairs with a
 structured `np.unique`, and each validator converts its rows and builds
-its own check table.
+its own check table. Since `MulticutInstance` reports the row at fault,
+this copy raises its rejection as a `RowError` with that row's position,
+where it used to raise a plain ValueError; the check itself is unchanged.
 """
 
 import numpy as np
 
-from liftedtrack.affinity import MATCH_DTYPE, MatchTableError
-from liftedtrack.graph import EDGE_DTYPE
+from liftedtrack.affinity import MATCH_DTYPE
+from liftedtrack.graph import EDGE_DTYPE, RowError
 
 
 def reference_instance_rows(num_nodes, edges, lifted_edges=()):
@@ -48,8 +50,8 @@ def reference_instance_rows(num_nodes, edges, lifted_edges=()):
         i = bad[0]
         message = next(text for mask, text in checks if mask[i])
         name = "edge" if i < num_edges else "lifted edge"
-        raise ValueError(message.format(name=name, u=int(u[i]), v=int(v[i]),
-                                        c=float(c[i])))
+        raise RowError(message.format(name=name, u=int(u[i]), v=int(v[i]),
+                                      c=float(c[i])), (int(i),))
     return tuple(stored)
 
 
@@ -72,7 +74,7 @@ def reference_match_rows(rows):
     if bad.size:
         i = bad[0]
         message = next(text for mask, text in checks if mask[i])
-        raise MatchTableError(message.format(u=int(u[i]), v=int(v[i]),
+        raise RowError(message.format(u=int(u[i]), v=int(v[i]),
                                              value=float(value[i])), (int(i),))
     order = np.lexsort((v, u))
     rows = rows[order]
@@ -81,7 +83,7 @@ def reference_match_rows(rows):
     conflict = np.flatnonzero(repeat & (value[1:] != value[:-1]))
     if conflict.size:
         i = conflict[0]
-        raise MatchTableError(
+        raise RowError(
             f"conflicting overlap values for pair ({int(u[i])}, {int(v[i])}): "
             f"{float(value[i])!r} and {float(value[i + 1])!r}",
             (int(order[i]), int(order[i + 1])),

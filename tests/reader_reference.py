@@ -15,8 +15,8 @@ a lifted edge, and the new reader does none of these.
 import dataclasses
 from pathlib import Path
 
-from liftedtrack.affinity import MatchTable, MatchTableError, _frame_local_indices
-from liftedtrack.graph import MulticutInstance
+from liftedtrack.affinity import MatchTable, _frame_local_indices
+from liftedtrack.graph import MulticutInstance, RowError
 from liftedtrack.motio import MotRecord
 from liftedtrack.pipeline import PipelineConfig
 
@@ -77,7 +77,7 @@ def reference_read_match_table(path, detections):
             linenos.append(lineno)
     try:
         return MatchTable(triples)
-    except MatchTableError as exc:
+    except RowError as exc:
         where = ",".join(str(linenos[i]) for i in exc.rows)
         raise ValueError(f"{path}:{where}: {exc}") from exc
 

@@ -622,7 +622,7 @@ class TestLatentCodes:
         model = AutoEncoder(self.SMALL, seed=0)
         dets = self._detections(LATENT_CHUNK + 6)
         codes = latent_codes(model, dets)
-        single = np.array([model.encode(d.image) for d in dets])
+        single = np.array([model.encode_batch(d.image[None])[0][0] for d in dets])
         assert codes.shape == (len(dets), 5)
         np.testing.assert_allclose(codes, single, rtol=1e-12, atol=1e-12)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from liftedtrack.affinity import iou_match_table, read_match_table
-from liftedtrack.cli import main
+from liftedtrack.cli import _read_tracklets, main
 from liftedtrack.motio import (
     load_patches,
     read_mot,
@@ -159,6 +159,13 @@ class TestOracle:
         assert "error [oracle]" in capsys.readouterr().err
 
 
+def test_tracklet_read_sorts_members(tmp_path):
+    # a tracklet's label is its line's position, so sorting keeps it
+    path = tmp_path / "tracklets.txt"
+    path.write_text("3 1 2\n0\n")
+    assert _read_tracklets(path) == [[1, 2, 3], [0]]
+
+
 class TestErrors:
     def test_eval_missing_file(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
@@ -166,6 +173,21 @@ class TestErrors:
         assert main(["eval", "--gt", str(gt), "--hyp",
                      str(tmp_path / "missing.txt")]) == 1
         assert "error [eval]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gt_lines, hyp_lines, where", [
+        (["1,1,0,0,5,5,1,-1,-1,-1", "1,1,9,0,5,5,1,-1,-1,-1"], ["1,7,0,0,5,5,1,-1,-1,-1"],
+         "gt.txt:1,2: ground-truth records 0 and 1 both give id 1 in frame 1"),
+        (["1,1,0,0,5,5,1,-1,-1,-1"],
+         ["", "1,7,0,0,5,5,1,-1,-1,-1", "", "1,7,9,0,5,5,1,-1,-1,-1"],
+         "hyp.txt:2,4: hypothesis records 0 and 1 both give id 7 in frame 1"),
+    ], ids=["gt", "hyp-blank-lines-counted"])
+    def test_eval_repeated_id_names_file_lines(self, tmp_path, capsys, gt_lines,
+                                                hyp_lines, where):
+        gt, hyp = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+        gt.write_text("\n".join(gt_lines) + "\n")
+        hyp.write_text("\n".join(hyp_lines) + "\n")
+        assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
+        assert capsys.readouterr().err == f"error [eval]: {tmp_path}/{where}\n"
 
     def test_track_before_training_fails(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

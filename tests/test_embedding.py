@@ -24,14 +24,13 @@ from liftedtrack.embedding import (
     combined_loss,
     compute_centroids,
     gradient_check,
-    reconstruction_loss,
     train,
     xavier_uniform,
 )
 from liftedtrack.affinity import latent_codes
 from liftedtrack.embedding.layers import BN_EPS
 from liftedtrack.graph import BBox, Detection
-from liftedtrack.pipeline import default_arch, pregroup, tracklet_labels
+from liftedtrack.pipeline import pregroup, tracklet_labels
 from liftedtrack.synth import benchmark_spec, synth_sequence
 
 import conv_reference
@@ -42,6 +41,11 @@ SMALL = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
 SMALL_BN = ArchConfig(
     input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5, batchnorm=True
 )
+
+
+def arrays(dets):
+    """The (images, frames) that `train` takes for these detections."""
+    return np.stack([det.image for det in dets]), np.array([det.frame for det in dets])
 
 
 def small_batch(rng, n=4, shape=(3, 8, 8)):
@@ -112,7 +116,7 @@ class TestConv2D:
             conv.forward(np.zeros((1, 2, 4, 4)))
 
 
-# (in, out, spatial size) of the four convolutions of pipeline.default_arch()
+# (in, out, spatial size) of the four convolutions of the default ArchConfig()
 DEFAULT_ARCH_CONVS = ((3, 8, 16), (8, 16, 8), (16, 8, 8), (8, 3, 16))
 
 
@@ -168,8 +172,8 @@ class TestConvMatchesReference:
         for _, layer in ref.layer_items():
             if isinstance(layer, Conv2D):
                 layer.__class__ = conv_reference.Conv2D
-        _, trace = train(model, dets, labels, config)
-        _, ref_trace = train(ref, dets, labels, config)
+        _, trace = train(model, *arrays(dets), labels, config)
+        _, ref_trace = train(ref, *arrays(dets), labels, config)
         assert trace == ref_trace
         for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
             assert np.array_equal(a, b)
@@ -279,13 +283,13 @@ def _assert_training_matches_reference(cls, ref_cls):
     tracklets = pregroup(dets, result.table)
     labels = tracklet_labels(tracklets, len(dets))
     config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.0), (1, 0.95)))
-    arch = default_arch(dets[0].image.shape)
+    arch = ArchConfig(input_shape=dets[0].image.shape)
     model, ref = AutoEncoder(arch, seed=0), AutoEncoder(arch, seed=0)
     for _, layer in ref.layer_items():
         if isinstance(layer, cls):
             layer.__class__ = ref_cls
-    _, trace = train(model, dets, labels, config)
-    _, ref_trace = train(ref, dets, labels, config)
+    _, trace = train(model, *arrays(dets), labels, config)
+    _, ref_trace = train(ref, *arrays(dets), labels, config)
     assert trace == ref_trace
     for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):
         assert np.array_equal(a, b)
@@ -314,7 +318,7 @@ class TestUpsample:
 class TestUpsampleMatchesReference:
     """The four-view gradient against the frozen reshape-sum layer, with ==."""
 
-    # (C, H, W) of the two upsample inputs of pipeline.default_arch()
+    # (C, H, W) of the two upsample inputs of the default ArchConfig()
     SHAPES = ((16, 4, 4), (8, 8, 8))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -439,7 +443,7 @@ class TestAutoEncoder:
     def test_encode_all_equals_one_batch(self):
         # compute_centroids and latent_codes encode in chunks; their codes
         # must equal those of one batch of every image
-        model = AutoEncoder(default_arch(), seed=0)
+        model = AutoEncoder(ArchConfig(), seed=0)
         x = np.random.default_rng(12).uniform(0.05, 0.95,
                                               size=(2 * LATENT_CHUNK + 5, 3, 16, 16))
         z, _ = model.encode_batch(x)
@@ -457,25 +461,24 @@ class TestAutoEncoder:
     def test_encode_single_image(self):
         model = AutoEncoder(SMALL, seed=0)
         img = np.random.default_rng(12).uniform(size=(3, 8, 8))
-        z = model.encode(img)
+        z = model.encode_batch(img[None])[0][0]
         assert z.shape == (5,)
-        assert model.decode(z).shape == (3, 8, 8)
+        assert model.decode_batch(z[None])[0][0].shape == (3, 8, 8)
 
     def test_encode_deterministic(self):
         img = np.random.default_rng(13).uniform(size=(3, 8, 8))
-        a = AutoEncoder(SMALL, seed=3).encode(img)
-        b = AutoEncoder(SMALL, seed=3).encode(img)
+        a = AutoEncoder(SMALL, seed=3).encode_batch(img[None])[0][0]
+        b = AutoEncoder(SMALL, seed=3).encode_batch(img[None])[0][0]
         assert np.array_equal(a, b)
 
     def test_rejects_wrong_shape(self):
         model = AutoEncoder(SMALL, seed=0)
         with pytest.raises(ValueError):
-            model.encode(np.zeros((3, 8, 4)))
-        with pytest.raises(ValueError):
-            model.decode(np.zeros(4))
+            model.encode_batch(np.zeros((1, 3, 8, 4)))
 
     def test_small_model_under_gradient_check_budget(self):
-        assert AutoEncoder(SMALL, seed=0).num_parameters() <= 5000
+        model = AutoEncoder(SMALL, seed=0)
+        assert sum(arr.size for _, _, arr in model.parameter_items()) <= 5000
 
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         model = AutoEncoder(SMALL_BN, seed=7)
@@ -495,7 +498,8 @@ class TestAutoEncoder:
             assert (key, name) == (key2, name2)
             assert np.array_equal(arr, arr2)
         img = rng.uniform(size=(3, 8, 8))
-        assert np.array_equal(model.encode(img), back.encode(img))
+        assert np.array_equal(model.encode_batch(img[None])[0],
+                              back.encode_batch(img[None])[0])
 
 
 class TestLosses:
@@ -532,7 +536,7 @@ class TestLosses:
             h = np.kron(h, np.ones((2, 2))).reshape(4, 4, 4)
             recon = conv(h, dec[-1])
             total += float(np.sum((recon - sample) ** 2))
-        assert reconstruction_loss(model, x) == pytest.approx(total / 2, rel=1e-12)
+        assert combined_loss(model, x, None, 0.0) == pytest.approx(total / 2, rel=1e-12)
 
     def test_perfect_reconstruction_zero_loss(self):
         class _Stub:
@@ -545,16 +549,17 @@ class TestLosses:
 
         rng = np.random.default_rng(16)
         x = small_batch(rng, n=3)
-        assert reconstruction_loss(_Stub("identity"), x) == 0.0
+        assert combined_loss(_Stub("identity"), x, None, 0.0) == 0.0
         unit = x / np.sqrt(np.sum(x**2, axis=(1, 2, 3), keepdims=True))
-        assert reconstruction_loss(_Stub("zero"), unit) == pytest.approx(1.0)
+        assert combined_loss(_Stub("zero"), unit, None, 0.0) == pytest.approx(1.0)
 
     def test_combined_loss_lambda_zero_equals_reconstruction(self):
         model = AutoEncoder(SMALL, seed=0)
         rng = np.random.default_rng(17)
         x = small_batch(rng)
-        assert combined_loss(model, x, None, 0.0) == reconstruction_loss(
-            model, x
+        recon, _, _ = model.forward_batch(x)
+        assert combined_loss(model, x, None, 0.0) == float(
+            np.sum((recon - x) ** 2) / len(x)
         )
 
     def test_combined_loss_lambda_one_exact_centroids(self):
@@ -588,7 +593,7 @@ class TestCentroids:
         model = AutoEncoder(SMALL, seed=0)
         x = small_batch(np.random.default_rng(21), n=1)
         targets = compute_centroids(model, x, [5])
-        assert np.allclose(targets[0], model.encode(x[0]))
+        assert np.allclose(targets[0], model.encode_batch(x[:1])[0][0])
 
     def test_mean_of_three_members(self):
         model = AutoEncoder(SMALL, seed=0)
@@ -636,7 +641,7 @@ class TestTrain:
         dets = _toy_dataset(rng, frames=4)
         model = AutoEncoder(SMALL, seed=1)
         config = TrainingConfig(epochs=200, learning_rate=1e-3, seed=2)
-        _, trace = train(model, dets, [0, 1, 2, 3], config)
+        _, trace = train(model, *arrays(dets), [0, 1, 2, 3], config)
         assert trace[-1].reconstruction < trace[0].reconstruction
         assert len(trace) == 200
         assert model.epoch == 200
@@ -652,7 +657,7 @@ class TestTrain:
             lambda_schedule=((0, 0.0), (60, 0.95)),
             seed=4,
         )
-        _, trace = train(model, dets, labels, config)
+        _, trace = train(model, *arrays(dets), labels, config)
         assert trace[59].clustering == 0.0
         assert trace[-1].clustering < trace[60].clustering
 
@@ -660,8 +665,8 @@ class TestTrain:
         rng = np.random.default_rng(28)
         dets = _toy_dataset(rng, frames=3)
         config = TrainingConfig(epochs=5, seed=9)
-        _, t1 = train(AutoEncoder(SMALL, seed=5), dets, [0, 1, 2], config)
-        _, t2 = train(AutoEncoder(SMALL, seed=5), dets, [0, 1, 2], config)
+        _, t1 = train(AutoEncoder(SMALL, seed=5), *arrays(dets), [0, 1, 2], config)
+        _, t2 = train(AutoEncoder(SMALL, seed=5), *arrays(dets), [0, 1, 2], config)
         assert t1 == t2
 
     def test_divergence_detected(self):
@@ -671,7 +676,7 @@ class TestTrain:
         config = TrainingConfig(epochs=50, learning_rate=1e6, seed=7)
         # the absurd learning rate overflows by design
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
-            train(model, dets, [0, 1], config)
+            train(model, *arrays(dets), [0, 1], config)
 
     def test_non_finite_parameter_detected(self):
         # one single-patch frame: the loss is finite, the first update is not
@@ -683,7 +688,7 @@ class TestTrain:
             TrainingDiverged,
             match=r"non-finite parameter W in \('enc', 0\) after epoch 0",
         ):
-            train(model, dets, [0], config)
+            train(model, *arrays(dets), [0], config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -729,7 +734,8 @@ def _scene_dataset():
             single.add(det.frame)
         keep.append(i)
     order = np.random.default_rng(2).permutation(keep)
-    return default_arch(dets[0].image.shape), [dets[i] for i in order], labels[order]
+    return (ArchConfig(input_shape=dets[0].image.shape), [dets[i] for i in order],
+            labels[order])
 
 
 class TestTrainingMatchesReference:
@@ -741,7 +747,7 @@ class TestTrainingMatchesReference:
         arch, dets, labels = make()
         config = TrainingConfig(epochs=3, lambda_schedule=((0, 0.0), (1, 0.9)), seed=3)
         model, ref = AutoEncoder(arch, seed=1), AutoEncoder(arch, seed=1)
-        _, trace = train(model, dets, labels, config)
+        _, trace = train(model, *arrays(dets), labels, config)
         _, ref_trace = training_reference.reference_train(ref, dets, labels, config)
         assert trace == ref_trace
         for (_, _, a), (_, _, b) in zip(model.parameter_items(), ref.parameter_items()):

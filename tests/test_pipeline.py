@@ -22,11 +22,9 @@ from liftedtrack.pipeline import (
     PipelineConfig,
     PipelineError,
     Track,
-    Tracklet,
     TrackSet,
     ablation_cell,
     clusters_to_tracks,
-    default_arch,
     fit_affinity_models,
     pregroup,
     read_config,
@@ -53,7 +51,7 @@ class TestPregroup:
         table = table_for(dets, [(0, 1), (1, 2), (0, 2)])
         tracklets = pregroup(dets, table)
         assert len(tracklets) == 1
-        assert tracklets[0].members == (0, 1, 2)
+        assert tracklets[0] == [0, 1, 2]
 
     def test_conflict_resolved_by_higher_overlap(self):
         # detections 1 and 2 both want detection 0; only the better
@@ -61,7 +59,7 @@ class TestPregroup:
         dets = [det(1), det(2, left=0.5), det(2, left=1.0)]
         table = table_for(dets, [(0, 1), (0, 2)])
         tracklets = pregroup(dets, table)
-        members = {t.members for t in tracklets}
+        members = {tuple(t) for t in tracklets}
         assert (0, 1) in members
         assert (2,) in members
 
@@ -86,7 +84,7 @@ class TestPregroup:
         pairs = [(u, v) for u in range(len(dets)) for v in range(u + 1, len(dets))
                  if abs(dets[u].frame - dets[v].frame) <= 3]
         tracklets = pregroup(dets, table_for(dets, pairs))
-        seen = sorted(m for t in tracklets for m in t.members)
+        seen = sorted(m for t in tracklets for m in t)
         assert seen == list(range(len(dets)))
 
     def test_matches_per_frame_pair_reference(self):
@@ -118,7 +116,7 @@ class TestPregroup:
                 groups.setdefault(uf.find(i), []).append(i)
             want = sorted(tuple(g) for g in groups.values())
             got = pregroup(dets, MatchTable(triples), threshold, max_gap)
-            assert [t.members for t in got] == want
+            assert [tuple(t) for t in got] == want
 
     def test_labels_cover_all_detections(self):
         dets = [det(1), det(2, left=0.5), det(9)]
@@ -130,7 +128,7 @@ class TestPregroup:
 
     def test_labels_missing_detection_rejected(self):
         with pytest.raises(ValueError, match="without a tracklet"):
-            tracklet_labels([Tracklet(label=0, members=(0, 1))], 3)
+            tracklet_labels([[0, 1]], 3)
 
     @pytest.mark.parametrize("members, message", [
         ((2, -1), r"^tracklet 1: detection -1 outside 0\.\.2$"),
@@ -143,23 +141,7 @@ class TestPregroup:
             "non-integer", "bool"])
     def test_labels_reject_bad_members(self, members, message):
         with pytest.raises(ValueError, match=message):
-            tracklets = [Tracklet(label=0, members=(0, 1)),
-                         Tracklet(label=1, members=members)]
-            tracklet_labels(tracklets, 3)
-
-    @pytest.mark.parametrize("label", [1.5, "a", None, True])
-    def test_non_integer_label_rejected(self, label):
-        with pytest.raises(ValueError, match=r"^tracklet label .* is not an integer$"):
-            Tracklet(label=label, members=(0,))
-
-    @pytest.mark.parametrize("first, second", [(0, 1), (-1, 0), (2**40, -7)],
-                             ids=["small", "negative", "large-and-negative"])
-    def test_labels_accept_any_integer_label(self, first, second):
-        tracklets = [Tracklet(label=first, members=(0,)),
-                     Tracklet(label=second, members=(2, 1))]
-        labels = tracklet_labels(tracklets, 3)
-        assert labels.dtype == np.int64
-        assert labels.tolist() == [first, second, second]
+            tracklet_labels([(0, 1), members], 3)
 
 
 class TestClustersToTracks:
@@ -240,10 +222,7 @@ class TestClustersToTracks:
 class TestTrackTypes:
     def test_tracklet_requires_members(self):
         with pytest.raises(ValueError, match="member"):
-            Tracklet(label=0, members=())
-
-    def test_tracklet_members_sorted(self):
-        assert Tracklet(label=0, members=(3, 1, 2)).members == (1, 2, 3)
+            tracklet_labels([()], 0)
 
     def test_track_requires_contiguous_frames(self):
         with pytest.raises(ValueError, match="contiguous"):
@@ -475,7 +454,7 @@ class TestTrainStage:
                           image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
                 for f in range(1, 5)]
         dets[2].image[0, 3, 3] = np.nan
-        tracklets = [Tracklet(label=i, members=(i,)) for i in range(len(dets))]
+        tracklets = [[i] for i in range(len(dets))]
         arch = ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6), latent_dim=5)
         with pytest.raises(PipelineError) as info:
             train_embedding(dets, tracklets, self.CONFIG, arch=arch)
@@ -492,7 +471,7 @@ class TestAblationCell:
         # those pairs would move the fit and the tracks.
         result = synth_sequence(benchmark_spec(num_frames=30), seed=0)
         dets = result.detections
-        model = AutoEncoder(default_arch(dets[0].image.shape), seed=0)
+        model = AutoEncoder(ArchConfig(input_shape=dets[0].image.shape), seed=0)
         latents = latent_codes(model, dets)
         near = iou_match_table(dets, max_frame_gap=3)
         wide = MatchTable([*near.rows.tolist(), *(

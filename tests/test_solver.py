@@ -945,8 +945,13 @@ class TestInstanceIO:
         ("3 1 0\n0 1 1.0 extra\n", 2, "expected 3 fields, got 4"),
         ("2 -1 1\n", 1, "negative count in header 2 -1 1"),
         ("3 x 0\n0 1 1.0\n", 1, r"invalid literal for int\(\) .*'x'"),
+        ("3 1 1\n\n0 1 1.0\n1 7 1.0\n", 4, r"lifted edge \(1, 7\) outside node range"),
+        ("3 2 0\n0 1 1.0\n0 2 inf\n", 3, r"edge \(0, 2\) has non-finite cost inf"),
+        ("3 2 1\n0 1 1.0\n1 2 1.0\n\n1 0 2.0\n", 5,
+         r"duplicate pair \(0, 1\) across E and F"),
     ], ids=["self-loop-in-e", "self-loop-in-f", "blank-lines-counted", "extra-field",
-            "negative-header-count", "bad-header"])
+            "negative-header-count", "bad-header", "bad-node", "non-finite-cost",
+            "duplicate-pair-names-later-line"])
     def test_bad_line_names_its_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -964,7 +969,7 @@ class TestInstanceIO:
     def test_bad_edges_name_the_file(self, tmp_path, lines, message):
         path = tmp_path / "bad.txt"
         path.write_text(f"3 {len(lines) - 1} 1\n" + "\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:\\d: .*{message}"):
             read_instance(path)
 
     def test_accepts_either_endpoint_order(self, tmp_path):
