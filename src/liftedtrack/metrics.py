@@ -7,15 +7,14 @@ a ground-truth trajectory is matched to a different hypothesis id than
 its last known partner. MOTP is reported as mean IoU over matches.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import RowError, box_iou
-from .motio import MotRecord, as_records
+from .graph import RowError, box_iou, repeated_pairs
+from .motio import as_records
 
 
 @dataclass(frozen=True)
@@ -48,115 +47,108 @@ class MotReport:
         ]
 
 
-def _by_frame(records, name: str, offset: int) -> Dict[int, Dict[int, MotRecord]]:
-    """Records keyed by frame, then id; an id given twice in a frame is
-    rejected as a RowError naming both records' positions, whose `rows`
-    are those positions plus `offset`."""
-    frames: Dict[int, Dict[int, MotRecord]] = defaultdict(dict)
-    first: Dict[Tuple[int, int], int] = {}
-    for i, rec in enumerate(records):
-        key = (rec.frame, rec.track_id)
-        if key in first:
-            raise RowError(f"{name} records {first[key]} and {i} both give "
-                           f"id {rec.track_id} in frame {rec.frame}",
-                           (offset + first[key], offset + i))
-        first[key] = i
-        frames[rec.frame][rec.track_id] = rec
-    return frames
+def _sorted_side(records, name: str, offset: int):
+    """The (frames, ids, (n, 4) boxes) of `records`, sorted by (frame, id).
+
+    An id given twice in a frame is rejected as a RowError naming the first
+    two records that share it, whose `rows` are their positions plus
+    `offset`.
+    """
+    frames = np.array([rec.frame for rec in records])
+    ids = np.array([rec.track_id for rec in records])
+    order, repeat = repeated_pairs(frames, ids)
+    if repeat.any():
+        # the first repeat in input order is its key's second record, and
+        # the stable order puts the key's first record just before it
+        later = int(np.flatnonzero(repeat)[0])
+        earlier = int(order[np.flatnonzero(order == later)[0] - 1])
+        raise RowError(f"{name} records {earlier} and {later} both give "
+                       f"id {ids[later]} in frame {frames[later]}",
+                       (offset + earlier, offset + later))
+    boxes = np.array([(rec.left, rec.top, rec.width, rec.height) for rec in records],
+                     dtype=np.float64).reshape(-1, 4)
+    return frames[order], ids[order], boxes[order]
 
 
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     """Score a hypothesis track set against ground-truth records.
 
-    A (frame, id) given twice on one side raises a RowError whose `rows`
+    `iou_threshold` must lie in (0, 1]. A non-positive ground-truth id, or a
+    (frame, id) given twice on one side, raises a RowError whose `rows`
     count the ground-truth records first, then the hypothesis records.
+
+    Every same-frame (gt, hyp) pair is scored in one `box_iou` call, so
+    memory grows with the sum over frames of |gt_f| * |hyp_f|.
     """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_records = as_records(gt)
     hyp_records = as_records(hyp)
     if not gt_records:
         raise ValueError("ground truth is empty")
-    if any(rec.track_id < 1 for rec in gt_records):
-        raise ValueError("ground-truth ids must be positive")
+    bad_id = next((i for i, rec in enumerate(gt_records) if rec.track_id < 1), None)
+    if bad_id is not None:
+        raise RowError("ground-truth ids must be positive", (bad_id,))
+    gt_frames, gt_ids, gt_boxes = _sorted_side(gt_records, "ground-truth", 0)
+    hyp_frames, hyp_ids, hyp_boxes = _sorted_side(hyp_records, "hypothesis",
+                                                  len(gt_records))
 
-    gt_frames = _by_frame(gt_records, "ground-truth", 0)
-    hyp_frames = _by_frame(hyp_records, "hypothesis", len(gt_records))
-    total_gt = len(gt_records)
-    total_hyp = len(hyp_records)
+    # each gt record's slice of the hypothesis and every same-frame
+    # (gt, hyp) pair, gt-major within a frame, so a frame's pairs are one block
+    lo, hi = (np.searchsorted(hyp_frames, gt_frames, side) for side in ("left", "right"))
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    pair_gt = np.repeat(np.arange(len(gt_frames)), hi - lo)
+    pair_hyp = np.arange(len(pair_gt)) + np.repeat(lo - starts, hi - lo)
+    scores = box_iou(gt_boxes[pair_gt], hyp_boxes[pair_hyp])
 
     assoc: Dict[int, int] = {}
-    ids = fp = fn = 0
-    iou_sum = 0.0
-    num_matches = 0
-    gt_present: Dict[int, int] = defaultdict(int)
-    gt_matched: Dict[int, int] = defaultdict(int)
-    pair_frames: Dict[Tuple[int, int], int] = defaultdict(int)
-
-    for frame in sorted(gt_frames.keys() | hyp_frames.keys()):
-        gts = gt_frames.get(frame, {})
-        hyps = hyp_frames.get(frame, {})
-        for gid in gts:
-            gt_present[gid] += 1
-        row = {gid: i for i, gid in enumerate(gts)}
-        col = {hid: j for j, hid in enumerate(hyps)}
-        a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs.values()],
-                         dtype=np.float64).reshape(-1, 4) for recs in (gts, hyps))
-        scores = box_iou(a[:, None], b[None])
-        overlaps = scores >= iou_threshold
-
-        # identity matching counts every overlapping co-occurrence
-        gid_list, hid_list = list(gts), list(hyps)
-        for i, j in zip(*np.nonzero(overlaps)):
-            pair_frames[(gid_list[i], hid_list[j])] += 1
-
+    ids = 0
+    matched: List[int] = []
+    gid_list, hid_list = gt_ids.tolist(), hyp_ids.tolist()
+    _, first, size = np.unique(gt_frames, return_index=True, return_counts=True)
+    for g, n, h, m, p in zip(first.tolist(), size.tolist(), lo[first].tolist(),
+                             (hi - lo)[first].tolist(), starts[first].tolist()):
+        score = scores[p:p + n * m].reshape(n, m)
+        col = {hid: j for j, hid in enumerate(hid_list[h:h + m])}
+        # keep last frame's partner while it still overlaps, by ascending id
         matches: Dict[int, int] = {}
-        for gid in sorted(gts):
-            hid = assoc.get(gid)
-            if hid in hyps and hid not in matches.values():
-                if overlaps[row[gid], col[hid]]:
-                    matches[gid] = hid
-
-        free_gt = sorted(g for g in gts if g not in matches)
-        free_hyp = sorted(h for h in hyps if h not in matches.values())
-        if free_gt and free_hyp:
-            free_rows = [row[g] for g in free_gt]
-            free_cols = [col[h] for h in free_hyp]
-            free_scores = scores[np.ix_(free_rows, free_cols)]
-            rows, cols = linear_sum_assignment(-free_scores)
-            for r, c in zip(rows, cols):
+        for i, gid in enumerate(gid_list[g:g + n]):
+            j = col.get(assoc.get(gid))
+            if j is not None and j not in matches.values() and score[i, j] >= iou_threshold:
+                matches[i] = j
+        free_rows = [i for i in range(n) if i not in matches]
+        free_cols = [j for j in range(m) if j not in matches.values()]
+        if free_rows and free_cols:
+            free_scores = score[np.ix_(free_rows, free_cols)]
+            for r, c in zip(*linear_sum_assignment(-free_scores)):
                 if free_scores[r, c] >= iou_threshold:
-                    matches[free_gt[r]] = free_hyp[c]
-
-        for gid, hid in matches.items():
-            if gid in assoc and assoc[gid] != hid:
+                    matches[free_rows[r]] = free_cols[c]
+        for i, j in matches.items():
+            gid, hid = gid_list[g + i], hid_list[h + j]
+            if assoc.get(gid, hid) != hid:
                 ids += 1
             assoc[gid] = hid
-            gt_matched[gid] += 1
-            iou_sum += float(scores[row[gid], col[hid]])
-            num_matches += 1
-        fn += len(gts) - len(matches)
-        fp += len(hyps) - len(matches)
+            matched.append(p + i * m + j)
 
-    mota = 1.0 - (fp + fn + ids) / total_gt
-    motp = iou_sum / num_matches if num_matches else 0.0
+    fn = len(gt_records) - len(matched)
+    fp = len(hyp_records) - len(matched)
+    mota = 1.0 - (fp + fn + ids) / len(gt_records)
+    # a running sum in match order: pairwise summation could move MOTP's last bit
+    motp = float(np.cumsum(scores[matched])[-1]) / len(matched) if matched else 0.0
 
-    mt = ml = 0
-    for gid, present in gt_present.items():
-        coverage = gt_matched[gid] / present
-        if coverage >= 0.8:
-            mt += 1
-        elif coverage <= 0.2:
-            ml += 1
+    _, track, present = np.unique(gt_ids, return_inverse=True, return_counts=True)
+    coverage = np.bincount(track[pair_gt[matched]], minlength=len(present)) / present
+    mt = int(np.count_nonzero(coverage >= 0.8))
+    ml = int(np.count_nonzero(coverage <= 0.2))
 
-    idtp = 0
-    if pair_frames:
-        gids = {g: i for i, g in enumerate(sorted({g for g, _ in pair_frames}))}
-        hids = {h: j for j, h in enumerate(sorted({h for _, h in pair_frames}))}
-        weights = np.zeros((len(gids), len(hids)))
-        for (g, h), count in pair_frames.items():
-            weights[gids[g], hids[h]] = count
-        rows, cols = linear_sum_assignment(-weights)
-        idtp = int(weights[rows, cols].sum())
-    idf1 = 2.0 * idtp / (total_gt + total_hyp) if total_hyp else 0.0
+    # identity matching counts every overlapping co-occurrence
+    overlaps = scores >= iou_threshold
+    gids, rows = np.unique(gt_ids[pair_gt[overlaps]], return_inverse=True)
+    hids, cols = np.unique(hyp_ids[pair_hyp[overlaps]], return_inverse=True)
+    weights = np.zeros((len(gids), len(hids)))
+    np.add.at(weights, (rows, cols), 1.0)
+    idtp = int(weights[linear_sum_assignment(-weights)].sum())
+    idf1 = 2.0 * idtp / (len(gt_records) + len(hyp_records)) if hyp_records else 0.0
 
     return MotReport(
         mota=mota, motp=motp, ids=ids, mt=mt, ml=ml, fp=fp, fn=fn, idf1=idf1

@@ -254,7 +254,7 @@ def tracklet_labels(tracklets: Sequence[Sequence[int]], num_detections: int) -> 
     """
     for label, members in enumerate(tracklets):
         if not len(members):
-            raise ValueError("tracklet must have at least one member")
+            raise ValueError(f"tracklet {label}: must have at least one member")
         for det in members:
             if not _is_integer(det):
                 raise ValueError(f"tracklet {label}: member {det!r} "

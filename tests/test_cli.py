@@ -189,6 +189,24 @@ class TestErrors:
         assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
         assert capsys.readouterr().err == f"error [eval]: {tmp_path}/{where}\n"
 
+    def test_eval_non_positive_gt_id_names_file_line(self, tmp_path, capsys):
+        gt, hyp = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+        gt.write_text("1,0,0,0,5,5,1,-1,-1,-1\n1,1,9,0,5,5,1,-1,-1,-1\n")
+        hyp.write_text("1,7,0,0,5,5,1,-1,-1,-1\n")
+        assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
+        assert capsys.readouterr().err == (f"error [eval]: {tmp_path}/gt.txt:1: "
+                                           f"ground-truth ids must be positive\n")
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "1.5"])
+    def test_eval_threshold_outside_unit_interval_fails(self, tmp_path, capsys,
+                                                        threshold):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,5,5,1,-1,-1,-1\n")
+        assert main(["eval", "--gt", str(gt), "--hyp", str(gt),
+                     "--iou-threshold", threshold]) == 1
+        assert capsys.readouterr().err == (f"error [eval]: iou_threshold must be in "
+                                           f"(0, 1], got {float(threshold)}\n")
+
     def test_track_before_training_fails(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("epochs = 1\n")

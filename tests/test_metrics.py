@@ -1,11 +1,16 @@
-"""Tests for CLEAR MOT scoring against hand-computed worked examples."""
+"""Tests for CLEAR MOT scoring against hand-computed worked examples and
+against the former scorer in `tests/metrics_reference.py`."""
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from liftedtrack.graph import box_iou, iou
+from liftedtrack.graph import RowError, box_iou, iou
 from liftedtrack.metrics import MotReport, evaluate_clear_mot
 from liftedtrack.motio import MotRecord
+from metrics_reference import reference_evaluate_clear_mot
 
 
 def rec(frame, tid, left=0.0, top=0.0, size=10.0):
@@ -137,6 +142,16 @@ class TestValidationAndReport:
         with pytest.raises(ValueError, match="positive"):
             evaluate_clear_mot([rec(1, -1)], [])
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at 0 or below, disjoint boxes (IoU 0.0) would count as matches
+        gt = straight_track(1, range(1, 4))
+        far = [rec(r.frame, 1, left=r.left + 500.0) for r in gt]
+        with pytest.raises(ValueError, match=rf"^iou_threshold must be in \(0, 1\], "
+                                             rf"got {threshold}$"):
+            evaluate_clear_mot(gt, far, iou_threshold=threshold)
+        assert evaluate_clear_mot(gt, gt, iou_threshold=1.0).mota == 1.0
+
     @pytest.mark.parametrize("which, name", [(0, "ground-truth"), (1, "hypothesis")])
     def test_repeated_id_in_a_frame_rejected(self, which, name):
         # id 7 twice in frame 1, one box on target and one stray: keeping
@@ -167,7 +182,7 @@ class TestValidationAndReport:
 
 
 def _iou_matrix(first, second):
-    """`box_iou` of every (first, second) record pair, as `evaluate_clear_mot` calls it."""
+    """`box_iou` of every (first, second) record pair, in one broadcast call."""
     a, b = (np.array([(r.left, r.top, r.width, r.height) for r in recs],
                      dtype=np.float64).reshape(-1, 4) for recs in (first, second))
     return box_iou(a[:, None], b[None])
@@ -198,3 +213,85 @@ class TestIouMatrix:
         gt = straight_track(1, range(1, 6))
         hyp = [rec(r.frame, 2, left=r.left + np.float64(1.0)) for r in gt]
         assert type(evaluate_clear_mot(gt, hyp).motp) is float
+
+
+def outcome(call):
+    """("ok", report, field types) or ("error", exception type, message,
+    rows) of `call()`."""
+    try:
+        report = call()
+    except ValueError as exc:
+        return "error", type(exc), str(exc), getattr(exc, "rows", None)
+    return "ok", report, [type(v) for v in dataclasses.astuple(report)]
+
+
+def fuzzed_sequence(rnd):
+    """(gt, hyp), both shuffled: ground-truth tracks on a coarse grid, so
+    boxes touch, nest and tie, and a hypothesis that shifts, renames, drops
+    and adds boxes. Planted: frames on one side only, an empty hypothesis,
+    an id given twice in a frame on either side, and ground-truth ids
+    below 1."""
+    num_frames = rnd.randint(1, 8)
+    gt = []
+    for tid in range(1, rnd.randint(1, 6) + 1):
+        left, top, size = (rnd.randint(0, 8) * 5.0, rnd.randint(0, 8) * 5.0,
+                           rnd.choice([10.0, 15.0, 20.0]))
+        step = rnd.choice([0.0, 2.5, 5.0])
+        first = rnd.randint(1, num_frames)
+        gt += [MotRecord(f, tid, left + step * (f - first), top, size, size, 1.0)
+               for f in range(first, rnd.randint(first, num_frames) + 1)]
+    hyp, names = [], {}
+    gone = {f for f in range(1, num_frames + 1) if rnd.random() < 0.1}
+    if rnd.random() > 0.08:
+        for r in gt:
+            if r.frame in gone or rnd.random() < 0.15:
+                continue
+            if r.track_id not in names or rnd.random() < 0.1:
+                names[r.track_id] = rnd.randint(1, 9)
+            shift = (rnd.choice([0.0, 0.0, 1.25, 2.5, 5.0]), rnd.choice([0.0, 2.5, 7.5]))
+            hyp.append(MotRecord(r.frame, names[r.track_id], r.left + shift[0],
+                                 r.top + shift[1], r.width, r.height, 1.0))
+        hyp += [MotRecord(rnd.randint(1, num_frames + 2), rnd.randint(1, 12),
+                          rnd.randint(0, 8) * 5.0, rnd.randint(0, 8) * 5.0, 10.0, 10.0, 1.0)
+                for _ in range(rnd.randrange(4))]
+    # one record per (frame, id) on each side, unless a repeat is planted
+    seen = set()
+    hyp = [r for r in hyp if (r.frame, r.track_id) not in seen
+           and not seen.add((r.frame, r.track_id))]
+    for side in (gt, hyp):
+        if side and rnd.random() < 0.04:
+            twin = rnd.choice(side)
+            side.append(dataclasses.replace(twin, left=twin.left + rnd.choice([0.0, 60.0])))
+    if rnd.random() < 0.04:
+        k = rnd.randrange(len(gt))
+        gt[k] = dataclasses.replace(gt[k], track_id=rnd.choice([0, -1]))
+    rnd.shuffle(gt)
+    rnd.shuffle(hyp)
+    return gt, hyp
+
+
+class TestMatchesReference:
+    def test_fuzzed_sequences(self):
+        rnd = random.Random(41)
+        kinds = set()
+        for _ in range(1500):
+            gt, hyp = fuzzed_sequence(rnd)
+            threshold = rnd.choice([0.3, 0.5, 0.8])
+            want = outcome(lambda: reference_evaluate_clear_mot(gt, hyp, threshold))
+            got = outcome(lambda: evaluate_clear_mot(gt, hyp, threshold))
+            case = (gt, hyp, threshold)
+            if want[0] == "ok":
+                assert got == want, case
+                kinds.add("ok" if hyp else "ok-empty-hypothesis")
+                if want[1].ids:
+                    kinds.add("ok-switch")
+            elif "positive" in want[2]:
+                # the former scorer named no record; now the first is named
+                bad = next(i for i, r in enumerate(gt) if r.track_id < 1)
+                assert got == ("error", RowError, want[2], (bad,)), case
+                kinds.add("positive")
+            else:
+                assert got == want, case
+                kinds.add(want[2].split(" ")[0])
+        assert kinds == {"ok", "ok-empty-hypothesis", "ok-switch", "positive",
+                         "ground-truth", "hypothesis"}

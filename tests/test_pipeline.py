@@ -224,6 +224,10 @@ class TestTrackTypes:
         with pytest.raises(ValueError, match="member"):
             tracklet_labels([()], 0)
 
+    def test_empty_tracklet_named(self):
+        with pytest.raises(ValueError, match="^tracklet 1: must have at least one member$"):
+            tracklet_labels([[0], []], 1)
+
     def test_track_requires_contiguous_frames(self):
         with pytest.raises(ValueError, match="contiguous"):
             Track(track_id=1, boxes={1: BBox(0, 0, 1, 1), 3: BBox(0, 0, 1, 1)})
