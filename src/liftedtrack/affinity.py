@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -28,7 +28,7 @@ from .graph import (
     pair_rows,
     repeated_pairs,
 )
-from .motio import parse_lines
+from .motio import parse_lines, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -148,34 +148,65 @@ def iou_match_table(
                                         dtype=MATCH_DTYPE))
 
 
-def _frame_local_indices(detections: Sequence[Detection]):
-    """Index detections as (frame, position-within-frame) for the text format."""
-    counters: Dict[int, int] = {}
-    locals_ = []
-    for det in detections:
-        idx = counters.get(det.frame, 0)
-        counters[det.frame] = idx + 1
-        locals_.append((det.frame, idx))
-    return locals_
+# A match-table line "frame_a idx_a frame_b idx_b value" as `read_table` reads it
+_MATCH_TEXT_DTYPE = np.dtype([("fa", np.int64), ("ia", np.int64), ("fb", np.int64),
+                              ("ib", np.int64), ("value", np.float64)])
+
+
+def _frame_slots(detections: Sequence[Detection]):
+    """The detections' stable order by frame and, in that order, their frames
+    and the position of each within its frame.
+
+    The text format names a detection by (frame, position within the frame
+    in detection order): detection `order[searchsorted(frames, f) + i]`.
+    """
+    frames = np.array([det.frame for det in detections], dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    frames = frames[order]
+    return order, frames, np.arange(len(order)) - np.searchsorted(frames, frames)
+
+
+def _detection_ids(order, frames, frame, idx) -> Optional[np.ndarray]:
+    """The detection at each (frame, idx), or None if any names none."""
+    start = np.searchsorted(frames, frame, side="left")
+    count = np.searchsorted(frames, frame, side="right") - start
+    if not ((idx >= 0) & (idx < count)).all():
+        return None
+    return order[start + idx]
 
 
 def write_match_table(path, table: MatchTable, detections: Sequence[Detection]):
     """Write lines "frame_a idx_a frame_b idx_b iou", one per stored pair."""
-    locals_ = _frame_local_indices(detections)
+    order, frames, positions = _frame_slots(detections)
+    frame, idx = np.empty_like(frames), np.empty_like(positions)
+    frame[order], idx[order] = frames, positions
+    u, v = table.rows["u"], table.rows["v"]
+    columns = (frame[u], idx[u], frame[v], idx[v], table.rows["value"])
     with open(path, "w", encoding="ascii") as fh:
-        for a, b, value in table.rows.tolist():
-            fa, ia = locals_[a]
-            fb, ib = locals_[b]
-            fh.write(f"{fa} {ia} {fb} {ib} {value!r}\n")
+        fh.writelines(map("{} {} {} {} {!r}\n".format, *(c.tolist() for c in columns)))
 
 
 def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
     """Parse the text format back onto detection indices.
 
     Every bad line is named as path:lineno; two lines that give one pair
-    different values are both named.
+    different values are both named. The rows are read and matched to
+    detections as arrays; a file that fails the array pass, names no
+    detection or makes a bad table is read again line by line for its
+    message.
     """
-    lookup = {key: i for i, key in enumerate(_frame_local_indices(detections))}
+    order, frames, positions = _frame_slots(detections)
+    rows = read_table(path, _MATCH_TEXT_DTYPE)
+    if rows is not None:
+        u = _detection_ids(order, frames, rows["fa"], rows["ia"])
+        v = _detection_ids(order, frames, rows["fb"], rows["ib"])
+        if u is not None and v is not None:
+            try:
+                return MatchTable(np.rec.fromarrays((u, v, rows["value"]),
+                                                    dtype=MATCH_DTYPE))
+            except RowError:
+                pass
+    lookup = dict(zip(zip(frames.tolist(), positions.tolist()), order.tolist()))
 
     def triple(parts):
         fa, ia, fb, ib = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])

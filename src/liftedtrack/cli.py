@@ -25,6 +25,7 @@ from .metrics import evaluate_clear_mot
 from .motio import (
     MotRecord,
     load_patches,
+    numbered_lines,
     read_mot,
     records_to_detections,
     save_patches,
@@ -78,15 +79,14 @@ def _read_tracklets(path):
     """One tracklet per line as sorted detection ids, so its position is its
     line order; an empty or non-integer line is named as path:lineno."""
     tracklets = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                members = sorted(int(tok) for tok in line.split())
-                if not members:
-                    raise ValueError("tracklet must have at least one member")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            tracklets.append(members)
+    for lineno, line in numbered_lines(path):
+        try:
+            members = sorted(int(tok) for tok in line.split())
+            if not members:
+                raise ValueError("tracklet must have at least one member")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        tracklets.append(members)
     return tracklets
 
 
@@ -167,8 +167,7 @@ def _cmd_track(args) -> int:
 def _record_lines(path):
     """The number of each non-blank line of a file that `read_mot` has read,
     that is, of each of its records."""
-    with open(path, encoding="ascii") as fh:
-        return [lineno for lineno, line in enumerate(fh, 1) if line.strip()]
+    return [lineno for lineno, line in numbered_lines(path) if line.strip()]
 
 
 def _cmd_eval(args) -> int:

@@ -3,19 +3,30 @@
 Records follow the standard CSV layout "frame,id,left,top,width,height,
 conf,x,y,z". Values are written back with the shortest exact decimal form
 so that canonical files survive a read/write roundtrip byte for byte.
-`parse_lines` is the one line reader of the working directory's tables:
-MOT files, match tables and multicut instances.
+The working directory's tables (MOT files, match tables and multicut
+instances) have two readers. `read_table` parses a whole file of plain
+numbers in one `np.loadtxt` pass; `parse_lines`, the line reader, is the
+reference for every accepted value and every "path:lineno" message, and
+a table reader falls back to it whenever the array pass refuses a file.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import BBox, Detection
 
 _FIELDS = 10
+# A MOT line as `read_table` reads it: frame, id, then the eight float fields
+_MOT_DTYPE = np.dtype([("frame", np.int64), ("track_id", np.int64),
+                       ("fields", np.float64, (_FIELDS - 2,))])
+# A number spelled in these bytes np.loadtxt reads as int() and float() do, or
+# refuses where they accept it, as "1_000". Other bytes it may accept where
+# they refuse: it skips \x1c-\x1f around a number. A carriage return ends a
+# line only for `parse_lines`.
+_NUMBER_BYTES = b"0123456789+-.eE \t\n"
 
 
 @dataclass(frozen=True)
@@ -39,9 +50,9 @@ class MotRecord:
                 f"box dimensions must be positive, got {self.width} x {self.height}"
             )
         values = (self.left, self.top, self.width, self.height, self.conf, *self.world)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite fields in record {values}")
-        object.__setattr__(self, "world", tuple(float(w) for w in self.world))
+        object.__setattr__(self, "world", tuple(map(float, self.world)))
 
     @property
     def box(self) -> BBox:
@@ -55,6 +66,22 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
+def numbered_lines(path) -> Iterator[Tuple[int, str]]:
+    """(lineno, line) for every line of an ASCII text file, lineno from 1.
+
+    A line ends at a line feed, a carriage return or both. A line holding a
+    non-ASCII byte fails as "path:lineno: message".
+    """
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("ascii", "surrogateescape").decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, line
+
+
 def parse_lines(path, parse, fields: int, sep=None) -> Tuple[List[int], list]:
     """The line numbers and `parse(parts)` values of a text file's non-blank lines.
 
@@ -65,20 +92,40 @@ def parse_lines(path, parse, fields: int, sep=None) -> Tuple[List[int], list]:
     the lines at fault.
     """
     linenos, values = [], []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(sep)
-            try:
-                if len(parts) != fields:
-                    raise ValueError(f"expected {fields} fields, got {len(parts)}")
-                values.append(parse(parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(sep)
+        try:
+            if len(parts) != fields:
+                raise ValueError(f"expected {fields} fields, got {len(parts)}")
+            values.append(parse(parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        linenos.append(lineno)
     return linenos, values
+
+
+def read_table(path, dtype: np.dtype, sep=None) -> Optional[np.ndarray]:
+    """A text table's non-blank lines as one 1-D `dtype` array, split on `sep`
+    (whitespace by default), or None where `parse_lines` must read it.
+
+    The array pass refuses a file without rows, a byte outside plain
+    numbers and `sep`, and any line np.loadtxt rejects, such as a wrong
+    field count or a number out of the dtype's range. What it accepts,
+    `parse_lines` with int() and float() accepts with `==` values.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    allowed = _NUMBER_BYTES + (sep.encode("ascii") if sep else b"")
+    if not data.strip() or data.translate(None, allowed):
+        return None
+    try:
+        return np.loadtxt(data.decode("ascii").splitlines(), dtype=dtype,
+                          delimiter=sep, comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _mot_record(parts) -> MotRecord:
@@ -95,8 +142,27 @@ def _mot_record(parts) -> MotRecord:
 
 
 def read_mot(path) -> List[MotRecord]:
-    """Parse a MOT CSV file; malformed lines report their line number."""
-    return parse_lines(path, _mot_record, _FIELDS, sep=",")[1]
+    """Parse a MOT CSV file; malformed lines report their line number.
+
+    The rows are read and checked as arrays; a file that fails the array
+    pass or a record check is read again line by line for its message.
+    """
+    rows = read_table(path, _MOT_DTYPE, sep=",")
+    if rows is None or not _valid_mot_rows(rows):
+        return parse_lines(path, _mot_record, _FIELDS, sep=",")[1]
+    return [
+        MotRecord(frame, track_id, *fields[:5], world=tuple(fields[5:]))
+        for frame, track_id, fields in zip(rows["frame"].tolist(),
+                                           rows["track_id"].tolist(),
+                                           rows["fields"].tolist())
+    ]
+
+
+def _valid_mot_rows(rows: np.ndarray) -> bool:
+    """Whether every row passes MotRecord's checks."""
+    fields = rows["fields"]
+    return bool((rows["frame"] >= 1).all() and (fields[:, 2:4] > 0).all()
+                and np.isfinite(fields).all())
 
 
 def as_records(source) -> List[MotRecord]:

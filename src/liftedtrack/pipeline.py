@@ -39,7 +39,7 @@ from .graph import (
     pair_components,
 )
 from .metrics import MotReport, evaluate_clear_mot
-from .motio import MotRecord
+from .motio import MotRecord, numbered_lines
 from .solver import solve_gaec, solve_kl
 
 
@@ -183,25 +183,24 @@ def read_config(path) -> PipelineConfig:
     invalid values with the path.
     """
     overrides, linenos = {}, {}
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CODECS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in linenos:
-                raise ValueError(f"{path}:{linenos[key]},{lineno}: "
-                                 f"key {key!r} given twice")
-            linenos[key] = lineno
-            try:
-                overrides[key] = _CODECS[key][0](raw.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _CODECS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise ValueError(f"{path}:{linenos[key]},{lineno}: "
+                             f"key {key!r} given twice")
+        linenos[key] = lineno
+        try:
+            overrides[key] = _CODECS[key][0](raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     try:
         return PipelineConfig(**overrides)
     except ValueError as exc:

@@ -1,21 +1,23 @@
-"""Frozen text readers and config codec, kept as references.
+"""Frozen text readers and writers and config codec, kept as references.
 
-Test-only differential references: `tests/test_motio.py` requires the
-readers of `det.txt`, `matches.txt` and instance files, which share
-`liftedtrack.motio.parse_lines`, and the config codec of
-`liftedtrack.pipeline`, to give `==` values, the same written bytes and
-the same error messages as these copies of their former bodies. Here each
-reader runs its own line loop, and the config has one parser per key and
-a formatter that branches on the key. The instance reader is the one
-whose messages changed: this copy numbers only non-blank lines, accepts
-extra fields on an edge line and reads a header with a negative count as
-a lifted edge, and the new reader does none of these.
+Test-only differential references: `tests/test_text_formats.py` requires the
+readers of `det.txt`, `matches.txt` and instance files (the first two try
+one `np.loadtxt` pass before `liftedtrack.motio.parse_lines`), the
+`matches.txt` writer and the config codec of `liftedtrack.pipeline` to give
+`==` values, the same written bytes and the same error messages as these
+copies of their former bodies. Here each reader runs its own line loop,
+detections are indexed within their frame by a dict loop, and the config
+has one parser per key and a formatter that branches on the key. The
+instance reader is the one whose messages changed: this copy numbers only
+non-blank lines, accepts extra fields on an edge line and reads a header
+with a negative count as a lifted edge, and the new reader does none of
+these.
 """
 
 import dataclasses
 from pathlib import Path
 
-from liftedtrack.affinity import MatchTable, _frame_local_indices
+from liftedtrack.affinity import MatchTable
 from liftedtrack.graph import MulticutInstance, RowError
 from liftedtrack.motio import MotRecord
 from liftedtrack.pipeline import PipelineConfig
@@ -50,6 +52,25 @@ def reference_read_mot(path):
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             records.append(record)
     return records
+
+
+def _frame_local_indices(detections):
+    counters = {}
+    locals_ = []
+    for det in detections:
+        idx = counters.get(det.frame, 0)
+        counters[det.frame] = idx + 1
+        locals_.append((det.frame, idx))
+    return locals_
+
+
+def reference_write_match_table(path, table, detections):
+    locals_ = _frame_local_indices(detections)
+    with open(path, "w", encoding="ascii") as fh:
+        for a, b, value in table.rows.tolist():
+            fa, ia = locals_[a]
+            fb, ib = locals_[b]
+            fh.write(f"{fa} {ia} {fb} {ib} {value!r}\n")
 
 
 def reference_read_match_table(path, detections):

@@ -167,6 +167,19 @@ def test_tracklet_read_sorts_members(tmp_path):
 
 
 class TestErrors:
+    def test_track_without_detections_names_the_file(self, tmp_path, capsys):
+        assert main(["track", "--dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (f"error [track]: [Errno 2] No such file or "
+                                           f"directory: '{tmp_path / 'det.txt'}'\n")
+
+    def test_eval_non_ascii_byte_names_file_line(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_bytes("1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,5,5,1,-1,-1,-1 é\n".encode())
+        assert main(["eval", "--gt", str(gt), "--hyp", str(gt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [eval]: {gt}:2: 'ascii' codec can't decode byte 0xc3 in "
+            f"position 23: ordinal not in range(128)\n")
+
     def test_eval_missing_file(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         gt.write_text("1,1,0,0,5,5,1,-1,-1,-1\n")

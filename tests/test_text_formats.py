@@ -1,19 +1,32 @@
 """The working-directory readers and the config codec against frozen copies.
 
-`read_mot`, `read_match_table` and `read_instance` read through
-`liftedtrack.motio.parse_lines`, and `read_config` / `write_config` through
-one codec per kind of config value. Fuzzed files, valid and corrupted, must
-give what the former code in `tests/reader_reference.py` gave: `==` values,
-the same written bytes and the same error messages. The instance reader is
-the exception: it now names physical lines, so there only the decision to
-accept and the accepted instance must agree.
+`read_mot` and `read_match_table` read a file in one `np.loadtxt` pass and
+fall back to the line reader, `liftedtrack.motio.parse_lines`, when that
+pass refuses it; `read_instance` reads through `parse_lines` alone, and
+`read_config` / `write_config` through one codec per kind of config value.
+Fuzzed files, valid and corrupted, must give what the former code in
+`tests/reader_reference.py` gave: `==` values, the same written bytes and
+the same error messages. That includes spellings on which np.loadtxt and
+int() or float() disagree. The instance reader is the exception: it now
+names physical lines, so there only the decision to accept and the
+accepted instance must agree.
 """
 
 import dataclasses
 import random
+import warnings
 from typing import Tuple
 
-from liftedtrack.affinity import FEATURE_NAMES, read_match_table, write_match_table
+import pytest
+
+from liftedtrack import affinity, motio
+from liftedtrack.affinity import (
+    FEATURE_NAMES,
+    MatchTable,
+    read_match_table,
+    write_match_table,
+)
+from liftedtrack.cli import _read_tracklets
 from liftedtrack.graph import BBox, Detection
 from liftedtrack.motio import MotRecord, read_mot, write_mot
 from liftedtrack.pipeline import PipelineConfig, read_config, write_config
@@ -24,6 +37,7 @@ from reader_reference import (
     reference_read_match_table,
     reference_read_mot,
     reference_write_config,
+    reference_write_match_table,
 )
 
 
@@ -74,6 +88,32 @@ def corrupt_line(rnd, parts, sep):
     return sep.join(parts)
 
 
+# Field spellings on which np.loadtxt and int() or float() disagree about
+# what to accept, each a format of the field it replaces
+DISPUTED = ("+{}", "0{}", " {} ", "\t{}", "1_0{}", "{}_0", "{}.", ".5", "1.",
+            "Infinity", "-Infinity", "1e-400", "1e999", "\x1c{}", "{}\x1f",
+            "\x0b{}", "{}\x0c")
+# Files without a row
+BLANK_FILES = ("", "\n", "\n\n\n", " \n\t\n", "   ", "\r\n\r", "\t\r")
+
+
+def respelled(rnd, text, sep):
+    """`text` with some fields respelled in DISPUTED ways, a trailing comma on
+    some lines, and every line ending made "\n", "\r" or "\r\n"."""
+    rate = rnd.choice([0.0, 0.002, 0.01, 0.05])
+    lines = []
+    for line in text.split("\n")[:-1]:
+        parts = line.split(sep)
+        if line.strip():
+            parts = [rnd.choice(DISPUTED).format(part.strip())
+                     if rnd.random() < rate else part for part in parts]
+            if rnd.random() < rate:
+                parts[-1] += ","
+        lines.append((sep or " ").join(parts))
+    end = rnd.choice(["\n", "\n", "\r", "\r\n"])
+    return "".join(line + end for line in lines)
+
+
 def fuzzed_mot_file(rnd):
     """MOT lines with spelled-out ints and floats, and planted frames below
     1, non-positive boxes and corrupted fields."""
@@ -92,20 +132,24 @@ def fuzzed_mot_file(rnd):
 
 
 class TestMotMatchesReference:
+    @staticmethod
+    def agree(tmp_path, text):
+        """The kind of outcome of reading `text` as a MOT file, which read_mot
+        and the frozen reader must share, with the same written bytes."""
+        path, ours, theirs = (tmp_path / name for name in ("det.txt", "a.txt", "b.txt"))
+        path.write_bytes(text.encode("ascii"))
+        want = outcome(lambda: reference_read_mot(path))
+        got = outcome(lambda: read_mot(path))
+        assert got == want, text
+        if want[0] == "ok":
+            write_mot(got[1], ours)
+            write_mot(want[1], theirs)
+            assert ours.read_bytes() == theirs.read_bytes()
+        return kind_of(want)
+
     def test_fuzzed_files(self, tmp_path):
         rnd = random.Random(31)
-        path, ours, theirs = (tmp_path / name for name in ("det.txt", "a.txt", "b.txt"))
-        kinds = set()
-        for _ in range(600):
-            path.write_text(fuzzed_mot_file(rnd))
-            want = outcome(lambda: reference_read_mot(path))
-            got = outcome(lambda: read_mot(path))
-            assert got == want, path.read_text()
-            kinds.add(kind_of(want))
-            if want[0] == "ok":
-                write_mot(got[1], ours)
-                write_mot(want[1], theirs)
-                assert ours.read_bytes() == theirs.read_bytes()
+        kinds = {self.agree(tmp_path, fuzzed_mot_file(rnd)) for _ in range(600)}
         assert kinds == {"ok", "expected", "frame", "box", "invalid", "could",
                          "non-finite"}
 
@@ -118,6 +162,14 @@ class TestMotMatchesReference:
         path = tmp_path / "det.txt"
         write_mot(records, path)
         assert read_mot(path) == reference_read_mot(path) == records
+
+    def test_disputed_spellings(self, tmp_path):
+        rnd = random.Random(37)
+        texts = BLANK_FILES + tuple(respelled(rnd, fuzzed_mot_file(rnd), ",")
+                                    for _ in range(600))
+        kinds = {self.agree(tmp_path, text) for text in texts}
+        assert kinds == {"ok", "expected", "frame", "box", "invalid", "could",
+                         "non-finite"}
 
 
 def fuzzed_match_file(rnd):
@@ -143,24 +195,37 @@ def fuzzed_match_file(rnd):
 
 
 class TestMatchTableMatchesReference:
-    def test_fuzzed_files(self, tmp_path):
-        rnd = random.Random(33)
+    @staticmethod
+    def agree(tmp_path, detections, text):
+        """The kind of outcome of reading `text` as a match table, which
+        read_match_table and the frozen reader must share, with the same
+        bytes from the writer and the frozen writer."""
         path, ours, theirs = (tmp_path / n for n in ("matches.txt", "a.txt", "b.txt"))
-        kinds = set()
-        for _ in range(600):
-            detections, text = fuzzed_match_file(rnd)
-            path.write_text(text)
-            want = outcome(lambda: reference_read_match_table(path, detections))
-            got = outcome(lambda: read_match_table(path, detections))
-            kinds.add(kind_of(want))
-            if want[0] == "error":
-                assert got == want, text
-                continue
+        path.write_bytes(text.encode("ascii"))
+        want = outcome(lambda: reference_read_match_table(path, detections))
+        got = outcome(lambda: read_match_table(path, detections))
+        if want[0] == "error":
+            assert got == want, text
+        else:
             assert got[1].rows.dtype == want[1].rows.dtype
             assert got[1].rows.tolist() == want[1].rows.tolist()
             write_match_table(ours, got[1], detections)
-            write_match_table(theirs, want[1], detections)
+            reference_write_match_table(theirs, want[1], detections)
             assert ours.read_bytes() == theirs.read_bytes()
+        return kind_of(want)
+
+    def test_fuzzed_files(self, tmp_path):
+        rnd = random.Random(33)
+        kinds = {self.agree(tmp_path, *fuzzed_match_file(rnd)) for _ in range(600)}
+        assert kinds == {"ok", "expected", "no", "self-loop", "overlap", "conflicting",
+                         "invalid", "could"}
+
+    def test_disputed_spellings(self, tmp_path):
+        rnd = random.Random(38)
+        cases = [fuzzed_match_file(rnd) for _ in range(600)]
+        cases = ([(d, text) for (d, _), text in zip(cases, BLANK_FILES)]
+                 + [(d, respelled(rnd, text, None)) for d, text in cases])
+        kinds = {self.agree(tmp_path, d, text) for d, text in cases}
         assert kinds == {"ok", "expected", "no", "self-loop", "overlap", "conflicting",
                          "invalid", "could"}
 
@@ -281,3 +346,79 @@ class TestConfigMatchesReference:
             # accepted, rejected naming a line, or rejected as a whole
             kinds.add(want[0] if want[0] == "ok" else want[2][len(str(path))])
         assert kinds == {"ok", ":"}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the line reader ran")
+
+
+class TestArrayPass:
+    """Canonical files are read by the array pass alone. Without these, an
+    array pass that always fell back would pass every test above."""
+
+    def test_canonical_mot_file(self, tmp_path, monkeypatch):
+        rnd = random.Random(39)
+        path = tmp_path / "det.txt"
+        read = 0
+        for _ in range(20):
+            path.write_text(fuzzed_mot_file(rnd))
+            want = outcome(lambda: reference_read_mot(path))
+            if want[0] == "ok" and want[1]:
+                write_mot(want[1], path)
+                with monkeypatch.context() as patch:
+                    patch.setattr(motio, "parse_lines", refuse)
+                    assert read_mot(path) == want[1]
+                read += 1
+        assert read >= 10
+
+    def test_canonical_match_file(self, tmp_path, monkeypatch):
+        rnd = random.Random(40)
+        path = tmp_path / "matches.txt"
+        read = 0
+        for _ in range(20):
+            detections, text = fuzzed_match_file(rnd)
+            path.write_text(text)
+            want = outcome(lambda: reference_read_match_table(path, detections))
+            if want[0] == "ok" and len(want[1].rows):
+                write_match_table(path, want[1], detections)
+                with monkeypatch.context() as patch:
+                    patch.setattr(affinity, "parse_lines", refuse)
+                    assert read_match_table(path, detections) == want[1]
+                read += 1
+        assert read >= 10
+
+    @pytest.mark.parametrize("text", BLANK_FILES)
+    def test_blank_file_reads_empty_without_warnings(self, tmp_path, text):
+        path = tmp_path / "blank.txt"
+        path.write_bytes(text.encode("ascii"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_mot(path) == []
+            assert read_match_table(path, []) == MatchTable([])
+
+
+def one_detection_per_frame(path):
+    return read_match_table(path, [Detection(f, BBox(0.0, 0.0, 1.0, 1.0))
+                                   for f in (1, 2)])
+
+
+# reader -> a valid first line of its file
+ASCII_READERS = {
+    "read_mot": (read_mot, "1,-1,10,20,30,40,0.9,-1,-1,-1"),
+    "read_match_table": (one_detection_per_frame, "1 0 2 0 0.5"),
+    "read_instance": (read_instance, "2 1 0"),
+    "_read_tracklets": (_read_tracklets, "0 1"),
+    "read_config": (read_config, "epochs = 2"),
+}
+
+
+@pytest.mark.parametrize("name", ASCII_READERS)
+def test_non_ascii_byte_names_file_and_line(tmp_path, name):
+    reader, first = ASCII_READERS[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes(f"{first}\ncafé 1\n".encode("utf-8"))
+    with pytest.raises(ValueError) as exc:
+        reader(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{path}:2: 'ascii' codec can't decode byte 0xc3 in "
+                              f"position 3: ordinal not in range(128)")
