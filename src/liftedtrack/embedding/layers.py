@@ -65,7 +65,9 @@ class Conv2D(Layer):
     copy and no window view.
 
     * forward: ``W (O, C*k*k) @ cols (C*k*k, N*H*W)``; the (O, N, H, W)
-      product is returned as an NCHW view and the bias added in place.
+      product is returned as an NCHW view and the bias, if any, added in
+      place. A conv that BatchNorm follows has no bias: the normalisation
+      subtracts the batch mean, which cancels it, so its gradient is 0.
       A training forward caches `cols`, an inference forward only `x`.
     * dW: ``dout (O, N*H*W) @ rows (N*H*W, C*k*k)``, rows the transpose of
       cols, copied contiguous.
@@ -82,7 +84,7 @@ class Conv2D(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, bias: bool = True):
         super().__init__()
         if kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd for same padding")
@@ -94,8 +96,9 @@ class Conv2D(Layer):
         fan_out = out_channels * k * k
         self.params = {
             "W": xavier_uniform(rng, (out_channels, in_channels, k, k), fan_in, fan_out),
-            "b": np.zeros(out_channels),
         }
+        if bias:
+            self.params["b"] = np.zeros(out_channels)
 
     def _columns(self, x):
         """Column matrix of `x` zero-padded by k // 2, (C*k*k, N*H*W)."""
@@ -127,11 +130,12 @@ class Conv2D(Layer):
         cols = self._columns(x)
         W = self.params["W"]
         out = self._matmul_cols(W.reshape(W.shape[0], -1), cols, x.shape)
-        out += self.params["b"][None, :, None, None]
+        if "b" in self.params:
+            out += self.params["b"][None, :, None, None]
         return out, (x, cols if train else None)
 
     def param_grads(self, dout, cache):
-        """Gradients of W and b alone, for a layer whose input needs none."""
+        """Gradients of the parameters alone, for a layer whose input needs none."""
         x, cols = cache
         if cols is None:
             cols = self._columns(x)
@@ -140,7 +144,10 @@ class Conv2D(Layer):
         # a 1x1 kernel on one image: the einsum's rows are this same view
         rows = cols.T if k == 1 and n == 1 else np.ascontiguousarray(cols.T)
         dW = dout.transpose(1, 0, 2, 3).reshape(o, n * h * w) @ rows
-        return {"W": dW.reshape(o, -1, k, k), "b": dout.sum(axis=(0, 2, 3))}
+        grads = {"W": dW.reshape(o, -1, k, k)}
+        if "b" in self.params:
+            grads["b"] = dout.sum(axis=(0, 2, 3))
+        return grads
 
     def backward(self, dout, cache):
         # dx is the full correlation of dout with the 180-degree-rotated

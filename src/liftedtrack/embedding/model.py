@@ -92,7 +92,7 @@ class AutoEncoder:
         enc: List[Layer] = []
         prev = c_in
         for ch in config.conv_channels:
-            enc.append(Conv2D(prev, ch, k, rng))
+            enc.append(Conv2D(prev, ch, k, rng, bias=not config.batchnorm))
             if config.batchnorm:
                 enc.append(BatchNorm(ch))
             enc.append(ReLU())
@@ -108,7 +108,7 @@ class AutoEncoder:
         for i, ch in enumerate(channels_out):
             last = i == len(channels_out) - 1
             dec.append(Upsample2x())
-            dec.append(Conv2D(prev, ch, k, rng))
+            dec.append(Conv2D(prev, ch, k, rng, bias=last or not config.batchnorm))
             if not last:
                 if config.batchnorm:
                     dec.append(BatchNorm(ch))
@@ -220,6 +220,14 @@ class AutoEncoder:
 
     @classmethod
     def load(cls, path) -> "AutoEncoder":
+        """Rebuild a checkpoint written by `save`.
+
+        A file holding a tensor the network does not have is rejected with
+        a ValueError that names it. That includes a batchnorm network saved
+        with a bias on each conv before a BatchNorm: the normalisation
+        cancels such a bias in training, but inference subtracts running
+        means that include it, so dropping it silently would change codes.
+        """
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
@@ -233,10 +241,13 @@ class AutoEncoder:
         model = cls(config, seed=meta["seed"])
         model.epoch = meta["epoch"]
         for (stack, i), name, arr in model.parameter_items():
-            arr[...] = arrays[f"{stack}.{i}.{name}"]
+            arr[...] = arrays.pop(f"{stack}.{i}.{name}")
         for key, layer in model.layer_items():
             if isinstance(layer, BatchNorm):
                 stack, i = key
-                layer.running_mean = arrays[f"{stack}.{i}.running_mean"].copy()
-                layer.running_var = arrays[f"{stack}.{i}.running_var"].copy()
+                layer.running_mean = arrays.pop(f"{stack}.{i}.running_mean").copy()
+                layer.running_var = arrays.pop(f"{stack}.{i}.running_var").copy()
+        if arrays:
+            raise ValueError(f"{path}: checkpoint holds {', '.join(sorted(arrays))}, "
+                             "which this network does not have")
         return model

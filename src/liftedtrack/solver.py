@@ -114,22 +114,21 @@ def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
     return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
 
 
-def _incidence(num_nodes: int, edges: np.ndarray) -> Tuple[list, list, list]:
-    """Each edge seen from both endpoints, grouped by node in edge order: the
-    other endpoints, their costs, and per node its slice bounds into both."""
+def _incidence(num_nodes: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each edge's row seen from both endpoints, grouped by node in edge
+    order, and per node its slice bounds into them."""
     ends = np.column_stack([edges["u"], edges["v"]]).ravel()
     order = np.argsort(ends, kind="stable")
-    others = np.column_stack([edges["v"], edges["u"]]).ravel()[order].tolist()
-    costs = np.repeat(edges["c"], 2)[order].tolist()
-    bounds = np.searchsorted(ends[order], np.arange(num_nodes + 1)).tolist()
-    return others, costs, bounds
+    return order // 2, np.searchsorted(ends[order], np.arange(num_nodes + 1))
 
 
 def _adjacency(num_nodes: int, edges: np.ndarray) -> List[List[Tuple[int, float]]]:
     """Per node, (neighbour, cost) of each incident edge, in edge order."""
-    others, costs, bounds = _incidence(num_nodes, edges)
-    incident = list(zip(others, costs))
-    return [incident[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows, bounds = _incidence(num_nodes, edges)
+    node = np.repeat(np.arange(num_nodes), np.diff(bounds))
+    others = (edges["u"] ^ edges["v"])[rows] ^ node
+    incident = list(zip(others.tolist(), edges["c"][rows].tolist()))
+    return [incident[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -248,56 +247,74 @@ def solve_gaec(
     Ties pick the smallest ordered pair (lower first) of cluster min nodes.
     Pass `trace` to record the objective after every contraction.
 
-    Cluster ids are node ids, and they are stable: of a contracted pair,
-    the cluster with more regular plus lifted neighbours survives and takes
-    over the other's neighbour costs (small-to-large merging), so a
-    contraction costs the smaller side's adjacency. Each contraction
+    Cluster ids are node ids, and they are stable. Every live pair of
+    adjacent clusters owns one row of a slot table: the xor of its two
+    cluster ids, its regular and lifted cost sums, and whether a regular
+    edge is among them. Both clusters hold the row's slot id in their slot
+    arrays, so a neighbour sees a contraction without being touched.
+    Contracting b into a, the side with more live slots, looks b's
+    neighbours up in a's: a row both sides share takes the sum of the two
+    (a's first, as a running `+=` adds) and b's duplicate dies; any other
+    row of b is relabelled to a. So a contraction costs O(deg a + deg b)
+    array work, where deg counts a slot array's entries, dead ones
+    included. Summed over all contractions, that was 5.4-6.8 (|E|+|F|) on
+    the 100-frame and the dense scenes of the benchmark and 12.6 (|E|+|F|)
+    on `benchmark_spec(300)`: a long track grows by one detection at a
+    time, and each step touches its whole neighbourhood. Each contraction
     records its pair of cluster ids, and the nodes are labelled at the end
-    by the connected components of those pairs. Each cluster's smallest
-    node is kept apart from its id and keys the heap, so the tie rule does
-    not depend on which side survives. A heap entry is acted on only while
-    both clusters live, stay adjacent, and its total and key are current.
-    After a contraction only the survivor's pairs whose total can have
-    changed are pushed again: those with the absorbed cluster's regular and
-    lifted neighbours that are now regular neighbours of the survivor. All
-    of its pairs are pushed only when its smallest node dropped, since that
-    changes their keys. Each merged cost is the sum of the two sides'
-    costs, and float addition is commutative, so partitions, traces and
-    objectives equal those of a contraction that always keeps the side with
-    the smaller min node (`tests/gaec_reference.py`).
+    by the connected components of those pairs.
+
+    Each cluster's smallest node is kept apart from its id and keys the
+    heap, so the tie rule does not depend on which side survives. A live
+    pair's slot never changes, so a heap entry is acted on only while both
+    clusters live and its total and key are current. After a contraction
+    the rows that came from b, or all of a's rows if its smallest node
+    dropped (which changes their keys), go on the heap again if they are
+    regular and their total is positive. Each merged cost is the sum of the
+    two sides' costs, and float addition is commutative, so partitions,
+    traces and objectives equal those of a contraction that always keeps
+    the side with the smaller min node (`tests/gaec_reference.py`). A sum
+    that one side lacks is 0.0 there, which can change only the sign of a
+    zero sum, and no comparison or trace value depends on that sign.
     """
     n = instance.num_nodes
-
-    def neighbour_costs(edges):
-        others, costs, bounds = _incidence(n, edges)
-        return [dict(zip(others[lo:hi], costs[lo:hi]))
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    reg, lif = neighbour_costs(instance.edges), neighbour_costs(instance.lifted_edges)
+    both = np.concatenate([instance.edges, instance.lifted_edges])
+    # E and F are disjoint, so each singleton pair's row is one edge.
+    regular = np.arange(len(both)) < instance.num_edges
+    ends = both["u"] ^ both["v"]
+    reg = np.where(regular, both["c"], 0.0)
+    lif = np.where(regular, 0.0, both["c"])
+    live = np.ones(len(both), dtype=bool)
+    rows, bounds = _incidence(n, both)
+    slots = np.split(rows, bounds[1:-1])
+    pos = np.full(n, -1)
     min_node = list(range(n))
     alive = [True] * n
     contracted = []
-    obj = _sequential_sum(np.concatenate([instance.edges["c"],
-                                          instance.lifted_edges["c"]]))
+    obj = _sequential_sum(both["c"])
     if trace is not None:
         trace.append(obj)
 
-    # E and F are disjoint, so each singleton pair's total is its edge cost.
-    attract = instance.edges[instance.edges["c"] > 0.0]
-    heap = [(-c, (u, v), u, v) for u, v, c in zip(*_columns(attract))]
+    attract = np.flatnonzero(regular & (both["c"] > 0.0))
+    heap = [(-c, (u, v), u, v, s) for u, v, c, s in zip(
+        *_columns(both[attract]), attract.tolist())]
     heapq.heapify(heap)
 
     while heap:
-        negt, key, a, b = heapq.heappop(heap)
-        if not (alive[a] and alive[b] and b in reg[a]):
+        negt, key, a, b, s = heapq.heappop(heap)
+        if not (alive[a] and alive[b]):
             continue
-        t = reg[a][b] + lif[a].get(b, 0.0)
+        t = reg.item(s) + lif.item(s)
         ma, mb = min_node[a], min_node[b]
         if -negt != t or key != ((ma, mb) if ma < mb else (mb, ma)):
             continue  # stale entry; a fresh one was pushed on update
+        live[s] = False
+        # slot arrays keep the rows that other contractions killed
+        sa, sb = slots[a], slots[b]
+        sa, sb = sa[live[sa]], sb[live[sb]]
         # Contract b into a, the side with more neighbours.
-        if len(reg[a]) + len(lif[a]) < len(reg[b]) + len(lif[b]):
-            a, b = b, a
+        if len(sa) < len(sb):
+            a, b, sa, sb = b, a, sb, sa
         alive[b] = False
         contracted.append((a, b))
         dropped = min_node[b] < min_node[a]
@@ -306,27 +323,29 @@ def solve_gaec(
         obj -= t
         if trace is not None:
             trace.append(obj)
-        del reg[a][b], reg[b][a]
-        lif[a].pop(b, None)
-        lif[b].pop(a, None)
-        for adj in (reg, lif):
-            into = adj[a]
-            for nbr, c in adj[b].items():
-                into[nbr] = into.get(nbr, 0.0) + c
-                theirs = adj[nbr]
-                del theirs[b]
-                theirs[a] = into[nbr]
-        reg_a, lif_a, ma = reg[a], lif[a], min_node[a]
-        if dropped:
-            changed = reg_a.keys()
-        else:
-            changed = (reg[b].keys() | lif[b].keys()) & reg_a.keys()
-        reg[b] = lif[b] = None
-        for nbr in changed:
-            total = reg_a[nbr] + lif_a.get(nbr, 0.0)
-            if total > 0.0:
-                mn = min_node[nbr]
-                heapq.heappush(heap, (-total, (ma, mn) if ma < mn else (mn, ma), a, nbr))
+        theirs = ends[sa] ^ a
+        pos[theirs] = sa
+        hit = pos[ends[sb] ^ b]
+        pos[theirs] = -1
+        shared = hit >= 0
+        hit, dup, moved = hit[shared], sb[shared], sb[~shared]
+        reg[hit] += reg[dup]
+        lif[hit] += lif[dup]
+        regular[hit] |= regular[dup]
+        live[dup] = False
+        ends[moved] ^= a ^ b
+        slots[a] = np.concatenate([sa, moved])
+        slots[b] = None
+        changed = slots[a] if dropped else np.concatenate([hit, moved])
+        changed = changed[regular[changed]]
+        total = reg[changed] + lif[changed]
+        up = total > 0.0
+        ma = min_node[a]
+        for c, row, end in zip(total[up].tolist(), changed[up].tolist(),
+                               ends[changed[up]].tolist()):
+            nbr = end ^ a
+            mn = min_node[nbr]
+            heapq.heappush(heap, (-c, (mn, ma) if mn < ma else (ma, mn), a, nbr, row))
 
     u, v = np.array(contracted, dtype=np.int64).reshape(-1, 2).T
     partition = Partition.from_labels(pair_components(n, u, v))

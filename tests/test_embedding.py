@@ -501,6 +501,26 @@ class TestAutoEncoder:
         assert np.array_equal(model.encode_batch(img[None])[0],
                               back.encode_batch(img[None])[0])
 
+    @pytest.mark.parametrize("arch", [SMALL, SMALL_BN], ids=["plain", "batchnorm"])
+    def test_conv_has_bias_unless_batchnorm_follows(self, arch):
+        model = AutoEncoder(arch, seed=0)
+        for layers in (model.encoder_layers, model.decoder_layers):
+            for layer, after in zip(layers, layers[1:] + [None]):
+                if isinstance(layer, Conv2D):
+                    assert ("b" in layer.params) != isinstance(after, BatchNorm)
+        detail = gradient_check(model, small_batch(np.random.default_rng(3), n=2),
+                                detail=True)
+        assert (("enc", 0, "b") in detail) != arch.batchnorm
+
+    def test_load_rejects_conv_bias_before_batchnorm(self, tmp_path):
+        path = tmp_path / "model.npz"
+        AutoEncoder(SMALL_BN, seed=7).save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **arrays, **{"enc.0.b": np.zeros(SMALL_BN.conv_channels[0])})
+        with pytest.raises(ValueError, match=r"model\.npz: checkpoint holds enc\.0\.b,"):
+            AutoEncoder.load(path)
+
 
 class TestLosses:
     def test_reconstruction_matches_handrolled_forward(self):

@@ -22,9 +22,12 @@ from helpers import UnionFind, random_instance, random_labeling, random_partitio
 from gaec_reference import reference_solve_gaec
 from kl_reference import reference_solve_kl
 from liftedtrack.graph import (
+    BBox,
+    Detection,
     EdgeLabeling,
     MulticutInstance,
     Partition,
+    build_graph,
     labeling_to_partition,
 )
 from liftedtrack.solver import (
@@ -474,6 +477,32 @@ def _hub_instance(rng):
     return MulticutInstance(n, tuple(edges), tuple(lifted))
 
 
+def _scene_instance(rng, planted):
+    """`build_graph` over 30 frames of 8-16 detections each, costed at random.
+
+    Regular edges span frame gaps 0-2 and lifted edges gaps 4 and 7, so
+    there are 300-480 nodes of mean regular degree above 40. Costs are
+    small integers, so totals tie, and each zero gets a random sign. With
+    `planted`, each frame's detection k belongs to identity k, and a pair
+    of one identity gets 3 added to its cost.
+    """
+    counts = rng.integers(8, 17, size=30)
+    frames = np.repeat(np.arange(1, 31), counts)
+    identity = np.concatenate([np.arange(c) for c in counts])
+    graph = build_graph([Detection(int(f), BBox(0, 0, 1, 1)) for f in frames],
+                        max_frame_gap=2, lifted_gaps=(4, 7))
+    costed = []
+    for edges in (graph.edges, graph.lifted_edges):
+        costs = rng.integers(-4, 3, size=len(edges)).astype(float)
+        if planted:
+            costs += 3.0 * (identity[edges["u"]] == identity[edges["v"]])
+        zero = costs == 0.0
+        costs[zero] *= rng.choice([1.0, -1.0], size=int(zero.sum()))
+        costed.append(edges.copy())
+        costed[-1]["c"] = costs
+    return MulticutInstance(graph.num_nodes, *costed)
+
+
 def _gaec_cases():
     """Normal, integer-cost and hub instances with lifted edges, a few large."""
     rng = np.random.default_rng(71)
@@ -502,6 +531,26 @@ class TestGaecMatchesReference:
             assert got_value == ref_value
             contractions += len(got_trace) - 1
         assert contractions > 1500
+
+    @pytest.mark.parametrize("seed, planted", [(73, False), (74, True), (75, True)])
+    def test_dense_scenes(self, seed, planted):
+        # High degree: a contraction merges rows of tens of shared neighbours.
+        # Each instance also contracts at tied totals, merges signed zeros,
+        # makes lifted-only pairs regular, and lowers survivors' min nodes.
+        inst = _scene_instance(np.random.default_rng(seed), planted)
+        assert inst.num_nodes >= 300 and 2 * inst.num_edges >= 40 * inst.num_nodes
+        costs = np.concatenate([inst.edges["c"], inst.lifted_edges["c"]])
+        assert set(np.signbit(costs[costs == 0.0]).tolist()) == {False, True}
+        ref_trace, got_trace = [], []
+        ref_part, ref_value = reference_solve_gaec(inst, trace=ref_trace)
+        got_part, got_value = solve_gaec(inst, trace=got_trace)
+        assert got_part == ref_part
+        assert got_trace == ref_trace
+        assert got_value == ref_value
+        assert len(got_trace) > 300
+        # a lifted pair lies inside a cluster only if a merge made it regular
+        block = got_part.component_of
+        assert (block[inst.lifted_edges["u"]] == block[inst.lifted_edges["v"]]).any()
 
 
 # ---------------------------------------------------------------------------
