@@ -52,6 +52,15 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as PipelineError(name, cause)."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
 def _is_integer(value) -> bool:
     # bool is an int subclass, but True is no detection id
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -207,6 +216,17 @@ def read_config(path) -> PipelineConfig:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _check_table(table: MatchTable, num_detections: int) -> None:
+    """Reject the first pair, in (u, v) order, that names no detection."""
+    # rows are canonical (u < v) and ids non-negative, so v decides
+    bad = np.flatnonzero(table.rows["v"] >= num_detections)
+    if bad.size:
+        u, v = int(table.rows["u"][bad[0]]), int(table.rows["v"][bad[0]])
+        raise ValueError(f"match table pair ({u}, {v}) names detection {v} "
+                         f"of {num_detections}")
+
+
+@_stage("pregroup")
 def pregroup(detections: Sequence[Detection], table: MatchTable,
              threshold: float = 0.7, max_gap: int = 3) -> List[List[int]]:
     """Group detections whose overlap score exceeds the threshold.
@@ -216,8 +236,11 @@ def pregroup(detections: Sequence[Detection], table: MatchTable,
     one (ties: lower detection ids). Only that one-to-one acceptance is a
     Python loop. The connected components of the accepted edges become
     tracklets, lists of ascending detection ids in order of their smallest
-    member; every detection lands in exactly one.
+    member; every detection lands in exactly one. Any failure, such as a
+    pair that names no detection, is raised as PipelineError at stage
+    "pregroup".
     """
+    _check_table(table, len(detections))
     frames = np.array([det.frame for det in detections], dtype=np.int64)
     u, v, value = table.rows["u"], table.rows["v"], table.rows["value"]
     gap = np.abs(frames[v] - frames[u])
@@ -303,20 +326,12 @@ def train_embedding(detections: Sequence[Detection],
         return train(model, images, frames, labels, config.training_config())
 
 
-@contextmanager
-def _stage(name: str):
-    """Re-raise any failure inside the block as PipelineError(name, cause)."""
-    try:
-        yield
-    except Exception as exc:
-        raise PipelineError(name, exc) from exc
-
-
 def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
                         latents: np.ndarray, config: PipelineConfig
                         ) -> Tuple[AffinityModel, AffinityModel]:
     """Fit the nearby and lifted regressors on self-labeled extreme pairs."""
     with _stage("fit"):
+        _check_table(table, len(detections))
         rows, labels = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
         raw = np.column_stack([rows["value"],
                                latent_distances(latents, rows["u"], rows["v"])])

@@ -12,9 +12,11 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import depth_first_order
 
 from .graph import (
     Edge,
@@ -120,15 +122,6 @@ def _incidence(num_nodes: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     ends = np.column_stack([edges["u"], edges["v"]]).ravel()
     order = np.argsort(ends, kind="stable")
     return order // 2, np.searchsorted(ends[order], np.arange(num_nodes + 1))
-
-
-def _adjacency(num_nodes: int, edges: np.ndarray) -> List[List[Tuple[int, float]]]:
-    """Per node, (neighbour, cost) of each incident edge, in edge order."""
-    rows, bounds = _incidence(num_nodes, edges)
-    node = np.repeat(np.arange(num_nodes), np.diff(bounds))
-    others = (edges["u"] ^ edges["v"])[rows] ^ node
-    incident = list(zip(others.tolist(), edges["c"][rows].tolist()))
-    return [incident[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -358,43 +351,38 @@ def solve_gaec(
 # ---------------------------------------------------------------------------
 
 
-def _articulation_points(
-    cluster: Set[int], reg_adj: Sequence[Sequence[Tuple[int, float]]]
-) -> Set[int]:
-    """Nodes whose removal disconnects the regular-edge subgraph of `cluster`.
+def _articulation_points(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ascending nodes whose removal disconnects the graph on nodes 0..size-1
+    with edges (u[i], v[i]); it must be connected, with no edge repeated.
 
-    One iterative Tarjan low-link pass from the smallest node; `cluster`
-    must be connected through regular edges.
+    Hopcroft & Tarjan's low values over one depth-first tree from node 0:
+    a node's low is the smallest preorder position that a back edge from
+    its subtree reaches. A parent is a cut node when a child's low does not
+    reach above the parent, and the root when it has two children.
     """
-    root = min(cluster)
-    disc = {root: 0}
-    low = {root: 0}
-    points: Set[int] = set()
-    root_children = 0
-    stack = [(root, -1, iter(reg_adj[root]))]
-    while stack:
-        x, parent, nbrs = stack[-1]
-        for y, _ in nbrs:
-            if y not in cluster:
-                continue
-            if y not in disc:
-                disc[y] = low[y] = len(disc)
-                stack.append((y, x, iter(reg_adj[y])))
-                break
-            if y != parent and disc[y] < low[x]:
-                low[x] = disc[y]
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent >= 0:
-                if low[x] < low[parent]:
-                    low[parent] = low[x]
-                if low[x] >= disc[parent]:
-                    points.add(parent)
-    if root_children > 1:
-        points.add(root)
-    return points
+    # Both directions of every edge, rows grouped by tail: a directed search
+    # of this graph skips the transpose that `directed=False` builds.
+    ends, other = np.concatenate([u, v]), np.concatenate([v, u])
+    by_end = np.argsort(ends)
+    bounds = np.searchsorted(ends[by_end], np.arange(size + 1))
+    graph = csr_array((np.ones(len(ends)), other[by_end], bounds), shape=(size, size))
+    order, parent = depth_first_order(graph, 0)
+    pre = np.empty(size, dtype=np.int64)
+    pre[order] = np.arange(size)
+    # in a depth-first tree every edge but a node's tree edge is a back edge
+    back = (parent[ends] != other) & (parent[other] != ends)
+    low = pre.copy()
+    np.minimum.at(low, ends[back], pre[other[back]])
+    child = order[1:]
+    up = parent[child]
+    # reverse preorder reaches every child before its parent
+    low = low.tolist()
+    for x, p in zip(child[::-1].tolist(), up[::-1].tolist()):
+        if low[x] < low[p]:
+            low[p] = low[x]
+    cut = np.array(low)[child] >= pre[up]
+    # the root (node 0, preorder 0) needs two such children, any other node one
+    return np.flatnonzero(np.bincount(up[cut], minlength=size) > (np.arange(size) == 0))
 
 
 def _cluster_labels(instance: MulticutInstance, assign: np.ndarray) -> np.ndarray:
@@ -424,9 +412,9 @@ def _articulation_sums(
     # and in range: the checks `MulticutInstance` ran on the instance hold.
     for edges in (reg, lif):
         edges["u"], edges["v"] = local[edges["u"]], local[edges["v"]]
-    points = sorted(_articulation_points(set(range(size)), _adjacency(size, reg)))
+    points = _articulation_points(size, reg["u"], reg["v"])
     sums = []
-    for x in points:
+    for x in points.tolist():
         kept = reg[(reg["u"] != x) & (reg["v"] != x)]
         part = pair_components(size, kept["u"], kept["v"])
         cut = (lif["u"] != x) & (lif["v"] != x) & (part[lif["u"]] != part[lif["v"]])
@@ -463,8 +451,9 @@ def solve_kl(
     one `np.unique` and `np.bincount` pass over E and F per key kind:
     (node, neighbour's cluster) and (cluster, cluster). The lifted pairs a
     node's removal disconnects are cached per cluster member set and
-    recomputed, by Tarjan's pass and one component labelling per
-    articulation node, only for the clusters the previous move changed.
+    recomputed, by one depth-first pass for the articulation nodes and one
+    component labelling per articulation node, only for the clusters the
+    previous move changed.
     """
     if initial.num_nodes != instance.num_nodes:
         raise ValueError("initial partition does not cover the instance nodes")

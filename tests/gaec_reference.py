@@ -11,18 +11,22 @@ regular neighbours is pushed again.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from helpers import UnionFind, canonical_edge
 from liftedtrack.graph import MulticutInstance, Partition
-from liftedtrack.solver import (
-    _adjacency,
-    _sequential_sum,
-    objective,
-    partition_to_labeling,
-)
+from liftedtrack.solver import _sequential_sum, objective, partition_to_labeling
+
+
+def _incident_costs(n: int, edges: np.ndarray) -> List[Dict[int, float]]:
+    """Per node, neighbour -> cost of each incident edge, in edge order."""
+    incident: List[Dict[int, float]] = [{} for _ in range(n)]
+    for u, v, c in zip(edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()):
+        incident[u][v] = c
+        incident[v][u] = c
+    return incident
 
 
 def reference_solve_gaec(
@@ -41,8 +45,8 @@ def reference_solve_gaec(
     n = instance.num_nodes
     uf = UnionFind(n)
     min_node = list(range(n))
-    reg = [dict(incident) for incident in _adjacency(n, instance.edges)]
-    lif = [dict(incident) for incident in _adjacency(n, instance.lifted_edges)]
+    reg = _incident_costs(n, instance.edges)
+    lif = _incident_costs(n, instance.lifted_edges)
     obj = _sequential_sum(np.concatenate([instance.edges["c"],
                                           instance.lifted_edges["c"]]))
     if trace is not None:

@@ -118,6 +118,15 @@ class TestPregroup:
             got = pregroup(dets, MatchTable(triples), threshold, max_gap)
             assert [tuple(t) for t in got] == want
 
+    def test_pair_naming_no_detection_fails_at_pregroup(self):
+        dets = [det(f) for f in range(1, 6)]
+        table = MatchTable([(0, 1, 0.9), (2, 99, 0.9), (0, 99, 0.9)])
+        with pytest.raises(PipelineError) as info:
+            pregroup(dets, table)
+        assert info.value.stage == "pregroup"
+        assert isinstance(info.value.cause, ValueError)
+        assert str(info.value.cause) == "match table pair (0, 99) names detection 99 of 5"
+
     def test_labels_cover_all_detections(self):
         dets = [det(1), det(2, left=0.5), det(9)]
         tracklets = pregroup(dets, table_for(dets, [(0, 1)]))
@@ -406,6 +415,14 @@ class TestFitStage:
         assert isinstance(info.value.cause, ValueError)
         assert "each label" in str(info.value)
 
+    def test_pair_naming_no_detection_fails_at_fit(self):
+        dets = [det(f) for f in range(1, 6)]
+        with pytest.raises(PipelineError) as info:
+            fit_affinity_models(dets, MatchTable([(0, 99, 0.9)]), np.zeros((5, 4)),
+                                PipelineConfig())
+        assert info.value.stage == "fit"
+        assert isinstance(info.value.cause, ValueError)
+        assert str(info.value.cause) == "match table pair (0, 99) names detection 99 of 5"
 
     def test_non_finite_latent_fails_at_fit(self):
         # both label classes present: next-frame pairs overlap, two apart do not

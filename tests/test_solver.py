@@ -34,7 +34,6 @@ from liftedtrack.solver import (
     BRUTEFORCE_MAX_NODES,
     FeasibilityReport,
     Violation,
-    _adjacency,
     _articulation_points,
     _partition_table,
     is_feasible,
@@ -877,23 +876,45 @@ def _disconnects_lifted_pair(inst, block, x):
                                inst.lifted_edges["v"].tolist()))
 
 
-def _connected_subset(rng, adj, size):
+def _connected_subset(rng, inst, size):
     """Grow a node set from a random start along regular edges."""
+    adj = [[] for _ in range(inst.num_nodes)]
+    for u, v in zip(inst.edges["u"].tolist(), inst.edges["v"].tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
     start = int(rng.integers(0, len(adj)))
     nodes = {start}
-    frontier = [y for y, _ in adj[start]]
+    frontier = list(adj[start])
     while frontier and len(nodes) < size:
         y = frontier.pop(int(rng.integers(0, len(frontier))))
         if y not in nodes:
             nodes.add(y)
-            frontier.extend(z for z, _ in adj[y] if z not in nodes)
+            frontier.extend(z for z in adj[y] if z not in nodes)
     return nodes
+
+
+def _induced_articulation_points(inst, nodes):
+    """`_articulation_points` of the regular subgraph induced by `nodes`,
+    numbered locally in ascending order and mapped back to node ids."""
+    members = np.array(sorted(nodes))
+    local = np.full(inst.num_nodes, -1)
+    local[members] = np.arange(len(members))
+    u, v = local[inst.edges["u"]], local[inst.edges["v"]]
+    keep = (u >= 0) & (v >= 0)
+    return set(members[_articulation_points(len(members), u[keep], v[keep])].tolist())
 
 
 class TestArticulationPoints:
     @staticmethod
     def _by_removal(inst, nodes):
         return {x for x in nodes if _splits_when_removed(inst, nodes, x)}
+
+    @staticmethod
+    def _points(size, pairs):
+        u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        points = _articulation_points(size, u, v)
+        assert np.all(np.diff(points) > 0)
+        return points.tolist()
 
     def test_random_connected_sets(self):
         rng = np.random.default_rng(71)
@@ -902,10 +923,9 @@ class TestArticulationPoints:
             inst = random_instance(
                 rng, max_nodes=16, edge_prob=float(rng.uniform(0.1, 0.5))
             )
-            adj = _adjacency(inst.num_nodes, inst.edges)
-            nodes = _connected_subset(rng, adj, int(rng.integers(1, 17)))
+            nodes = _connected_subset(rng, inst, int(rng.integers(1, 17)))
             expected = self._by_removal(inst, nodes)
-            assert _articulation_points(nodes, adj) == expected
+            assert _induced_articulation_points(inst, nodes) == expected
             cut_vertices += len(expected)
         assert cut_vertices > 50
 
@@ -913,18 +933,24 @@ class TestArticulationPoints:
         rng = np.random.default_rng(73)
         for _ in range(100):
             inst = _chain_instance(rng, int(rng.integers(2, 30)))
-            adj = _adjacency(inst.num_nodes, inst.edges)
             lo = int(rng.integers(0, inst.num_nodes))
             hi = int(rng.integers(lo, inst.num_nodes)) + 1
             nodes = set(range(lo, hi))
-            assert _articulation_points(nodes, adj) == self._by_removal(inst, nodes)
+            assert _induced_articulation_points(inst, nodes) == self._by_removal(inst, nodes)
 
     def test_cycle_has_none_and_path_interior_all(self):
-        ring = MulticutInstance(5, tuple((i, (i + 1) % 5, 1.0) for i in range(4))
-                                + ((0, 4, 1.0),))
-        assert _articulation_points(set(range(5)), _adjacency(5, ring.edges)) == set()
-        path = MulticutInstance(5, tuple((i, i + 1, 1.0) for i in range(4)))
-        assert _articulation_points(set(range(5)), _adjacency(5, path.edges)) == {1, 2, 3}
+        assert self._points(5, [(i, (i + 1) % 5) for i in range(5)]) == []
+        assert self._points(5, [(i, i + 1) for i in range(4)]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("size, pairs, expected", [
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], [0]),
+        (4, [(0, 1), (0, 2), (0, 3)], [0]),
+        (5, [(0, 2), (1, 2), (2, 3), (2, 4)], [2]),
+        (2, [(0, 1)], []),
+    ], ids=["triangles-sharing-root", "star-at-root", "star-off-root", "single-edge"])
+    def test_root_rule(self, size, pairs, expected):
+        # the depth-first root is node 0: a cut node only with two children
+        assert self._points(size, pairs) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,33 @@ sets them up (seed 0), `benchmark_spec(300)` and `dense_spec()` with the
 default lifted gaps, both with 4 epochs. Each instance is captured where
 the pipeline hands it to `solve_gaec`, and written with `write_instance`.
 
-REV is checked out into a temporary `git worktree` from the local
-repository. Each tree then reads every instance with its own
-`read_instance` and solves it with GAEC and then KL from GAEC's partition,
-in its own process with its own `src/`. The script prints one row per
-scene with the graph sizes and the first difference in partition, trace
-or objective (`==` when there is none), and exits 1 if any scene differs.
+REV's `src/` is extracted with `git archive` from the local repository
+into a temporary directory. Each tree then reads every instance with its
+own `read_instance` and solves it with GAEC and then KL from GAEC's
+partition, in its own process with its own `src/`, three times; the
+results of each solve must be equal, and the fastest seconds of each
+solver are kept. The script prints one row per scene with the graph
+sizes, each tree's GAEC and KL seconds (REV -> working tree), and the
+first difference in partition, trace or objective (`==` when there is
+none), and exits 1 if any scene differs.
 """
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ("paper-100", "lifted-long", "dense-retrack", "benchmark-300", "dense-lifted")
 ARTEFACTS = ("partition", "trace", "objective")
+REPEATS = 3
 
 
 def _capture_instances(workdir: Path) -> dict:
@@ -68,20 +75,30 @@ def _capture_instances(workdir: Path) -> dict:
 
 
 def _solve(instance_dir: Path, out: Path) -> None:
-    """Solve every scene's instance with this process's liftedtrack; dump JSON."""
+    """Solve every scene's instance with this process's liftedtrack; dump JSON
+    with the results and the best of REPEATS seconds of each solver."""
     import liftedtrack
     from liftedtrack.solver import read_instance, solve_gaec, solve_kl
 
     results = {"liftedtrack": liftedtrack.__file__}
     for name in SCENES:
         instance = read_instance(instance_dir / f"{name}.txt")
-        gaec_trace, kl_trace = [], []
-        gaec, gaec_value = solve_gaec(instance, trace=gaec_trace)
-        kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
-        results[name] = {
-            "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
-            "kl": [kl.component_of.tolist(), kl_trace, kl_value],
-        }
+        runs = []
+        for _ in range(REPEATS):
+            gaec_trace, kl_trace = [], []
+            start = time.perf_counter()
+            gaec, gaec_value = solve_gaec(instance, trace=gaec_trace)
+            middle = time.perf_counter()
+            kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
+            end = time.perf_counter()
+            runs.append(({
+                "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
+                "kl": [kl.component_of.tolist(), kl_trace, kl_value],
+            }, middle - start, end - middle))
+        solved, gaec_s, kl_s = zip(*runs)
+        if any(other != solved[0] for other in solved[1:]):
+            sys.exit(f"solver_parity: {name} gives different results on repeat")
+        results[name] = dict(solved[0], seconds=[min(gaec_s), min(kl_s)])
     out.write_text(json.dumps(results))
 
 
@@ -110,8 +127,12 @@ def _first_difference(ours, theirs) -> str:
     return ""
 
 
-def _git(*args) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True)
+def _export_src(rev: str, dest: Path) -> None:
+    """Extract REV's `src/` from the local repository into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def main(argv=None) -> int:
@@ -136,21 +157,21 @@ def main(argv=None) -> int:
         for name, instance in instances.items():
             write_instance(instance, instance_dir / f"{name}.txt")
         other = tmp / "rev"
-        _git("worktree", "add", "--detach", str(other), args.against)
-        try:
-            theirs = _run_tree(other, instance_dir, tmp / "rev.json")
-        finally:
-            _git("worktree", "remove", "--force", str(other))
+        _export_src(args.against, other)
+        theirs = _run_tree(other, instance_dir, tmp / "rev.json")
         ours = _run_tree(ROOT, instance_dir, tmp / "ours.json")
 
-    print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC+KL vs ' + args.against}")
+    print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} "
+          f"{'KL s':<15} {'GAEC+KL vs ' + args.against}")
     differ = False
     for name in SCENES:
         inst = instances[name]
+        seconds = [f"{then:.3f} -> {now:.3f}"
+                   for then, now in zip(theirs[name]["seconds"], ours[name]["seconds"])]
         diff = _first_difference(ours[name], theirs[name])
         differ |= bool(diff)
         print(f"{name:<14} {inst.num_nodes:>5} {inst.num_edges:>6} {inst.num_lifted:>5}  "
-              f"{diff or '=='}")
+              f"{seconds[0]:<15} {seconds[1]:<15} {diff or '=='}")
     return 1 if differ else 0
 
 
