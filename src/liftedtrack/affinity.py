@@ -421,14 +421,19 @@ def detection_patches(detections: Sequence[Detection]) -> List[np.ndarray]:
 def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
     """Latent codes of the detections' images, which must be attached.
 
-    `encode_all` stacks the patches LATENT_CHUNK at a time; one stack of
-    every patch, made anew on each call, page-faults its memory in again
-    each time.
+    A model loaded from a checkpoint that `train-embedding` saved with its
+    patches' codes returns a copy of those codes when
+    `model.stored_codes_for` finds them current: same tensors and the same
+    patches in the same order. Otherwise `encode_all` encodes the patches
+    LATENT_CHUNK at a time; one stack of every patch, made anew on each
+    call, page-faults its memory in again each time.
     """
     patches = detection_patches(detections)
     if not patches:
         return np.array([])
-    codes = model.encode_all(patches)
+    codes = model.stored_codes_for(patches)
+    if codes is None:
+        codes = model.encode_all(patches)
     bad = np.flatnonzero(~np.isfinite(codes).all(axis=1))
     if bad.size:
         raise ValueError(f"detection {bad[0]} has a non-finite latent code")

@@ -2,10 +2,11 @@
 
 Subcommands cover the full workflow on a working directory of plain
 files: `synth` renders a fixture, `pregroup` extracts high-confidence
-tracklets, `train-embedding` fits the autoencoder, `fit-affinity`
-regresses edge affinities, `track` solves and writes MOT rows, `eval`
-scores hypotheses, `oracle` brute-force solves a small instance file,
-and `ablate` reruns tracking over the feature/distance grid.
+tracklets, `train-embedding` fits the autoencoder and saves it with its
+patches' latent codes, `fit-affinity` regresses edge affinities, `track`
+solves and writes MOT rows, `eval` scores hypotheses, `oracle`
+brute-force solves a small instance file, and `ablate` reruns tracking
+over the feature/distance grid.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from .affinity import (
     AffinityModel,
+    detection_patches,
     latent_codes,
     read_match_table,
     write_match_table,
@@ -131,7 +133,7 @@ def _cmd_train_embedding(args) -> int:
     detections = _load_detections(workdir)
     tracklets = _read_tracklets(workdir / TRACKLETS)
     model, trace = train_embedding(detections, tracklets, config)
-    model.save(workdir / MODEL)
+    model.save(workdir / MODEL, images=detection_patches(detections))
     print(f"trained {len(trace)} epochs, final loss {trace[-1].loss:.4f}")
     return 0
 

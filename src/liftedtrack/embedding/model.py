@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
@@ -23,6 +24,11 @@ from .layers import (
 # Images per `encode_batch` call in `AutoEncoder.encode_all`; bounds the
 # memory of the stacked batch and of every layer's activations.
 LATENT_CHUNK = 64
+
+# Checkpoint entries beside the tensors: the codes of the images a model
+# was saved with, and the `codes_key` of the model and those images.
+CODES = "__codes__"
+CODES_KEY = "__codes_key__"
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,8 @@ class AutoEncoder:
         self.config = config
         self.seed = int(seed)
         self.epoch = 0
+        # (key, codes) from a checkpoint saved with images; see `stored_codes_for`
+        self.stored_codes = None
         rng = np.random.default_rng(self.seed)
         k = config.kernel_size
         c_in, _, _ = config.input_shape
@@ -204,16 +212,59 @@ class AutoEncoder:
 
     # -- checkpointing --------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Single-file npz checkpoint: config json + every tensor by name."""
-        arrays = {}
+    def _tensors(self):
+        """Yields (name, array) over every tensor `save` writes and `load`
+        restores: the parameters, then each BatchNorm's running statistics."""
         for (stack, i), name, arr in self.parameter_items():
-            arrays[f"{stack}.{i}.{name}"] = arr
-        for key, layer in self.layer_items():
+            yield f"{stack}.{i}.{name}", arr
+        for (stack, i), layer in self.layer_items():
             if isinstance(layer, BatchNorm):
-                stack, i = key
-                arrays[f"{stack}.{i}.running_mean"] = layer.running_mean
-                arrays[f"{stack}.{i}.running_var"] = layer.running_var
+                yield f"{stack}.{i}.running_mean", layer.running_mean
+                yield f"{stack}.{i}.running_var", layer.running_var
+
+    def codes_key(self, images) -> bytes:
+        """SHA-256 over this model's tensors and an image sequence.
+
+        Each tensor enters by name, shape and float64 bytes, then the image
+        count, then each image by shape and float64 bytes, in order. A
+        changed weight, running statistic or pixel, or a reordering of the
+        images, gives another key.
+        """
+        digest = hashlib.sha256()
+        for name, arr in self._tensors():
+            _digest_array(digest, name, arr)
+        digest.update(f"images {len(images)}\n".encode())
+        for image in images:
+            _digest_array(digest, "image", image)
+        return digest.digest()
+
+    def stored_codes_for(self, images):
+        """A copy of the codes this model was loaded with, or None.
+
+        The copy is returned only when the checkpoint stored codes of the
+        right shape and dtype and its key equals `codes_key(images)` now;
+        any change to the tensors since `load` or to the images means None.
+        """
+        if self.stored_codes is None:
+            return None
+        key, codes = self.stored_codes
+        if (codes.dtype != np.float64
+                or codes.shape != (len(images), self.config.latent_dim)
+                or key != self.codes_key(images)):
+            return None
+        return codes.copy()
+
+    def save(self, path, images=None) -> None:
+        """Single-file npz checkpoint: config json + every tensor by name.
+
+        With `images`, it also holds their `encode_all` codes and the
+        `codes_key` of this model and those images, which
+        `stored_codes_for` checks after `load`.
+        """
+        arrays = dict(self._tensors())
+        if images is not None:
+            arrays[CODES] = self.encode_all(images)
+            arrays[CODES_KEY] = np.frombuffer(self.codes_key(images), dtype=np.uint8)
         meta = dict(asdict(self.config), seed=self.seed, epoch=self.epoch)
         np.savez(path, __meta__=np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -227,10 +278,13 @@ class AutoEncoder:
         with a bias on each conv before a BatchNorm: the normalisation
         cancels such a bias in training, but inference subtracts running
         means that include it, so dropping it silently would change codes.
+        Stored codes and their key, when the file has both, become
+        `stored_codes`; a file without them loads as before.
         """
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        codes, key = arrays.pop(CODES, None), arrays.pop(CODES_KEY, None)
         config = ArchConfig(
             input_shape=tuple(meta["input_shape"]),
             conv_channels=tuple(meta["conv_channels"]),
@@ -242,12 +296,19 @@ class AutoEncoder:
         model.epoch = meta["epoch"]
         for (stack, i), name, arr in model.parameter_items():
             arr[...] = arrays.pop(f"{stack}.{i}.{name}")
-        for key, layer in model.layer_items():
+        for (stack, i), layer in model.layer_items():
             if isinstance(layer, BatchNorm):
-                stack, i = key
                 layer.running_mean = arrays.pop(f"{stack}.{i}.running_mean").copy()
                 layer.running_var = arrays.pop(f"{stack}.{i}.running_var").copy()
+        if codes is not None and key is not None:
+            model.stored_codes = (key.tobytes(), codes)
         if arrays:
             raise ValueError(f"{path}: checkpoint holds {', '.join(sorted(arrays))}, "
                              "which this network does not have")
         return model
+
+
+def _digest_array(digest, name, arr) -> None:
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    digest.update(f"{name} {arr.shape}\n".encode())
+    digest.update(arr)

@@ -226,6 +226,16 @@ def _check_table(table: MatchTable, num_detections: int) -> None:
                          f"of {num_detections}")
 
 
+def _check_latents(latents, num_detections: int) -> None:
+    """Reject latent codes that are not one row per detection."""
+    shape = np.shape(latents)
+    if len(shape) != 2:
+        raise ValueError(f"latent codes of shape {shape} are not one row "
+                         f"per detection")
+    if shape[0] != num_detections:
+        raise ValueError(f"{shape[0]} latent codes for {num_detections} detections")
+
+
 @_stage("pregroup")
 def pregroup(detections: Sequence[Detection], table: MatchTable,
              threshold: float = 0.7, max_gap: int = 3) -> List[List[int]]:
@@ -329,9 +339,14 @@ def train_embedding(detections: Sequence[Detection],
 def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
                         latents: np.ndarray, config: PipelineConfig
                         ) -> Tuple[AffinityModel, AffinityModel]:
-    """Fit the nearby and lifted regressors on self-labeled extreme pairs."""
+    """Fit the nearby and lifted regressors on self-labeled extreme pairs.
+
+    A table pair that names no detection, or latents that are not one row
+    per detection, fail as PipelineError at stage "fit".
+    """
     with _stage("fit"):
         _check_table(table, len(detections))
+        _check_latents(latents, len(detections))
         rows, labels = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
         raw = np.column_stack([rows["value"],
                                latent_distances(latents, rows["u"], rows["v"])])
@@ -362,11 +377,16 @@ def run_tracking(detections: Sequence[Detection], table: MatchTable,
 def track_latents(detections: Sequence[Detection], table: MatchTable,
                   latents: np.ndarray, affinity_models, config: PipelineConfig
                   ) -> TrackSet:
-    """Full solve on given latent codes: graph, costs, GAEC+KL, track conversion."""
+    """Full solve on given latent codes: graph, costs, GAEC+KL, track conversion.
+
+    Latents that are not one row per detection fail as PipelineError at
+    stage "graph", before the lifted gate reads them.
+    """
     if not detections:
         return TrackSet(())
     nearby, lifted_model = affinity_models
     with _stage("graph"):
+        _check_latents(latents, len(detections))
         instance = build_graph(detections, max_frame_gap=config.max_frame_gap,
                                lifted_gaps=config.lifted_gaps)
         instance = _gate_lifted(instance, latents, config.lifted_percentile)

@@ -1,4 +1,4 @@
-"""Session fixtures shared by the acceptance suite.
+"""Fixtures shared across test modules.
 
 Training six autoencoders dominates the suite's runtime, so the three
 benchmark sequences and their reconstruction-only / clustering-loss
@@ -7,6 +7,7 @@ embeddings are built once per session and reused by every ablation cell.
 
 import pytest
 
+from liftedtrack.embedding import AutoEncoder
 from liftedtrack.pipeline import (
     PipelineConfig,
     ablation_cell,
@@ -14,6 +15,20 @@ from liftedtrack.pipeline import (
     pregroup,
 )
 from liftedtrack.synth import benchmark_spec, synth_sequence
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The image count of each `AutoEncoder.encode_all` call, in call order."""
+    calls = []
+    encode_all = AutoEncoder.encode_all
+
+    def counted(model, images):
+        calls.append(len(images))
+        return encode_all(model, images)
+
+    monkeypatch.setattr(AutoEncoder, "encode_all", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

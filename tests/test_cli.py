@@ -8,6 +8,7 @@ import pytest
 
 from liftedtrack.affinity import iou_match_table, read_match_table
 from liftedtrack.cli import _read_tracklets, main
+from liftedtrack.embedding import AutoEncoder
 from liftedtrack.motio import (
     load_patches,
     read_mot,
@@ -72,6 +73,28 @@ class TestChain:
                      str(workdir / "cfg.txt"), "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == first
+
+    def test_stored_codes_give_the_same_files(self, workdir, tmp_path, encodes):
+        # train-embedding stored the patches' codes in model.npz: fit-affinity
+        # and track read them instead of encoding, and write the bytes that a
+        # model saved without them gives
+        for name in ("det.txt", "patches.npz", "matches.txt", "cfg.txt", "model.npz"):
+            shutil.copy(workdir / name, tmp_path / name)
+        argv_common = ["--dir", str(tmp_path), "--config", str(tmp_path / "cfg.txt")]
+        outputs = ("nearby.json", "lifted.json", "tracks.txt")
+        detections = len(read_mot(workdir / "det.txt"))
+
+        assert AutoEncoder.load(tmp_path / "model.npz").stored_codes is not None
+        for without_codes in (False, True):
+            if without_codes:
+                AutoEncoder.load(tmp_path / "model.npz").save(tmp_path / "model.npz")
+                assert AutoEncoder.load(tmp_path / "model.npz").stored_codes is None
+            del encodes[:]
+            assert main(["fit-affinity", *argv_common]) == 0
+            assert main(["track", *argv_common]) == 0
+            assert encodes == ([detections] * 2 if without_codes else [])
+            for name in outputs:
+                assert (tmp_path / name).read_bytes() == (workdir / name).read_bytes()
 
     def test_eval_reports_scores(self, workdir, capsys):
         code = main(["eval", "--gt", str(workdir / "gt.txt"),

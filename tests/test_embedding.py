@@ -522,6 +522,138 @@ class TestAutoEncoder:
             AutoEncoder.load(path)
 
 
+def _bump(arr, index):
+    """Move one entry of an array to the next float up, in place."""
+    arr[index] = np.nextafter(arr[index], np.inf)
+
+
+def _bump_weight(model, dets):
+    _bump(model.encoder_layers[0].params["W"], (0, 0, 0, 0))
+
+
+def _bump_pixel(model, dets):
+    _bump(dets[LATENT_CHUNK + 2].image, (1, 4, 5))
+
+
+def _swap_patches(model, dets):
+    dets[0], dets[1] = dets[1], dets[0]
+
+
+def _bump_running_mean(model, dets):
+    bn = next(layer for layer in model.encoder_layers if isinstance(layer, BatchNorm))
+    _bump(bn.running_mean, 2)
+
+
+class TestStoredCodes:
+    """A checkpoint saved with images serves their codes while nothing changed."""
+
+    def _detections(self):
+        rng = np.random.default_rng(40)
+        return [Detection(1 + i, BBox(0.0, 0.0, 8.0, 8.0),
+                          image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
+                for i in range(LATENT_CHUNK + 5)]
+
+    def _saved(self, tmp_path, **save):
+        # trained-looking tensors, so every one of them reaches the codes
+        model = AutoEncoder(SMALL_BN, seed=7)
+        rng = np.random.default_rng(41)
+        for _, arr in model._tensors():
+            arr += rng.normal(size=arr.shape) * 0.01
+        path = tmp_path / "model.npz"
+        model.save(path, **save)
+        return model, path
+
+    def _fresh(self, model, dets):
+        return np.concatenate([model.encode_batch(np.stack(
+            [det.image for det in dets[i:i + LATENT_CHUNK]]))[0]
+            for i in range(0, len(dets), LATENT_CHUNK)])
+
+    def test_hit_equals_encode_all_bitwise(self, tmp_path, encodes):
+        dets = self._detections()
+        model, path = self._saved(tmp_path, images=[det.image for det in dets])
+        back = AutoEncoder.load(path)
+        del encodes[:]
+        codes = latent_codes(back, dets)
+        assert encodes == []
+        want = model.encode_all([det.image for det in dets])
+        assert np.array_equal(codes.view(np.int64), want.view(np.int64))
+        codes[0, 0] = np.nan
+        again = latent_codes(back, dets)
+        assert np.array_equal(again.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("change", [
+        _bump_weight, _bump_pixel, _swap_patches, _bump_running_mean,
+    ], ids=["weight", "pixel", "swapped", "running-mean"])
+    def test_change_after_load_encodes_afresh(self, tmp_path, encodes, change):
+        dets = self._detections()
+        _, path = self._saved(tmp_path, images=[det.image for det in dets])
+        back = AutoEncoder.load(path)
+        stored = back.stored_codes[1].copy()
+        change(back, dets)
+        del encodes[:]
+        codes = latent_codes(back, dets)
+        assert encodes == [len(dets)]
+        fresh = self._fresh(back, dets)
+        assert np.array_equal(codes.view(np.int64), fresh.view(np.int64))
+        assert not np.array_equal(codes, stored)
+
+    @pytest.mark.parametrize("malformed", [
+        lambda codes: codes[:-1],
+        lambda codes: codes.astype(np.float32),
+        lambda codes: codes.T.copy(),
+    ], ids=["short", "float32", "transposed"])
+    def test_malformed_codes_entry_encodes_afresh(self, tmp_path, encodes, malformed):
+        dets = self._detections()
+        _, path = self._saved(tmp_path, images=[det.image for det in dets])
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["__codes__"] = malformed(arrays["__codes__"])
+        np.savez(path, **arrays)
+        back = AutoEncoder.load(path)
+        del encodes[:]
+        codes = latent_codes(back, dets)
+        assert encodes == [len(dets)]
+        assert np.array_equal(codes, self._fresh(back, dets))
+
+    def test_checkpoint_without_codes_loads_and_encodes(self, tmp_path, encodes):
+        dets = self._detections()
+        model, path = self._saved(tmp_path)
+        with np.load(path) as data:
+            assert not {"__codes__", "__codes_key__"} & set(data.files)
+        back = AutoEncoder.load(path)
+        assert back.stored_codes is None
+        del encodes[:]
+        codes = latent_codes(back, dets)
+        assert encodes == [len(dets)]
+        assert np.array_equal(codes, model.encode_all([det.image for det in dets]))
+
+    def test_load_names_unknown_tensor_beside_codes(self, tmp_path):
+        dets = self._detections()
+        _, path = self._saved(tmp_path, images=[det.image for det in dets])
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **arrays, **{"dec.0.bogus": np.zeros(3)})
+        with pytest.raises(ValueError,
+                           match=r"model\.npz: checkpoint holds dec\.0\.bogus, which"):
+            AutoEncoder.load(path)
+
+    def test_every_checkpoint_tensor_reaches_the_key(self, tmp_path):
+        dets = self._detections()
+        images = [det.image for det in dets]
+        _, path = self._saved(tmp_path, images=images)
+        assert AutoEncoder.load(path).stored_codes_for(images) is not None
+        with np.load(path) as data:
+            arrays = dict(data)
+        tensors = [name for name in arrays if not name.startswith("__")]
+        assert any(name.endswith("running_mean") for name in tensors)
+        for name in tensors:
+            changed = dict(arrays, **{name: arrays[name].copy()})
+            _bump(changed[name], (0,) * changed[name].ndim)
+            np.savez(tmp_path / "changed.npz", **changed)
+            back = AutoEncoder.load(tmp_path / "changed.npz")
+            assert back.stored_codes_for(images) is None, name
+
+
 class TestLosses:
     def test_reconstruction_matches_handrolled_forward(self):
         # Independent forward: scipy correlation + plain numpy, no model code.

@@ -29,6 +29,7 @@ from liftedtrack.pipeline import (
     pregroup,
     read_config,
     run_tracking,
+    track_latents,
     tracklet_labels,
     train_embedding,
     write_config,
@@ -389,6 +390,20 @@ class TestRunTrackingStages:
         assert error.stage == "encode"
         assert "detection 5 has a non-finite latent code" in str(error)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((7, 5), "7 latent codes for 12 detections"),
+        ((12,), "latent codes of shape (12,) are not one row per detection"),
+    ])
+    def test_latents_not_one_row_per_detection_fail_at_graph(self, shape, message):
+        # the lifted gate reads the latents before the costs would check them
+        dets = self._detections()
+        config = dataclasses.replace(PipelineConfig(), lifted_gaps=(8,))
+        with pytest.raises(PipelineError) as info:
+            track_latents(dets, iou_match_table(dets), np.zeros(shape), self.MODELS,
+                          config)
+        assert info.value.stage == "graph"
+        assert str(info.value.cause) == message
+
     def test_lifted_gap_within_max_frame_gap_rejected_by_config(self):
         # the config rejects it on construction, before any stage runs
         with pytest.raises(ValueError, match="lifted gap 5 must exceed max_frame_gap 5"):
@@ -423,6 +438,19 @@ class TestFitStage:
         assert info.value.stage == "fit"
         assert isinstance(info.value.cause, ValueError)
         assert str(info.value.cause) == "match table pair (0, 99) names detection 99 of 5"
+
+    @pytest.mark.parametrize("shape, message", [
+        ((10, 4), "10 latent codes for 20 detections"),
+        ((20,), "latent codes of shape (20,) are not one row per detection"),
+    ])
+    def test_latents_not_one_row_per_detection_fail_at_fit(self, shape, message):
+        dets = [det(f) for f in range(1, 21)]
+        table = MatchTable([(i, i + 1, 0.9) for i in range(19)]
+                           + [(i, i + 2, 0.05) for i in range(18)])
+        with pytest.raises(PipelineError) as info:
+            fit_affinity_models(dets, table, np.zeros(shape), PipelineConfig())
+        assert info.value.stage == "fit"
+        assert str(info.value.cause) == message
 
     def test_non_finite_latent_fails_at_fit(self):
         # both label classes present: next-frame pairs overlap, two apart do not

@@ -11,12 +11,14 @@ the pipeline hands it to `solve_gaec`, and written with `write_instance`.
 REV's `src/` is extracted with `git archive` from the local repository
 into a temporary directory. Each tree then reads every instance with its
 own `read_instance` and solves it with GAEC and then KL from GAEC's
-partition, in its own process with its own `src/`, three times; the
-results of each solve must be equal, and the fastest seconds of each
-solver are kept. The script prints one row per scene with the graph
-sizes, each tree's GAEC and KL seconds (REV -> working tree), and the
-first difference in partition, trace or objective (`==` when there is
-none), and exits 1 if any scene differs.
+partition, in a process with its own `src/`. That is repeated three
+times, the two trees' processes alternating (REV, working tree, REV, ...)
+so that a drift in machine speed falls on both; each tree's three results
+must be equal, and the fastest seconds of each solver are kept. The
+script prints one row per scene with the graph sizes, each tree's GAEC
+and KL seconds (REV -> working tree), and the first difference in
+partition, trace or objective (`==` when there is none), and exits 1 if
+any scene differs.
 """
 
 import argparse
@@ -75,31 +77,40 @@ def _capture_instances(workdir: Path) -> dict:
 
 
 def _solve(instance_dir: Path, out: Path) -> None:
-    """Solve every scene's instance with this process's liftedtrack; dump JSON
-    with the results and the best of REPEATS seconds of each solver."""
+    """Solve every scene's instance once with this process's liftedtrack; dump
+    JSON with the results and each solver's seconds."""
     import liftedtrack
     from liftedtrack.solver import read_instance, solve_gaec, solve_kl
 
     results = {"liftedtrack": liftedtrack.__file__}
     for name in SCENES:
         instance = read_instance(instance_dir / f"{name}.txt")
-        runs = []
-        for _ in range(REPEATS):
-            gaec_trace, kl_trace = [], []
-            start = time.perf_counter()
-            gaec, gaec_value = solve_gaec(instance, trace=gaec_trace)
-            middle = time.perf_counter()
-            kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
-            end = time.perf_counter()
-            runs.append(({
-                "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
-                "kl": [kl.component_of.tolist(), kl_trace, kl_value],
-            }, middle - start, end - middle))
-        solved, gaec_s, kl_s = zip(*runs)
+        gaec_trace, kl_trace = [], []
+        start = time.perf_counter()
+        gaec, gaec_value = solve_gaec(instance, trace=gaec_trace)
+        middle = time.perf_counter()
+        kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
+        end = time.perf_counter()
+        results[name] = {
+            "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
+            "kl": [kl.component_of.tolist(), kl_trace, kl_value],
+            "seconds": [middle - start, end - middle],
+        }
+    out.write_text(json.dumps(results))
+
+
+def _best_of(repeats: list) -> dict:
+    """One tree's repeated results: each scene's results, which must agree on
+    every repeat, with the fastest seconds of each solver."""
+    best = {}
+    for name in SCENES:
+        solved = [{k: v for k, v in run[name].items() if k != "seconds"}
+                  for run in repeats]
         if any(other != solved[0] for other in solved[1:]):
             sys.exit(f"solver_parity: {name} gives different results on repeat")
-        results[name] = dict(solved[0], seconds=[min(gaec_s), min(kl_s)])
-    out.write_text(json.dumps(results))
+        seconds = zip(*(run[name]["seconds"] for run in repeats))
+        best[name] = dict(solved[0], seconds=[min(s) for s in seconds])
+    return best
 
 
 def _run_tree(tree: Path, instance_dir: Path, out: Path) -> dict:
@@ -158,8 +169,12 @@ def main(argv=None) -> int:
             write_instance(instance, instance_dir / f"{name}.txt")
         other = tmp / "rev"
         _export_src(args.against, other)
-        theirs = _run_tree(other, instance_dir, tmp / "rev.json")
-        ours = _run_tree(ROOT, instance_dir, tmp / "ours.json")
+        runs = {other: [], ROOT: []}
+        for repeat in range(REPEATS):
+            for tree, tag in ((other, "rev"), (ROOT, "ours")):
+                runs[tree].append(_run_tree(tree, instance_dir,
+                                            tmp / f"{tag}-{repeat}.json"))
+        theirs, ours = _best_of(runs[other]), _best_of(runs[ROOT])
 
     print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} "
           f"{'KL s':<15} {'GAEC+KL vs ' + args.against}")
