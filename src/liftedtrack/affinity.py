@@ -421,19 +421,14 @@ def detection_patches(detections: Sequence[Detection]) -> List[np.ndarray]:
 def latent_codes(model, detections: Sequence[Detection]) -> np.ndarray:
     """Latent codes of the detections' images, which must be attached.
 
-    A model loaded from a checkpoint that `train-embedding` saved with its
-    patches' codes returns a copy of those codes when
-    `model.stored_codes_for` finds them current: same tensors and the same
-    patches in the same order. Otherwise `encode_all` encodes the patches
-    LATENT_CHUNK at a time; one stack of every patch, made anew on each
-    call, page-faults its memory in again each time.
+    `model.codes` encodes the patches once per model state and patch set:
+    while no tensor, pixel or patch position changed since its last call,
+    or since `load` of a checkpoint that `train-embedding` saved with these
+    patches' codes, it returns a copy of the codes it holds. Otherwise
+    `encode_all` encodes the patches LATENT_CHUNK at a time. No detections
+    give a (0, latent_dim) array.
     """
-    patches = detection_patches(detections)
-    if not patches:
-        return np.array([])
-    codes = model.stored_codes_for(patches)
-    if codes is None:
-        codes = model.encode_all(patches)
+    codes = model.codes(detection_patches(detections))
     bad = np.flatnonzero(~np.isfinite(codes).all(axis=1))
     if bad.size:
         raise ValueError(f"detection {bad[0]} has a non-finite latent code")

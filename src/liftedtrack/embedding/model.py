@@ -89,7 +89,7 @@ class AutoEncoder:
         self.config = config
         self.seed = int(seed)
         self.epoch = 0
-        # (key, codes) from a checkpoint saved with images; see `stored_codes_for`
+        # (codes_key, codes) of the last `codes` call or the checkpoint; see `codes`
         self.stored_codes = None
         rng = np.random.default_rng(self.seed)
         k = config.kernel_size
@@ -184,9 +184,11 @@ class AutoEncoder:
         """Latent codes (N, latent_dim) of an image sequence, inference mode.
 
         The images go through `encode_batch` LATENT_CHUNK at a time; the
-        codes are the same as from one batch of all of them.
+        codes are the same as from one batch of all of them. No images give
+        a (0, latent_dim) array. Training calls this directly; `codes` is
+        the call that reuses codes while nothing changed.
         """
-        return np.concatenate([
+        return np.concatenate([np.empty((0, self.config.latent_dim))] + [
             self.encode_batch(images[i:i + LATENT_CHUNK])[0]
             for i in range(0, len(images), LATENT_CHUNK)
         ])
@@ -238,33 +240,37 @@ class AutoEncoder:
             _digest_array(digest, "image", image)
         return digest.digest()
 
-    def stored_codes_for(self, images):
-        """A copy of the codes this model was loaded with, or None.
+    def codes(self, images) -> np.ndarray:
+        """A copy of the (N, latent_dim) codes of `images`, encoded once per key.
 
-        The copy is returned only when the checkpoint stored codes of the
-        right shape and dtype and its key equals `codes_key(images)` now;
-        any change to the tensors since `load` or to the images means None.
+        `stored_codes` holds the codes of the last `codes` call or of the
+        checkpoint this model was loaded from, with their `codes_key`. They
+        are returned when they are float64 of shape (N, latent_dim) and
+        their key equals `codes_key(images)` now; any change to the
+        tensors or to the images since means a fresh `encode_all`, which
+        replaces them.
         """
-        if self.stored_codes is None:
-            return None
-        key, codes = self.stored_codes
-        if (codes.dtype != np.float64
-                or codes.shape != (len(images), self.config.latent_dim)
-                or key != self.codes_key(images)):
-            return None
-        return codes.copy()
+        key = self.codes_key(images)
+        if self.stored_codes is not None:
+            stored_key, codes = self.stored_codes
+            if (stored_key == key and codes.dtype == np.float64
+                    and codes.shape == (len(images), self.config.latent_dim)):
+                return codes.copy()
+        self.stored_codes = (key, self.encode_all(images))
+        return self.stored_codes[1].copy()
 
     def save(self, path, images=None) -> None:
         """Single-file npz checkpoint: config json + every tensor by name.
 
-        With `images`, it also holds their `encode_all` codes and the
-        `codes_key` of this model and those images, which
-        `stored_codes_for` checks after `load`.
+        With `images`, it also holds the `stored_codes` that `codes(images)`
+        leaves: their codes and the `codes_key` of this model and those
+        images, which `codes` checks after `load`.
         """
         arrays = dict(self._tensors())
         if images is not None:
-            arrays[CODES] = self.encode_all(images)
-            arrays[CODES_KEY] = np.frombuffer(self.codes_key(images), dtype=np.uint8)
+            self.codes(images)
+            key, arrays[CODES] = self.stored_codes
+            arrays[CODES_KEY] = np.frombuffer(key, dtype=np.uint8)
         meta = dict(asdict(self.config), seed=self.seed, epoch=self.epoch)
         np.savez(path, __meta__=np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8), **arrays)

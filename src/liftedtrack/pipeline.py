@@ -137,6 +137,8 @@ class PipelineConfig:
             raise ValueError(f"bad pregroup_max_gap {self.pregroup_max_gap}")
         if self.min_cluster_size < 1:
             raise ValueError(f"bad min_cluster_size {self.min_cluster_size}")
+        if self.seed < 0:
+            raise ValueError(f"bad seed {self.seed}")
         if not 0 <= self.lifted_percentile <= 100:
             raise ValueError(f"bad lifted percentile {self.lifted_percentile}")
         AffinityConfig(self.t_low, self.t_high)
@@ -368,7 +370,12 @@ def _gate_lifted(instance, latents, percentile):
 def run_tracking(detections: Sequence[Detection], table: MatchTable,
                  model: AutoEncoder, affinity_models, config: PipelineConfig
                  ) -> TrackSet:
-    """Encode every detection with `model`, then `track_latents`."""
+    """The detections' `latent_codes` under `model`, then `track_latents`.
+
+    The model encodes only when its tensors or the patches changed since
+    it last gave codes (or since `load`); after `latent_codes` on the same
+    detections, this call reuses those codes.
+    """
     with _stage("encode"):
         latents = latent_codes(model, detections)
     return track_latents(detections, table, latents, affinity_models, config)

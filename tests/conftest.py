@@ -3,6 +3,8 @@
 Training six autoencoders dominates the suite's runtime, so the three
 benchmark sequences and their reconstruction-only / clustering-loss
 embeddings are built once per session and reused by every ablation cell.
+`encodes` and `keys` count the calls a test makes to `AutoEncoder.encode_all`
+and `AutoEncoder.codes_key`.
 """
 
 import pytest
@@ -28,6 +30,20 @@ def encodes(monkeypatch):
         return encode_all(model, images)
 
     monkeypatch.setattr(AutoEncoder, "encode_all", counted)
+    return calls
+
+
+@pytest.fixture
+def keys(monkeypatch):
+    """The image count of each `AutoEncoder.codes_key` call, in call order."""
+    calls = []
+    codes_key = AutoEncoder.codes_key
+
+    def counted(model, images):
+        calls.append(len(images))
+        return codes_key(model, images)
+
+    monkeypatch.setattr(AutoEncoder, "codes_key", counted)
     return calls
 
 

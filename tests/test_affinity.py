@@ -635,7 +635,7 @@ class TestLatentCodes:
 
     def test_empty(self):
         model = AutoEncoder(self.SMALL, seed=0)
-        assert latent_codes(model, []).shape == (0,)
+        assert latent_codes(model, []).shape == (0, self.SMALL.latent_dim)
 
     def test_non_finite_code_named(self):
         model = AutoEncoder(self.SMALL, seed=0)

@@ -296,6 +296,13 @@ class TestErrors:
             main(["bogus"])
         assert exc.value.code == 2
 
+    def test_negative_seed_fails_before_any_work(self, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        assert main(["synth", "--dir", str(workdir), "--frames", "8",
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error [synth]: bad seed -1\n"
+        assert not workdir.exists()
+
     def test_seed_override_changes_synth(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -5,6 +5,8 @@ Forward passes are verified against independent implementations
 differences.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -27,10 +29,22 @@ from liftedtrack.embedding import (
     train,
     xavier_uniform,
 )
-from liftedtrack.affinity import latent_codes
+from liftedtrack.affinity import (
+    LIFTED_FEATURES,
+    NEARBY_FEATURES,
+    AffinityModel,
+    iou_match_table,
+    latent_codes,
+)
 from liftedtrack.embedding.layers import BN_EPS
 from liftedtrack.graph import BBox, Detection
-from liftedtrack.pipeline import pregroup, tracklet_labels
+from liftedtrack.pipeline import (
+    PipelineConfig,
+    pregroup,
+    run_tracking,
+    track_latents,
+    tracklet_labels,
+)
 from liftedtrack.synth import benchmark_spec, synth_sequence
 
 import conv_reference
@@ -544,29 +558,44 @@ def _bump_running_mean(model, dets):
     _bump(bn.running_mean, 2)
 
 
+def _coded_detections():
+    """More detections than one encode chunk, one per frame."""
+    rng = np.random.default_rng(40)
+    return [Detection(1 + i, BBox(0.0, 0.0, 8.0, 8.0),
+                      image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
+            for i in range(LATENT_CHUNK + 5)]
+
+
+def _trained_looking_model():
+    # perturbed tensors, so every one of them reaches the codes
+    model = AutoEncoder(SMALL_BN, seed=7)
+    rng = np.random.default_rng(41)
+    for _, arr in model._tensors():
+        arr += rng.normal(size=arr.shape) * 0.01
+    return model
+
+
+def _fresh_codes(model, dets):
+    """The detections' codes from `encode_batch`, bypassing `encode_all`."""
+    return np.concatenate([model.encode_batch(np.stack(
+        [det.image for det in dets[i:i + LATENT_CHUNK]]))[0]
+        for i in range(0, len(dets), LATENT_CHUNK)])
+
+
 class TestStoredCodes:
     """A checkpoint saved with images serves their codes while nothing changed."""
 
     def _detections(self):
-        rng = np.random.default_rng(40)
-        return [Detection(1 + i, BBox(0.0, 0.0, 8.0, 8.0),
-                          image=rng.uniform(0.05, 0.95, size=(3, 8, 8)))
-                for i in range(LATENT_CHUNK + 5)]
+        return _coded_detections()
 
     def _saved(self, tmp_path, **save):
-        # trained-looking tensors, so every one of them reaches the codes
-        model = AutoEncoder(SMALL_BN, seed=7)
-        rng = np.random.default_rng(41)
-        for _, arr in model._tensors():
-            arr += rng.normal(size=arr.shape) * 0.01
+        model = _trained_looking_model()
         path = tmp_path / "model.npz"
         model.save(path, **save)
         return model, path
 
     def _fresh(self, model, dets):
-        return np.concatenate([model.encode_batch(np.stack(
-            [det.image for det in dets[i:i + LATENT_CHUNK]]))[0]
-            for i in range(0, len(dets), LATENT_CHUNK)])
+        return _fresh_codes(model, dets)
 
     def test_hit_equals_encode_all_bitwise(self, tmp_path, encodes):
         dets = self._detections()
@@ -637,11 +666,13 @@ class TestStoredCodes:
                            match=r"model\.npz: checkpoint holds dec\.0\.bogus, which"):
             AutoEncoder.load(path)
 
-    def test_every_checkpoint_tensor_reaches_the_key(self, tmp_path):
+    def test_every_checkpoint_tensor_reaches_the_key(self, tmp_path, encodes):
         dets = self._detections()
         images = [det.image for det in dets]
         _, path = self._saved(tmp_path, images=images)
-        assert AutoEncoder.load(path).stored_codes_for(images) is not None
+        del encodes[:]
+        AutoEncoder.load(path).codes(images)
+        assert encodes == []
         with np.load(path) as data:
             arrays = dict(data)
         tensors = [name for name in arrays if not name.startswith("__")]
@@ -651,7 +682,100 @@ class TestStoredCodes:
             _bump(changed[name], (0,) * changed[name].ndim)
             np.savez(tmp_path / "changed.npz", **changed)
             back = AutoEncoder.load(tmp_path / "changed.npz")
-            assert back.stored_codes_for(images) is None, name
+            del encodes[:]
+            back.codes(images)
+            assert encodes == [len(images)], name
+
+    def test_no_images_save_and_load_empty_codes(self, tmp_path, encodes):
+        model, path = self._saved(tmp_path, images=[])
+        back = AutoEncoder.load(path)
+        assert back.stored_codes[1].shape == (0, SMALL_BN.latent_dim)
+        del encodes[:]
+        codes = back.codes([])
+        assert encodes == []
+        assert codes.shape == (0, SMALL_BN.latent_dim) and codes.dtype == np.float64
+
+
+class TestCodesInMemory:
+    """A model built in memory encodes a patch set once until it or the patches change."""
+
+    def test_second_call_reuses_codes_in_a_fresh_array(self, encodes):
+        model, dets = _trained_looking_model(), _coded_detections()
+        first = latent_codes(model, dets)
+        assert encodes == [len(dets)]
+        want = _fresh_codes(model, dets)
+        assert np.array_equal(first.view(np.int64), want.view(np.int64))
+        first[0, 0] = np.nan
+        again = latent_codes(model, dets)
+        assert encodes == [len(dets)]
+        assert np.array_equal(again.view(np.int64), want.view(np.int64))
+        again[1, 1] = np.nan
+        third = latent_codes(model, dets)
+        assert np.array_equal(third.view(np.int64), want.view(np.int64))
+        assert encodes == [len(dets)]
+
+    @pytest.mark.parametrize("change", [
+        _bump_weight, _bump_pixel, _swap_patches, _bump_running_mean,
+    ], ids=["weight", "pixel", "swapped", "running-mean"])
+    def test_change_after_first_call_encodes_afresh_once(self, encodes, change):
+        model, dets = _trained_looking_model(), _coded_detections()
+        first = latent_codes(model, dets)
+        change(model, dets)
+        del encodes[:]
+        codes = latent_codes(model, dets)
+        assert encodes == [len(dets)]
+        fresh = _fresh_codes(model, dets)
+        assert np.array_equal(codes.view(np.int64), fresh.view(np.int64))
+        assert not np.array_equal(codes, first)
+        again = latent_codes(model, dets)
+        assert np.array_equal(again.view(np.int64), fresh.view(np.int64))
+        assert encodes == [len(dets)]
+
+    def test_train_run_makes_no_key_and_encodes_afresh(self, encodes, keys):
+        model, dets = _trained_looking_model(), _coded_detections()
+        first = latent_codes(model, dets)
+        images = np.stack([det.image for det in dets])
+        frames = np.arange(len(dets)) // 4
+        labels = np.arange(len(dets)) // 8
+        config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.5),), seed=3)
+        del encodes[:], keys[:]
+        train(model, images, frames, labels, config)
+        # `compute_centroids` encodes once per epoch, outside the cache
+        assert keys == []
+        assert encodes == [len(dets)] * 2
+        del encodes[:]
+        codes = latent_codes(model, dets)
+        assert encodes == [len(dets)]
+        fresh = _fresh_codes(model, dets)
+        assert np.array_equal(codes.view(np.int64), fresh.view(np.int64))
+        assert not np.array_equal(codes, first)
+
+    def test_latent_codes_then_run_tracking_encode_once(self, encodes):
+        model, dets = _trained_looking_model(), _coded_detections()
+        models = (AffinityModel(NEARBY_FEATURES, (-2.0, 6.0, -0.5, 0.0)),
+                  AffinityModel(LIFTED_FEATURES, (1.0, -0.5)))
+        config = dataclasses.replace(PipelineConfig(), min_cluster_size=1)
+        table = iou_match_table(dets)
+        latents = latent_codes(model, dets)
+        tracks = run_tracking(dets, table, model, models, config)
+        assert encodes == [len(dets)]
+        assert tracks == track_latents(dets, table, latents, models, config)
+
+    def test_save_after_latent_codes_adds_no_encode(self, tmp_path, encodes):
+        model, dets = _trained_looking_model(), _coded_detections()
+        codes = latent_codes(model, dets)
+        model.save(tmp_path / "model.npz", images=[det.image for det in dets])
+        assert encodes == [len(dets)]
+        again = latent_codes(AutoEncoder.load(tmp_path / "model.npz"), dets)
+        assert np.array_equal(again.view(np.int64), codes.view(np.int64))
+        assert encodes == [len(dets)]
+
+    def test_no_images_give_empty_codes(self, encodes):
+        model = _trained_looking_model()
+        for codes in (model.encode_all([]), model.codes([]),
+                      model.encode_all(np.zeros((0, 3, 8, 8)))):
+            assert codes.shape == (0, SMALL_BN.latent_dim)
+            assert codes.dtype == np.float64
 
 
 class TestLosses:

@@ -310,13 +310,15 @@ class TestConfigIO:
         ("nearby_features = bias,bias\n", r"run\.cfg: duplicate feature names"),
         ("max_frame_gap = 0\n", r"run\.cfg: max_frame_gap must be >= 1, got 0"),
         ("pregroup_max_gap = 0\n", r"run\.cfg: bad pregroup_max_gap 0"),
+        ("seed = -2\n", r"run\.cfg: bad seed -2"),
         ("learning_rate = inf\n", r"run\.cfg: learning_rate must be > 0 and finite"),
         ("lambda_schedule = 0:0.0:5\n",
          r"run\.cfg:1: expected epoch:lambda, got '0:0\.0:5'"),
         ("lambda_schedule = 0:0.0,8\n", r"run\.cfg:1: expected epoch:lambda, got '8'"),
     ], ids=["repeated-key", "zero-epochs", "zero-rate", "lambda-above-one", "t-low",
             "unknown-feature", "no-feature", "repeated-feature", "zero-frame-gap",
-            "zero-pregroup-gap", "infinite-rate", "lambda-three-parts", "lambda-one-part"])
+            "zero-pregroup-gap", "negative-seed", "infinite-rate", "lambda-three-parts",
+            "lambda-one-part"])
     def test_read_rejects_bad_file_naming_it(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
         path.write_text(text)
@@ -429,6 +431,16 @@ class TestFitStage:
         assert info.value.stage == "fit"
         assert isinstance(info.value.cause, ValueError)
         assert "each label" in str(info.value)
+
+    def test_no_detections_fail_at_fit_for_want_of_labels(self):
+        model = AutoEncoder(ArchConfig(input_shape=(3, 8, 8), conv_channels=(4, 6),
+                                       latent_dim=5), seed=0)
+        with pytest.raises(PipelineError) as info:
+            fit_affinity_models([], MatchTable([]), latent_codes(model, []),
+                                PipelineConfig())
+        assert info.value.stage == "fit"
+        assert str(info.value.cause) == ("need at least one example of each label, "
+                                         "got classes []")
 
     def test_pair_naming_no_detection_fails_at_fit(self):
         dets = [det(f) for f in range(1, 6)]

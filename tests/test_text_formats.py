@@ -287,7 +287,7 @@ def fuzzed_config(rnd):
         lambda_schedule=tuple((e, rnd.choice([0.0, rnd.random(), 1.0])) for e in epochs),
         learning_rate=rnd.uniform(1e-5, 1e-2),
         epochs=rnd.randint(1, 29),
-        seed=rnd.randint(-5, 2**31),
+        seed=rnd.randint(0, 2**31),
         nearby_features=tuple(rnd.sample(FEATURE_NAMES, rnd.randint(1, 4))),
     )
 
