@@ -447,6 +447,7 @@ def assemble_costs(
 
     Regular cross-frame pairs use the nearby model, lifted pairs the lifted
     model, and same-frame pairs get the fixed strong-cut cost logit(eps).
+    The result keeps the instance's pairs (`MulticutInstance.with_costs`).
     """
     latents = np.asarray(latents, dtype=float)
     if len(detections) < instance.num_nodes or latents.shape[0] < instance.num_nodes:
@@ -464,9 +465,7 @@ def assemble_costs(
         p_same = np.full(len(group), PROB_EPS)
         p_same[cross] = predict_p_same(model, feature_matrix(iou_dm, d_ae,
                                                              model.feature_config))
-        out = group.copy()
-        out["c"] = edge_cost(p_same)
-        return out
+        return edge_cost(p_same)
 
-    return MulticutInstance(instance.num_nodes, costed(instance.edges, model_nearby),
-                            costed(instance.lifted_edges, model_lifted))
+    return instance.with_costs(costed(instance.edges, model_nearby),
+                               costed(instance.lifted_edges, model_lifted))

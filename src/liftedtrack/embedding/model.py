@@ -31,6 +31,18 @@ CODES = "__codes__"
 CODES_KEY = "__codes_key__"
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer; bool is an int subclass, but no count or id."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked_seed(seed) -> int:
+    """`seed` as an int; a negative or non-integer seed is named."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Autoencoder shape: conv+pool stages mirrored by upsample+conv stages.
@@ -87,7 +99,7 @@ class AutoEncoder:
 
     def __init__(self, config: ArchConfig, seed: int = 0):
         self.config = config
-        self.seed = int(seed)
+        self.seed = checked_seed(seed)
         self.epoch = 0
         # (codes_key, codes) of the last `codes` call or the checkpoint; see `codes`
         self.stored_codes = None

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AutoEncoder
+from .model import AutoEncoder, checked_seed, is_integer
 from .layers import BatchNorm
 
 # `gradient_check` probes each tensor with central differences of this step
@@ -51,8 +51,11 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not is_integer(self.epochs):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        checked_seed(self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0 and finite, "
                              f"got {self.learning_rate!r}")

@@ -137,6 +137,9 @@ def repeated_pairs(u, v) -> Tuple[np.ndarray, np.ndarray]:
     return order, repeat
 
 
+_NON_FINITE = "{name} ({u}, {v}) has non-finite cost {c!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class MulticutInstance:
     """Graph G=(V, E) with an extra lifted edge set F and real edge costs.
@@ -148,7 +151,8 @@ class MulticutInstance:
     unique within and across the two sets; the first bad row, in E then F
     order, is named by the first check it fails, and raised as a RowError
     whose `rows` hold its position in E then F (a repeated pair: the later
-    row).
+    row). `keep_lifted` and `with_costs` derive instances on pairs that
+    were already checked, and check only what they change.
     """
 
     num_nodes: int
@@ -163,19 +167,54 @@ class MulticutInstance:
                 getattr(self, name), EDGE_DTYPE, f"{name} must be (u, v, c) triples"))
         both = np.concatenate([self.edges, self.lifted_edges])
         u, v, c, n = both["u"], both["v"], both["c"], self.num_nodes
-        flagged = first_flagged((
+        self._raise_first(both, (
             (u == v, "self-loop {name} ({u}, {v})"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "{name} ({u}, {v}) outside node range"),
             (u > v, "{name} ({u}, {v}) not canonical (need u < v)"),
-            (~np.isfinite(c), "{name} ({u}, {v}) has non-finite cost {c!r}"),
+            (~np.isfinite(c), _NON_FINITE),
             (repeated_pairs(u, v)[1], "duplicate pair ({u}, {v}) across E and F"),
         ))
+
+    def _raise_first(self, both, checks) -> None:
+        """Raise a RowError for the first row of E then F (`both`) that one
+        of the (mask, template) `checks` flags."""
+        flagged = first_flagged(checks)
         if flagged:
             i, text = flagged
             name = "edge" if i < self.num_edges else "lifted edge"
-            raise RowError(text.format(name=name, u=int(u[i]), v=int(v[i]),
-                                       c=float(c[i])), (i,))
+            raise RowError(text.format(name=name, u=int(both["u"][i]), v=int(both["v"][i]),
+                                       c=float(both["c"][i])), (i,))
+
+    @classmethod
+    def _derived(cls, num_nodes, edges, lifted_edges) -> "MulticutInstance":
+        """An instance on read-only rows of pairs that an instance checked,
+        built without the constructor's checks."""
+        instance = object.__new__(cls)
+        for name, value in (("num_nodes", num_nodes), ("edges", edges),
+                            ("lifted_edges", lifted_edges)):
+            object.__setattr__(instance, name, value)
+        return instance
+
+    def keep_lifted(self, mask) -> "MulticutInstance":
+        """The instance with only the lifted edges that the boolean `mask` selects."""
+        lifted = self.lifted_edges[np.asarray(mask, dtype=bool)]
+        lifted.flags.writeable = False
+        return self._derived(self.num_nodes, self.edges, lifted)
+
+    def with_costs(self, edge_costs, lifted_costs) -> "MulticutInstance":
+        """The same pairs, in the same order, with new costs for E and for F.
+
+        A non-finite cost is named as the constructor names it.
+        """
+        groups = []
+        for group, costs in ((self.edges, edge_costs), (self.lifted_edges, lifted_costs)):
+            groups.append(group.copy())
+            groups[-1]["c"] = costs
+            groups[-1].flags.writeable = False
+        both = np.concatenate(groups)
+        self._raise_first(both, ((~np.isfinite(both["c"]), _NON_FINITE),))
+        return self._derived(self.num_nodes, *groups)
 
     def __eq__(self, other):
         if not isinstance(other, MulticutInstance):
@@ -285,7 +324,8 @@ def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
     Detections are bucketed by frame with one stable sort, and each gap's
     partners are found by `searchsorted`: O(n log n) plus the pairs
     returned. Rows are sorted by (u, v), as a double loop over u < v emits
-    them. Returns an (m, 2) int64 array.
+    them, by one sort of the key u * n + v (ids are below n, so the key
+    orders as the pair does). Returns an (m, 2) int64 array.
     """
     frames = np.asarray(frames, dtype=np.int64)
     order = np.argsort(frames, kind="stable")
@@ -301,7 +341,7 @@ def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
         pair = np.sort(np.column_stack([first, second]), axis=1)
         pairs.append(pair[first < second] if gap == 0 else pair)
     pairs = np.concatenate(pairs)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs[np.argsort(pairs[:, 0] * len(frames) + pairs[:, 1], kind="stable")]
 
 
 def checked_frame_gaps(max_frame_gap: int, lifted_gaps: Iterable[int]) -> List[int]:

@@ -29,6 +29,7 @@ from .affinity import (
     latent_distances,
 )
 from .embedding import ArchConfig, AutoEncoder, TrainingConfig, train
+from .embedding.model import is_integer
 from .graph import (
     BBox,
     Detection,
@@ -59,11 +60,6 @@ def _stage(name: str):
         yield
     except Exception as exc:
         raise PipelineError(name, exc) from exc
-
-
-def _is_integer(value) -> bool:
-    # bool is an int subclass, but True is no detection id
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,7 @@ def tracklet_labels(tracklets: Sequence[Sequence[int]], num_detections: int) -> 
         if not len(members):
             raise ValueError(f"tracklet {label}: must have at least one member")
         for det in members:
-            if not _is_integer(det):
+            if not is_integer(det):
                 raise ValueError(f"tracklet {label}: member {det!r} "
                                  f"is not an integer detection id")
     members = np.array([det for t in tracklets for det in t], dtype=np.int64)
@@ -363,8 +359,7 @@ def _gate_lifted(instance, latents, percentile):
         return instance
     lifted = instance.lifted_edges
     dists = latent_distances(latents, lifted["u"], lifted["v"])
-    keep = dists < np.percentile(dists, percentile)
-    return dataclasses.replace(instance, lifted_edges=lifted[keep])
+    return instance.keep_lifted(dists < np.percentile(dists, percentile))
 
 
 def run_tracking(detections: Sequence[Detection], table: MatchTable,

@@ -116,12 +116,13 @@ def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
     return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
 
 
-def _incidence(num_nodes: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each edge's row seen from both endpoints, grouped by node in edge
-    order, and per node its slice bounds into them."""
+def _incidence(num_nodes: int, edges: np.ndarray) -> List[np.ndarray]:
+    """Per node, the rows of the edges that touch it, in edge order."""
     ends = np.column_stack([edges["u"], edges["v"]]).ravel()
     order = np.argsort(ends, kind="stable")
-    return order // 2, np.searchsorted(ends[order], np.arange(num_nodes + 1))
+    rows = order // 2
+    bounds = np.searchsorted(ends[order], np.arange(num_nodes + 1)).tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -254,66 +255,87 @@ def solve_gaec(
     the 100-frame and the dense scenes of the benchmark and 12.6 (|E|+|F|)
     on `benchmark_spec(300)`: a long track grows by one detection at a
     time, and each step touches its whole neighbourhood. Each contraction
-    records its pair of cluster ids, and the nodes are labelled at the end
-    by the connected components of those pairs.
+    points b at a; a live row's endpoints are the clusters that its edge's
+    two nodes now lie in, so one is found along those pointers (halved on
+    the way) and the other is the row's xor with it.
 
-    Each cluster's smallest node is kept apart from its id and keys the
-    heap, so the tie rule does not depend on which side survives. A live
-    pair's slot never changes, so a heap entry is acted on only while both
-    clusters live and its total and key are current. After a contraction
-    the rows that came from b, or all of a's rows if its smallest node
-    dropped (which changes their keys), go on the heap again if they are
-    regular and their total is positive. Each merged cost is the sum of the
-    two sides' costs, and float addition is commutative, so partitions,
-    traces and objectives equal those of a contraction that always keeps
-    the side with the smaller min node (`tests/gaec_reference.py`). A sum
-    that one side lacks is 0.0 there, which can change only the sign of a
-    zero sum, and no comparison or trace value depends on that sign.
+    Each cluster's smallest node is kept apart from its id, so the tie
+    rule does not depend on which side survives. A heap entry is a total
+    and a row, and it stays valid while the row lives and its total is
+    unchanged: a relabelled row keeps its entry, since its endpoints are
+    read only when it is popped. So a contraction pushes only the shared
+    rows, which took a sum, when they are regular and their total is
+    positive. Totals that tie are resolved when popped: every valid entry
+    of the largest total is taken off the heap, the one with the smallest
+    current pair of cluster min nodes is contracted, and the others go
+    back. Each merged cost is the sum of the two sides' costs, and float
+    addition is commutative, so partitions, traces and objectives equal
+    those of a contraction that always keeps the side with the smaller min
+    node (`tests/gaec_reference.py`). A sum that one side lacks is 0.0
+    there, which can change only the sign of a zero sum, and no comparison
+    or trace value depends on that sign.
     """
     n = instance.num_nodes
     both = np.concatenate([instance.edges, instance.lifted_edges])
     # E and F are disjoint, so each singleton pair's row is one edge.
     regular = np.arange(len(both)) < instance.num_edges
+    # a row's endpoints: the cluster of its edge's u, and `ends` xor that
+    first = both["u"].tolist()
     ends = both["u"] ^ both["v"]
     reg = np.where(regular, both["c"], 0.0)
     lif = np.where(regular, 0.0, both["c"])
     live = np.ones(len(both), dtype=bool)
-    rows, bounds = _incidence(n, both)
-    slots = np.split(rows, bounds[1:-1])
+    slots = _incidence(n, both)
     pos = np.full(n, -1)
     min_node = list(range(n))
-    alive = [True] * n
-    contracted = []
+    into = list(range(n))  # contracted cluster -> the one it went into
     obj = _sequential_sum(both["c"])
     if trace is not None:
         trace.append(obj)
 
+    def valid(negt, row):
+        return live.item(row) and reg.item(row) + lif.item(row) == -negt
+
+    def cluster(node):
+        while into[node] != node:
+            into[node] = node = into[into[node]]
+        return node
+
+    def pair_key(row):
+        a = cluster(first[row])
+        ma, mb = min_node[a], min_node[ends.item(row) ^ a]
+        return (ma, mb) if ma < mb else (mb, ma)
+
     attract = np.flatnonzero(regular & (both["c"] > 0.0))
-    heap = [(-c, (u, v), u, v, s) for u, v, c, s in zip(
-        *_columns(both[attract]), attract.tolist())]
+    heap = list(zip((-both["c"][attract]).tolist(), attract.tolist()))
     heapq.heapify(heap)
 
     while heap:
-        negt, key, a, b, s = heapq.heappop(heap)
-        if not (alive[a] and alive[b]):
-            continue
-        t = reg.item(s) + lif.item(s)
-        ma, mb = min_node[a], min_node[b]
-        if -negt != t or key != ((ma, mb) if ma < mb else (mb, ma)):
+        negt, s = heapq.heappop(heap)
+        if not valid(negt, s):
             continue  # stale entry; a fresh one was pushed on update
+        tied = [s]
+        while heap and heap[0][0] == negt:
+            row = heapq.heappop(heap)[1]
+            if row not in tied and valid(negt, row):
+                tied.append(row)
+        if len(tied) > 1:
+            s = min(tied, key=pair_key)
+            for row in tied:
+                if row != s:
+                    heapq.heappush(heap, (negt, row))
         live[s] = False
+        a = cluster(first[s])
+        b = ends.item(s) ^ a
         # slot arrays keep the rows that other contractions killed
         sa, sb = slots[a], slots[b]
         sa, sb = sa[live[sa]], sb[live[sb]]
         # Contract b into a, the side with more neighbours.
         if len(sa) < len(sb):
             a, b, sa, sb = b, a, sb, sa
-        alive[b] = False
-        contracted.append((a, b))
-        dropped = min_node[b] < min_node[a]
-        if dropped:
-            min_node[a] = min_node[b]
-        obj -= t
+        into[b] = a
+        min_node[a] = min(min_node[a], min_node[b])
+        obj += negt
         if trace is not None:
             trace.append(obj)
         theirs = ends[sa] ^ a
@@ -329,19 +351,13 @@ def solve_gaec(
         ends[moved] ^= a ^ b
         slots[a] = np.concatenate([sa, moved])
         slots[b] = None
-        changed = slots[a] if dropped else np.concatenate([hit, moved])
-        changed = changed[regular[changed]]
-        total = reg[changed] + lif[changed]
+        hit = hit[regular[hit]]
+        total = reg[hit] + lif[hit]
         up = total > 0.0
-        ma = min_node[a]
-        for c, row, end in zip(total[up].tolist(), changed[up].tolist(),
-                               ends[changed[up]].tolist()):
-            nbr = end ^ a
-            mn = min_node[nbr]
-            heapq.heappush(heap, (-c, (mn, ma) if mn < ma else (ma, mn), a, nbr, row))
+        for item in zip((-total[up]).tolist(), hit[up].tolist()):
+            heapq.heappush(heap, item)
 
-    u, v = np.array(contracted, dtype=np.int64).reshape(-1, 2).T
-    partition = Partition.from_labels(pair_components(n, u, v))
+    partition = Partition.from_labels([cluster(node) for node in range(n)])
     final = objective(instance, partition_to_labeling(instance, partition))
     return partition, final
 
@@ -422,13 +438,27 @@ def _articulation_sums(
     return members[points], np.array(sums)
 
 
-def _pair_sums(first, second, n, costs, regular):
-    """Summed costs, in input order, per distinct (first, second) pair of ids
-    below n: both ids, the sum, and whether a regular edge is among them."""
-    keys, inverse = np.unique(first * n + second, return_inverse=True)
-    sums = np.bincount(inverse, weights=costs, minlength=len(keys))
-    linked = np.bincount(inverse, weights=regular, minlength=len(keys)) > 0
-    return *np.divmod(keys, n), sums, linked
+def _pair_sums(first, second, shape, costs, regular, limit):
+    """Summed costs, in input order, per distinct (first, second) pair of
+    ids below `shape`: both ids, the sum, and whether a regular edge is
+    among them, ascending by pair.
+
+    The pairs are grouped by `np.bincount` over all rows * cols keys when
+    that is at most `limit`, and by an `np.unique` sort otherwise. Either
+    way each pair's costs are added in input order.
+    """
+    rows, cols = shape
+    keys = first * cols + second
+    if rows * cols <= limit:
+        sums = np.bincount(keys, weights=costs, minlength=rows * cols)
+        linked = np.bincount(keys[regular], minlength=rows * cols) > 0
+        keys = np.flatnonzero(np.bincount(keys, minlength=rows * cols))
+        sums, linked = sums[keys], linked[keys]
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=costs, minlength=len(keys))
+        linked = np.bincount(inverse, weights=regular, minlength=len(keys)) > 0
+    return *np.divmod(keys, cols), sums, linked
 
 
 def solve_kl(
@@ -448,8 +478,12 @@ def solve_kl(
 
     The partition is one label array of regular-edge-connected clusters,
     each labelled by its smallest node. A sweep costs every candidate with
-    one `np.unique` and `np.bincount` pass over E and F per key kind:
-    (node, neighbour's cluster) and (cluster, cluster). The lifted pairs a
+    one `np.bincount` pass over E and F per key kind: (node, neighbour's
+    cluster) and (cluster, cluster), with the k clusters ranked by
+    representative, over n * k and k * k bins. Only where n * k exceeds 4
+    bins per directed edge (k near n, as from singletons) does `np.unique`
+    group the keys instead; both add each key's costs in input order, so
+    the sums do not depend on the grouping. The lifted pairs a
     node's removal disconnects are cached per cluster member set and
     recomputed, by one depth-first pass for the articulation nodes and one
     component labelling per articulation node, only for the clusters the
@@ -481,7 +515,8 @@ def solve_kl(
         kept = {}
         lifted_label = labels[instance.lifted_edges["u"]]
         inside = lifted_label == labels[instance.lifted_edges["v"]]
-        for cluster in np.unique(lifted_label[inside]).tolist():
+        clusters = np.bincount(lifted_label[inside], minlength=n)
+        for cluster in np.flatnonzero(clusters).tolist():
             members = np.flatnonzero(labels == cluster)
             key = members.tobytes()
             kept[key] = cache.get(key) or _articulation_sums(instance, members)
@@ -489,15 +524,27 @@ def solve_kl(
             leaving[points] = cut
         cache = kept
 
-        tail_label, head_label = labels[tail], labels[head]
-        node, target, sums, linked = _pair_sums(tail, head_label, n, cost, regular)
+        # Clusters ranked by representative, so (node, rank) and (rank, rank)
+        # keys sort as (node, representative) pairs do.
+        reps = np.flatnonzero(labels == np.arange(n))
+        rank = np.empty(n, dtype=np.int64)
+        rank[reps] = np.arange(len(reps))
+        tail_rank, head_rank = rank[labels[tail]], rank[labels[head]]
+        # n * k bins cost less than a sort unless k is near n; beyond 4 bins
+        # per directed edge (an all-singleton start has n * n), sort instead
+        k, limit = len(reps), 4 * len(tail)
+        node, target, sums, linked = _pair_sums(tail, head_rank, (n, k), cost,
+                                                regular, limit)
+        target = reps[target]
         own = target == labels[node]
         leaving[node[own]] += sums[own]
         move = linked & ~own
         split = np.flatnonzero(np.bincount(labels, minlength=n)[labels] > 1)
-        across = tail_label < head_label
+        across = tail_rank < head_rank
         into, absorbed, between, merge = _pair_sums(
-            tail_label[across], head_label[across], n, cost[across], regular[across])
+            tail_rank[across], head_rank[across], (k, k), cost[across],
+            regular[across], limit)
+        into, absorbed = reps[into], reps[absorbed]
 
         # A move leaves and joins the target, a split only leaves, a merge
         # joins every pair between the two clusters.

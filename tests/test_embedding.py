@@ -6,6 +6,7 @@ differences.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -489,6 +490,13 @@ class TestAutoEncoder:
         model = AutoEncoder(SMALL, seed=0)
         with pytest.raises(ValueError):
             model.encode_batch(np.zeros((1, 3, 8, 4)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_bad_seed(self, seed):
+        # numpy's message ("expected non-negative integer") named no value
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AutoEncoder(SMALL, seed=seed)
 
     def test_small_model_under_gradient_check_budget(self):
         model = AutoEncoder(SMALL, seed=0)
@@ -979,6 +987,26 @@ class TestTrain:
         assert cfg.lambda_at(0) == 0.0
         assert cfg.lambda_at(2) == 0.5
         assert cfg.learning_rate_at(10) == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epochs=1.5), "epochs must be an integer, got 1.5"),
+        (dict(epochs=2.0), "epochs must be an integer, got 2.0"),
+        (dict(epochs=True), "epochs must be an integer, got True"),
+        (dict(epochs=1, seed=-1), "seed must be a non-negative integer, got -1"),
+        (dict(epochs=1, seed=1.5), "seed must be a non-negative integer, got 1.5"),
+        (dict(epochs=1, seed=False), "seed must be a non-negative integer, got False"),
+    ])
+    def test_config_names_a_bad_epoch_count_or_seed(self, kwargs, message):
+        # these used to construct, and `train` failed later in numpy or range
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainingConfig(**kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrainingConfig(epochs=np.int64(2), seed=np.int32(3))
+        model = AutoEncoder(SMALL, seed=np.int64(3))
+        assert model.seed == 3 and type(model.seed) is int
+        train(model, *arrays(_toy_dataset(np.random.default_rng(0), frames=1)), [0], cfg)
+        assert model.epoch == 2
 
 
 def _scrambled_dataset():

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import UnionFind, canonical_edge, pair_rows_outcome, shaped_rows
+from helpers import (UnionFind, canonical_edge, pair_rows_outcome, random_instance,
+                     shaped_rows)
 from pair_rows_reference import reference_instance_rows
 from partition_reference import reference_blocks, reference_from_labels
 from liftedtrack.graph import (
@@ -226,6 +227,64 @@ class TestMulticutInstance:
         assert a != MulticutInstance(4, a.edges, a.lifted_edges)
         assert a != MulticutInstance(3, a.edges, ((0, 2, 2.5),))
         assert a != MulticutInstance(3, a.edges)
+
+
+class TestDerivedInstances:
+    """`keep_lifted` and `with_costs` give what the constructor gives on the
+    same rows, without checking the pairs again."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            inst = random_instance(rng, max_nodes=12, edge_prob=float(rng.uniform(0, 1)),
+                                   lifted_frac=0.4)
+            mask = rng.random(inst.num_lifted) < 0.5
+            costs = [rng.normal(size=inst.num_edges), rng.normal(size=inst.num_lifted)]
+            for group in costs:
+                bad = rng.random(len(group)) < rng.choice([0.0, 0.1])
+                group[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+            yield inst, mask, costs
+
+    @staticmethod
+    def _rows(build):
+        """`pair_rows_outcome` of an instance builder, with num_nodes."""
+        def stored():
+            instance = build()
+            return [np.array([instance.num_nodes]), instance.edges, instance.lifted_edges]
+        return pair_rows_outcome(stored)
+
+    def test_keep_lifted(self):
+        for inst, mask, _ in self._cases():
+            before = self._rows(lambda: inst)
+            want = self._rows(lambda: MulticutInstance(
+                inst.num_nodes, inst.edges, inst.lifted_edges[mask]))
+            assert self._rows(lambda: inst.keep_lifted(mask)) == want
+            assert self._rows(lambda: inst) == before
+
+    def test_with_costs(self):
+        failures = 0
+        for inst, _, (edge_costs, lifted_costs) in self._cases():
+            before = self._rows(lambda: inst)
+
+            def rebuilt():
+                groups = [inst.edges.copy(), inst.lifted_edges.copy()]
+                groups[0]["c"], groups[1]["c"] = edge_costs, lifted_costs
+                return MulticutInstance(inst.num_nodes, *groups)
+
+            want = self._rows(rebuilt)
+            assert self._rows(lambda: inst.with_costs(edge_costs, lifted_costs)) == want
+            assert self._rows(lambda: inst) == before
+            failures += isinstance(want, tuple)
+        assert 50 < failures < 250
+
+    def test_with_costs_does_not_alias_the_costs(self):
+        inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 1.0),))
+        costs = np.array([2.0])
+        costed = inst.with_costs(costs, [3.0])
+        costs[0] = 9.0
+        assert costed.edges["c"].tolist() == [2.0]
+        assert costed.lifted_edges["c"].tolist() == [3.0]
 
 
 def fuzzed_instance_input(rng):

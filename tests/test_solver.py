@@ -30,6 +30,7 @@ from liftedtrack.graph import (
     build_graph,
     labeling_to_partition,
 )
+from liftedtrack import solver
 from liftedtrack.solver import (
     BRUTEFORCE_MAX_NODES,
     FeasibilityReport,
@@ -552,6 +553,33 @@ class TestGaecMatchesReference:
         assert (block[inst.lifted_edges["u"]] == block[inst.lifted_edges["v"]]).any()
 
 
+    # Two rows tie at total 2 behind a contraction of total 10 that lowers
+    # one tied row's cluster min node from 5 to 0. At push time the other
+    # row's pair of min nodes is smaller; when the tie is popped it is not.
+    # Which row goes first decides the partition: the second one then
+    # totals 2 - 10 < 0.
+    @pytest.mark.parametrize("edges, survivor, expected", [
+        # 5 has more neighbours, so it survives and its min node drops
+        (((0, 5, 10.0), (1, 3, 2.0), (3, 5, 2.0), (1, 5, -10.0), (2, 5, -1.0)),
+         5, (0, 1, 2, 0, 3, 0, 4)),
+        # 0 has more neighbours, so 5's rows are relabelled to 0; the tied
+        # row (5, 7) is then read from the cluster its u went into
+        (((0, 5, 10.0), (1, 7, 2.0), (5, 7, 2.0), (1, 5, -10.0), (0, 2, -1.0),
+          (0, 3, -1.0), (0, 4, -1.0)), 0, (0, 1, 2, 3, 4, 0, 5, 0)),
+    ])
+    def test_tie_after_a_min_node_drops(self, edges, survivor, expected):
+        inst = MulticutInstance(len(expected), edges)
+        slots = np.bincount(np.concatenate([inst.edges["u"], inst.edges["v"]]))
+        assert slots[survivor] > slots[5 - survivor]
+        ref_trace, got_trace = [], []
+        ref_part, ref_value = reference_solve_gaec(inst, trace=ref_trace)
+        got_part, got_value = solve_gaec(inst, trace=got_trace)
+        assert got_part == ref_part == Partition(expected)
+        assert got_trace == ref_trace
+        assert np.diff(got_trace).tolist() == [-10.0, -2.0]
+        assert got_value == ref_value
+
+
 # ---------------------------------------------------------------------------
 # KL local search
 # ---------------------------------------------------------------------------
@@ -733,6 +761,52 @@ class TestKlMatchesReference:
         # Articulation nodes did carry lifted pairs, and the searches moved.
         assert charged > 100
         assert moves > 80
+
+
+class TestKlPairSums:
+    """Both groupings of the sweep sums: bins, and the `np.unique` sort."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_grouping_adds_in_input_order(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        size = int(rng.integers(0, 400))
+        first, second = rng.integers(0, rows, size), rng.integers(0, cols, size)
+        costs = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
+        regular = rng.random(size) < 0.3
+        expected = {}
+        for key in zip(first.tolist(), second.tolist(), costs.tolist(), regular.tolist()):
+            total, linked = expected.get(key[:2], (0.0, False))
+            expected[key[:2]] = (total + key[2], linked or key[3])
+        pairs = sorted(expected)
+        for limit in (rows * cols, rows * cols - 1):
+            got_first, got_second, sums, linked = solver._pair_sums(
+                first, second, (rows, cols), costs, regular, limit)
+            assert list(zip(got_first.tolist(), got_second.tolist())) == pairs
+            want = np.array([expected[pair][0] for pair in pairs])
+            assert np.array_equal(sums.view(np.int64), want.view(np.int64))
+            assert linked.tolist() == [expected[pair][1] for pair in pairs]
+
+    def test_both_groupings_match_the_reference(self, monkeypatch):
+        # the cases of TestKlMatchesReference.test_random_instances
+        binned = []
+        pair_sums = solver._pair_sums
+
+        def spy(first, second, shape, costs, regular, limit):
+            binned.append(shape[0] * shape[1] <= limit)
+            return pair_sums(first, second, shape, costs, regular, limit)
+
+        monkeypatch.setattr(solver, "_pair_sums", spy)
+        # A sparse instance with many clusters needs more than 4 bins per
+        # directed edge; merges then bring k down, and bins take over.
+        moves, mixed = {True: 0, False: 0}, 0
+        for inst, init in _random_cases():
+            del binned[:]
+            applied = TestKlMatchesReference._assert_same(inst, init)
+            moves[binned[0]] += applied
+            mixed += len(set(binned)) == 2
+        assert moves[True] > 300 and moves[False] > 50
+        assert mixed > 10
 
 
 def _neighbour_assignments(partition, inst):

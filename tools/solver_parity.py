@@ -1,24 +1,28 @@
-"""Compare GAEC and KL results of the working tree with those of a git revision.
+"""Compare costed instances and GAEC and KL results with those of a git revision.
 
 Usage: python3 tools/solver_parity.py --against REV   (run from the repository root)
 
-It builds the costed multicut instance of five scenes with the working
-tree's `src/`: the three benchmark workloads as `perfbench/workloads.py`
-sets them up (seed 0), `benchmark_spec(300)` and `dense_spec()` with the
-default lifted gaps, both with 4 epochs. Each instance is captured where
-the pipeline hands it to `solve_gaec`, and written with `write_instance`.
+It builds the costed multicut instance of five scenes: the three
+benchmark workloads as `perfbench/workloads.py` sets them up (seed 0),
+`benchmark_spec(300)` and `dense_spec()` with the default lifted gaps,
+both with 4 epochs. Each instance is captured where the pipeline hands it
+to `solve_gaec`, and written with `write_instance`.
 
 REV's `src/` is extracted with `git archive` from the local repository
-into a temporary directory. Each tree then reads every instance with its
-own `read_instance` and solves it with GAEC and then KL from GAEC's
-partition, in a process with its own `src/`. That is repeated three
-times, the two trees' processes alternating (REV, working tree, REV, ...)
-so that a drift in machine speed falls on both; each tree's three results
-must be equal, and the fastest seconds of each solver are kept. The
-script prints one row per scene with the graph sizes, each tree's GAEC
-and KL seconds (REV -> working tree), and the first difference in
-partition, trace or objective (`==` when there is none), and exits 1 if
-any scene differs.
+into a temporary directory. Each tree builds and writes the five
+instances in a process with its own `src/` (and the working tree's
+`perfbench/`), and the two files of each scene must be byte-identical,
+so every cost is compared bit for bit. Each tree then reads every
+instance of the working tree with its own `read_instance` and solves it
+with GAEC and then KL from GAEC's partition, in a process with its own
+`src/`. That is repeated three times, the two trees' processes
+alternating (REV, working tree, REV, ...) so that a drift in machine
+speed falls on both; each tree's three results must be equal, and the
+fastest seconds of each solver are kept. The script prints one row per
+scene with the graph sizes, each tree's GAEC and KL seconds (REV ->
+working tree), the first differing instance line (`==` when the files
+are equal) and the first difference in partition, trace or objective
+(`==` when there is none), and exits 1 if any scene differs.
 """
 
 import argparse
@@ -39,12 +43,15 @@ ARTEFACTS = ("partition", "trace", "objective")
 REPEATS = 3
 
 
-def _capture_instances(workdir: Path) -> dict:
-    """Scene name -> the costed instance its tracking run hands to GAEC."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def _capture_instances(workdir: Path, out: Path) -> None:
+    """Write each scene's costed instance, as its tracking run hands it to
+    GAEC, to out/<scene>.txt with this process's liftedtrack."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import liftedtrack
     import workloads
     from liftedtrack import pipeline
     from liftedtrack.pipeline import PipelineConfig
+    from liftedtrack.solver import write_instance
     from liftedtrack.synth import benchmark_spec
 
     captured = []
@@ -65,15 +72,13 @@ def _capture_instances(workdir: Path) -> dict:
     runs["dense-lifted"] = lambda: workloads.InMemory(None, four_epochs).operation(
         workloads.render(workloads.dense_spec(), 0))
     pipeline.solve_gaec = capture
-    try:
-        instances = {}
-        for name in SCENES:
-            del captured[:]
-            runs[name]()
-            (instances[name],) = captured
-        return instances
-    finally:
-        pipeline.solve_gaec = solve
+    out.mkdir()
+    for name in SCENES:
+        del captured[:]
+        runs[name]()
+        (instance,) = captured
+        write_instance(instance, out / f"{name}.txt")
+    (out / "liftedtrack.json").write_text(json.dumps(liftedtrack.__file__))
 
 
 def _solve(instance_dir: Path, out: Path) -> None:
@@ -113,14 +118,33 @@ def _best_of(repeats: list) -> dict:
     return best
 
 
-def _run_tree(tree: Path, instance_dir: Path, out: Path) -> dict:
+def _run_tree(tree: Path, mode: str, *paths: Path) -> Path:
+    """Run this script in `mode` on `paths` in a process that imports the
+    tree's `src/`; return the last path, where the process wrote."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    subprocess.run([sys.executable, __file__, "--solve", str(instance_dir), str(out)],
+    subprocess.run([sys.executable, __file__, mode, *map(str, paths)],
                    env=env, check=True)
-    results = json.loads(out.read_text())
-    if not Path(results["liftedtrack"]).is_relative_to(tree / "src"):
-        sys.exit(f"solver_parity: {tree} imported {results['liftedtrack']}")
-    return results
+    return paths[-1]
+
+
+def _check_import(tree: Path, module: str) -> None:
+    if not Path(module).is_relative_to(tree / "src"):
+        sys.exit(f"solver_parity: {tree} imported {module}")
+
+
+def _instance_difference(ours: Path, theirs: Path) -> str:
+    """'' when the two instance files hold the same bytes, else their first
+    differing line (the header is line 1)."""
+    if ours.read_bytes() == theirs.read_bytes():
+        return ""
+    mine, other = ours.read_text().splitlines(), theirs.read_text().splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(mine, other)) if x != y),
+             min(len(mine), len(other)))
+
+    def line(lines):
+        return repr(lines[i]) if i < len(lines) else "end of file"
+
+    return f"line {i + 1}: {line(other)} -> {line(mine)}"
 
 
 def _first_difference(ours, theirs) -> str:
@@ -151,42 +175,54 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     parser.add_argument("--solve", nargs=2, metavar=("INSTANCES", "OUT"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--capture", nargs=2, metavar=("WORKDIR", "OUT"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.solve:
         _solve(*map(Path, args.solve))
+        return 0
+    if args.capture:
+        _capture_instances(*map(Path, args.capture))
         return 0
     if not args.against:
         parser.error("--against REV is required")
 
     with tempfile.TemporaryDirectory(prefix="solver-parity-") as tmp:
         tmp = Path(tmp)
-        instance_dir = tmp / "instances"
-        instance_dir.mkdir()
-        instances = _capture_instances(tmp / "work")
-        from liftedtrack.solver import write_instance
-
-        for name, instance in instances.items():
-            write_instance(instance, instance_dir / f"{name}.txt")
         other = tmp / "rev"
         _export_src(args.against, other)
+        instance_dirs = {}
+        for tree, tag in ((other, "rev"), (ROOT, "ours")):
+            instance_dirs[tree] = _run_tree(tree, "--capture", tmp / f"work-{tag}",
+                                            tmp / f"instances-{tag}")
+            _check_import(tree, json.loads(
+                (instance_dirs[tree] / "liftedtrack.json").read_text()))
+        instance_dir = instance_dirs[ROOT]
+        instance_diff = {name: _instance_difference(instance_dir / f"{name}.txt",
+                                                    instance_dirs[other] / f"{name}.txt")
+                         for name in SCENES}
+        # each file's "n m k" header
+        sizes = {name: (instance_dir / f"{name}.txt").read_text().split(maxsplit=3)[:3]
+                 for name in SCENES}
         runs = {other: [], ROOT: []}
         for repeat in range(REPEATS):
             for tree, tag in ((other, "rev"), (ROOT, "ours")):
-                runs[tree].append(_run_tree(tree, instance_dir,
-                                            tmp / f"{tag}-{repeat}.json"))
+                out = _run_tree(tree, "--solve", instance_dir, tmp / f"{tag}-{repeat}.json")
+                runs[tree].append(json.loads(out.read_text()))
+                _check_import(tree, runs[tree][-1]["liftedtrack"])
         theirs, ours = _best_of(runs[other]), _best_of(runs[ROOT])
 
-    print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} "
-          f"{'KL s':<15} {'GAEC+KL vs ' + args.against}")
+    print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} {'KL s':<15} "
+          f"{'instance':<9} {'GAEC+KL vs ' + args.against}")
     differ = False
     for name in SCENES:
-        inst = instances[name]
         seconds = [f"{then:.3f} -> {now:.3f}"
                    for then, now in zip(theirs[name]["seconds"], ours[name]["seconds"])]
         diff = _first_difference(ours[name], theirs[name])
-        differ |= bool(diff)
-        print(f"{name:<14} {inst.num_nodes:>5} {inst.num_edges:>6} {inst.num_lifted:>5}  "
-              f"{seconds[0]:<15} {seconds[1]:<15} {diff or '=='}")
+        differ |= bool(diff or instance_diff[name])
+        n, m, k = sizes[name]
+        print(f"{name:<14} {n:>5} {m:>6} {k:>5}  {seconds[0]:<15} {seconds[1]:<15} "
+              f"{instance_diff[name] or '==':<9} {diff or '=='}")
     return 1 if differ else 0
 
 
