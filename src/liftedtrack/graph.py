@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -127,14 +128,38 @@ def repeated_pairs(u, v) -> Tuple[np.ndarray, np.ndarray]:
     """The stable (u, v) sort order of the rows, and a mask in input order
     flagging each row whose (u, v) an earlier row already holds.
 
-    The sort is stable, so equal pairs sit together in input order and a
-    row repeats exactly when the row before it in the order holds its pair.
+    Signed integer pairs are ordered by one stable sort of the key
+    (u - min u) * (max v - min v + 1) + (v - min v), which orders as the
+    pair does; any ids give such a key as long as it stays below 2**63.
+    Other pairs (floats, or ids spread wider than that) are ordered by a
+    two-key `np.lexsort`, which gives the same order. The sort is stable,
+    so equal pairs sit together in input order and a row repeats exactly
+    when the row before it in the order holds its pair.
     """
-    order = np.lexsort((v, u))
+    u, v = np.asarray(u), np.asarray(v)
+    order = None
+    if len(u) and u.dtype.kind == v.dtype.kind == "i":
+        low_u, low_v = int(u.min()), int(v.min())
+        span = int(v.max()) - low_v + 1
+        if (int(u.max()) - low_u + 1) * span < 2**63:
+            order = np.argsort((u - low_u) * span + (v - low_v), kind="stable")
+    if order is None:
+        order = np.lexsort((v, u))
     u, v = u[order], v[order]
     repeat = np.zeros(len(order), dtype=bool)
     repeat[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
     return order, repeat
+
+
+class PairColumns(NamedTuple):
+    """The pairs of E and then F as contiguous read-only columns: endpoints
+    `u` < `v` (int64) and costs `c` (float64); the first `num_edges` rows
+    are E."""
+
+    u: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    num_edges: int
 
 
 _NON_FINITE = "{name} ({u}, {v}) has non-finite cost {c!r}"
@@ -153,6 +178,12 @@ class MulticutInstance:
     whose `rows` hold its position in E then F (a repeated pair: the later
     row). `keep_lifted` and `with_costs` derive instances on pairs that
     were already checked, and check only what they change.
+
+    `columns` holds the same pairs once more as contiguous E-then-F
+    columns, built on an instance's first use of them: the constructor's
+    checks, `objective` and both solvers read them, so none of them
+    concatenates E and F again. Every instance builds its own, the derived
+    ones and those of `dataclasses.replace` included.
     """
 
     num_nodes: int
@@ -165,9 +196,9 @@ class MulticutInstance:
         for name in ("edges", "lifted_edges"):
             object.__setattr__(self, name, pair_rows(
                 getattr(self, name), EDGE_DTYPE, f"{name} must be (u, v, c) triples"))
-        both = np.concatenate([self.edges, self.lifted_edges])
-        u, v, c, n = both["u"], both["v"], both["c"], self.num_nodes
-        self._raise_first(both, (
+        u, v, c, _ = self.columns
+        n = self.num_nodes
+        self._raise_first((
             (u == v, "self-loop {name} ({u}, {v})"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n),
              "{name} ({u}, {v}) outside node range"),
@@ -176,15 +207,25 @@ class MulticutInstance:
             (repeated_pairs(u, v)[1], "duplicate pair ({u}, {v}) across E and F"),
         ))
 
-    def _raise_first(self, both, checks) -> None:
-        """Raise a RowError for the first row of E then F (`both`) that one
-        of the (mask, template) `checks` flags."""
+    @cached_property
+    def columns(self) -> PairColumns:
+        """The pairs of E then F as contiguous read-only columns."""
+        columns = [np.concatenate([self.edges[name], self.lifted_edges[name]])
+                   for name in ("u", "v", "c")]
+        for column in columns:
+            column.flags.writeable = False
+        return PairColumns(*columns, self.num_edges)
+
+    def _raise_first(self, checks) -> None:
+        """Raise a RowError for the first row of E then F that one of the
+        (mask, template) `checks` over `columns` flags."""
         flagged = first_flagged(checks)
         if flagged:
             i, text = flagged
-            name = "edge" if i < self.num_edges else "lifted edge"
-            raise RowError(text.format(name=name, u=int(both["u"][i]), v=int(both["v"][i]),
-                                       c=float(both["c"][i])), (i,))
+            u, v, c, m = self.columns
+            name = "edge" if i < m else "lifted edge"
+            raise RowError(text.format(name=name, u=int(u[i]), v=int(v[i]),
+                                       c=float(c[i])), (i,))
 
     @classmethod
     def _derived(cls, num_nodes, edges, lifted_edges) -> "MulticutInstance":
@@ -212,9 +253,9 @@ class MulticutInstance:
             groups.append(group.copy())
             groups[-1]["c"] = costs
             groups[-1].flags.writeable = False
-        both = np.concatenate(groups)
-        self._raise_first(both, ((~np.isfinite(both["c"]), _NON_FINITE),))
-        return self._derived(self.num_nodes, *groups)
+        instance = self._derived(self.num_nodes, *groups)
+        instance._raise_first(((~np.isfinite(instance.columns.c), _NON_FINITE),))
+        return instance
 
     def __eq__(self, other):
         if not isinstance(other, MulticutInstance):

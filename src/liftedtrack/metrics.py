@@ -7,6 +7,7 @@ a ground-truth trajectory is matched to a different hypothesis id than
 its last known partner. MOTP is reported as mean IoU over matches.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -47,15 +48,40 @@ class MotReport:
         ]
 
 
-def _sorted_side(records, name: str, offset: int):
-    """The (frames, ids, (n, 4) boxes) of `records`, sorted by (frame, id).
+def _side_arrays(source):
+    """The (frames, ids, (n, 4) boxes) of one side, in record order.
+
+    A track set (anything with `tracks`, each with a `track_id` and a frame
+    -> box mapping `boxes`) is read from its boxes straight into arrays,
+    put in the (frame, id) order of its `to_mot_records`; records, or
+    anything else `as_records` takes, are read one record at a time.
+    """
+    if hasattr(source, "tracks"):
+        tracks = source.tracks
+        frames = np.fromiter(itertools.chain.from_iterable(t.boxes for t in tracks),
+                             dtype=np.int64)
+        ids = np.repeat(np.array([t.track_id for t in tracks], dtype=np.int64),
+                        [len(t.boxes) for t in tracks])
+        boxes = [(b.left, b.top, b.width, b.height)
+                 for t in tracks for b in t.boxes.values()]
+        order = repeated_pairs(frames, ids)[0]
+    else:
+        records = as_records(source)
+        frames = np.array([rec.frame for rec in records])
+        ids = np.array([rec.track_id for rec in records])
+        boxes = [(rec.left, rec.top, rec.width, rec.height) for rec in records]
+        order = slice(None)
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return frames[order], ids[order], boxes[order]
+
+
+def _sorted_side(frames, ids, boxes, name: str, offset: int):
+    """The (frames, ids, boxes) of one side, sorted by (frame, id).
 
     An id given twice in a frame is rejected as a RowError naming the first
     two records that share it, whose `rows` are their positions plus
     `offset`.
     """
-    frames = np.array([rec.frame for rec in records])
-    ids = np.array([rec.track_id for rec in records])
     order, repeat = repeated_pairs(frames, ids)
     if repeat.any():
         # the first repeat in input order is its key's second record, and
@@ -65,33 +91,33 @@ def _sorted_side(records, name: str, offset: int):
         raise RowError(f"{name} records {earlier} and {later} both give "
                        f"id {ids[later]} in frame {frames[later]}",
                        (offset + earlier, offset + later))
-    boxes = np.array([(rec.left, rec.top, rec.width, rec.height) for rec in records],
-                     dtype=np.float64).reshape(-1, 4)
     return frames[order], ids[order], boxes[order]
 
 
 def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     """Score a hypothesis track set against ground-truth records.
 
-    `iou_threshold` must lie in (0, 1]. A non-positive ground-truth id, or a
-    (frame, id) given twice on one side, raises a RowError whose `rows`
-    count the ground-truth records first, then the hypothesis records.
+    Either side may be MOT records or a track set, which is scored from
+    its boxes without building records. `iou_threshold` must lie in
+    (0, 1]. A non-positive ground-truth id, or a (frame, id) given twice on
+    one side, raises a RowError whose `rows` count the ground-truth records
+    first, then the hypothesis records (a track set's records in the order
+    of its `to_mot_records`).
 
     Every same-frame (gt, hyp) pair is scored in one `box_iou` call, so
     memory grows with the sum over frames of |gt_f| * |hyp_f|.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_records = as_records(gt)
-    hyp_records = as_records(hyp)
-    if not gt_records:
+    gt_side, hyp_side = _side_arrays(gt), _side_arrays(hyp)
+    num_gt, num_hyp = len(gt_side[0]), len(hyp_side[0])
+    if not num_gt:
         raise ValueError("ground truth is empty")
-    bad_id = next((i for i, rec in enumerate(gt_records) if rec.track_id < 1), None)
-    if bad_id is not None:
-        raise RowError("ground-truth ids must be positive", (bad_id,))
-    gt_frames, gt_ids, gt_boxes = _sorted_side(gt_records, "ground-truth", 0)
-    hyp_frames, hyp_ids, hyp_boxes = _sorted_side(hyp_records, "hypothesis",
-                                                  len(gt_records))
+    bad_id = np.flatnonzero(gt_side[1] < 1)
+    if bad_id.size:
+        raise RowError("ground-truth ids must be positive", (int(bad_id[0]),))
+    gt_frames, gt_ids, gt_boxes = _sorted_side(*gt_side, "ground-truth", 0)
+    hyp_frames, hyp_ids, hyp_boxes = _sorted_side(*hyp_side, "hypothesis", num_gt)
 
     # each gt record's slice of the hypothesis and every same-frame
     # (gt, hyp) pair, gt-major within a frame, so a frame's pairs are one block
@@ -130,9 +156,9 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
             assoc[gid] = hid
             matched.append(p + i * m + j)
 
-    fn = len(gt_records) - len(matched)
-    fp = len(hyp_records) - len(matched)
-    mota = 1.0 - (fp + fn + ids) / len(gt_records)
+    fn = num_gt - len(matched)
+    fp = num_hyp - len(matched)
+    mota = 1.0 - (fp + fn + ids) / num_gt
     # a running sum in match order: pairwise summation could move MOTP's last bit
     motp = float(np.cumsum(scores[matched])[-1]) / len(matched) if matched else 0.0
 
@@ -148,7 +174,7 @@ def evaluate_clear_mot(gt, hyp, iou_threshold: float = 0.5) -> MotReport:
     weights = np.zeros((len(gids), len(hids)))
     np.add.at(weights, (rows, cols), 1.0)
     idtp = int(weights[linear_sum_assignment(-weights)].sum())
-    idf1 = 2.0 * idtp / (len(gt_records) + len(hyp_records)) if hyp_records else 0.0
+    idf1 = 2.0 * idtp / (num_gt + num_hyp) if num_hyp else 0.0
 
     return MotReport(
         mota=mota, motp=motp, ids=ids, mt=mt, ml=ml, fp=fp, fn=fn, idf1=idf1

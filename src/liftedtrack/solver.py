@@ -56,10 +56,24 @@ class FeasibilityReport:
 
 
 def objective(instance: MulticutInstance, labeling: EdgeLabeling) -> float:
-    """Total cost of the cut edges over E union F."""
+    """Total cost of the cut edges over E union F.
+
+    It is the dot product of the instance's contiguous cost column with the
+    int8 labels; the same product over a strided view of the `c` field can
+    differ in the last bit, and the solvers' objectives (`_block_objective`)
+    take exactly this one.
+    """
     labeling.validate_for(instance)
-    costs = np.concatenate([instance.edges["c"], instance.lifted_edges["c"]])
-    return float(costs @ labeling.labels)
+    return float(instance.columns.c @ labeling.labels)
+
+
+def _block_objective(instance: MulticutInstance, labels: np.ndarray) -> float:
+    """`objective` of the labeling that cuts every pair of E and F whose
+    endpoints have different `labels`: the block test. For blocks that are
+    connected in G it is the labeling `partition_to_labeling` gives, so the
+    two objectives are bit-equal there, without a components pass."""
+    u, v, c, _ = instance.columns
+    return float(c @ (labels[u] != labels[v]).view(np.int8))
 
 
 def is_feasible(
@@ -116,13 +130,14 @@ def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
     return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
 
 
-def _incidence(num_nodes: int, edges: np.ndarray) -> List[np.ndarray]:
-    """Per node, the rows of the edges that touch it, in edge order."""
-    ends = np.column_stack([edges["u"], edges["v"]]).ravel()
-    order = np.argsort(ends, kind="stable")
-    rows = order // 2
-    bounds = np.searchsorted(ends[order], np.arange(num_nodes + 1)).tolist()
-    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _incidence(num_nodes: int, u: np.ndarray, v: np.ndarray) -> List[np.ndarray]:
+    """Per node, the rows of the pairs (u[i], v[i]) that touch it: the rows
+    where it is u, then those where it is v, each in row order."""
+    ends = np.concatenate([u, v])
+    rows = np.argsort(ends, kind="stable")
+    rows[rows >= len(u)] -= len(u)
+    bounds = np.cumsum(np.bincount(ends, minlength=num_nodes)).tolist()
+    return [rows[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -239,13 +254,18 @@ def solve_gaec(
     Only pairs adjacent through regular edges are contraction candidates;
     lifted costs between adjacent clusters are folded into their totals.
     Ties pick the smallest ordered pair (lower first) of cluster min nodes.
-    Pass `trace` to record the objective after every contraction.
+    Pass `trace` to record the objective after every contraction. The
+    returned objective is the block test's (`_block_objective`) on the
+    final clusters, which are connected in G, so it equals `objective` of
+    `partition_to_labeling` bit for bit.
 
     Cluster ids are node ids, and they are stable. Every live pair of
     adjacent clusters owns one row of a slot table: the xor of its two
     cluster ids, its regular and lifted cost sums, and whether a regular
-    edge is among them. Both clusters hold the row's slot id in their slot
-    arrays, so a neighbour sees a contraction without being touched.
+    edge is among them. The table starts as the instance's E-then-F
+    `columns`, one row per pair. Both clusters hold the row's slot id in
+    their slot arrays, which one stable sort of all pair ends groups by
+    node, so a neighbour sees a contraction without being touched.
     Contracting b into a, the side with more live slots, looks b's
     neighbours up in a's: a row both sides share takes the sum of the two
     (a's first, as a running `+=` adds) and b's duplicate dies; any other
@@ -276,20 +296,19 @@ def solve_gaec(
     or trace value depends on that sign.
     """
     n = instance.num_nodes
-    both = np.concatenate([instance.edges, instance.lifted_edges])
+    u, v, c, m = instance.columns
     # E and F are disjoint, so each singleton pair's row is one edge.
-    regular = np.arange(len(both)) < instance.num_edges
+    regular = np.arange(len(c)) < m
     # a row's endpoints: the cluster of its edge's u, and `ends` xor that
-    first = both["u"].tolist()
-    ends = both["u"] ^ both["v"]
-    reg = np.where(regular, both["c"], 0.0)
-    lif = np.where(regular, 0.0, both["c"])
-    live = np.ones(len(both), dtype=bool)
-    slots = _incidence(n, both)
+    ends = u ^ v
+    reg = np.where(regular, c, 0.0)
+    lif = np.where(regular, 0.0, c)
+    live = np.ones(len(c), dtype=bool)
+    slots = _incidence(n, u, v)
     pos = np.full(n, -1)
     min_node = list(range(n))
     into = list(range(n))  # contracted cluster -> the one it went into
-    obj = _sequential_sum(both["c"])
+    obj = _sequential_sum(c)
     if trace is not None:
         trace.append(obj)
 
@@ -302,12 +321,12 @@ def solve_gaec(
         return node
 
     def pair_key(row):
-        a = cluster(first[row])
+        a = cluster(u.item(row))
         ma, mb = min_node[a], min_node[ends.item(row) ^ a]
         return (ma, mb) if ma < mb else (mb, ma)
 
-    attract = np.flatnonzero(regular & (both["c"] > 0.0))
-    heap = list(zip((-both["c"][attract]).tolist(), attract.tolist()))
+    attract = np.flatnonzero(c[:m] > 0.0)
+    heap = list(zip((-c[attract]).tolist(), attract.tolist()))
     heapq.heapify(heap)
 
     while heap:
@@ -325,7 +344,7 @@ def solve_gaec(
                 if row != s:
                     heapq.heappush(heap, (negt, row))
         live[s] = False
-        a = cluster(first[s])
+        a = cluster(u.item(s))
         b = ends.item(s) ^ a
         # slot arrays keep the rows that other contractions killed
         sa, sb = slots[a], slots[b]
@@ -358,8 +377,8 @@ def solve_gaec(
             heapq.heappush(heap, item)
 
     partition = Partition.from_labels([cluster(node) for node in range(n)])
-    final = objective(instance, partition_to_labeling(instance, partition))
-    return partition, final
+    # contractions follow regular edges, so every cluster is connected in G
+    return partition, _block_objective(instance, partition.component_of)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +423,10 @@ def _articulation_points(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _cluster_labels(instance: MulticutInstance, assign: np.ndarray) -> np.ndarray:
     """Blocks of `assign` split into their regular-edge components, each
     labelled by its smallest node, so labels compare as representatives."""
-    eu, ev = instance.edges["u"], instance.edges["v"]
-    comp = component_labels(instance, assign[eu] == assign[ev])
+    u, v, _, m = instance.columns
+    u, v = u[:m], v[:m]
+    joined = assign[u] == assign[v]
+    comp = pair_components(instance.num_nodes, u[joined], v[joined])
     _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
     return first[inverse]
 
@@ -422,19 +443,22 @@ def _articulation_sums(
     size = len(members)
     local = np.full(instance.num_nodes, -1)
     local[members] = np.arange(size)
-    reg, lif = (edges[(local[edges["u"]] >= 0) & (local[edges["v"]] >= 0)]
-                for edges in (instance.edges, instance.lifted_edges))
+    u, v, c, m = instance.columns
+    u, v = local[u], local[v]
+    inside = (u >= 0) & (v >= 0)
     # `members` ascend, so `local` keeps each induced pair canonical, unique
     # and in range: the checks `MulticutInstance` ran on the instance hold.
-    for edges in (reg, lif):
-        edges["u"], edges["v"] = local[edges["u"]], local[edges["v"]]
-    points = _articulation_points(size, reg["u"], reg["v"])
+    reg = np.flatnonzero(inside[:m])
+    lif = m + np.flatnonzero(inside[m:])
+    ru, rv = u[reg], v[reg]
+    fu, fv, fc = u[lif], v[lif], c[lif]
+    points = _articulation_points(size, ru, rv)
     sums = []
     for x in points.tolist():
-        kept = reg[(reg["u"] != x) & (reg["v"] != x)]
-        part = pair_components(size, kept["u"], kept["v"])
-        cut = (lif["u"] != x) & (lif["v"] != x) & (part[lif["u"]] != part[lif["v"]])
-        sums.append(_sequential_sum(lif["c"][cut]))
+        kept = (ru != x) & (rv != x)
+        part = pair_components(size, ru[kept], rv[kept])
+        cut = (fu != x) & (fv != x) & (part[fu] != part[fv])
+        sums.append(_sequential_sum(fc[cut]))
     return members[points], np.array(sums)
 
 
@@ -474,36 +498,42 @@ def solve_kl(
     Move ties are broken by a fixed lexicographic move encoding: node moves
     (ordered by node, then target cluster representative), then splits,
     then merges (ordered by representative pair). The returned objective is
-    never above the initial partition's.
+    never above the initial partition's. It is the block test's
+    (`_block_objective`) on the final clusters, which are connected in G,
+    so it equals `objective` of `partition_to_labeling` bit for bit.
 
     The partition is one label array of regular-edge-connected clusters,
-    each labelled by its smallest node. A sweep costs every candidate with
-    one `np.bincount` pass over E and F per key kind: (node, neighbour's
-    cluster) and (cluster, cluster), with the k clusters ranked by
-    representative, over n * k and k * k bins. Only where n * k exceeds 4
-    bins per directed edge (k near n, as from singletons) does `np.unique`
-    group the keys instead; both add each key's costs in input order, so
-    the sums do not depend on the grouping. The lifted pairs a
-    node's removal disconnects are cached per cluster member set and
-    recomputed, by one depth-first pass for the articulation nodes and one
-    component labelling per articulation node, only for the clusters the
-    previous move changed.
+    each labelled by its smallest node. Every pair of the instance's
+    E-then-F `columns` is read from both ends, its two directions adjacent.
+    A sweep costs every candidate with one `np.bincount` pass over E and F
+    per key kind: (node, neighbour's cluster) and (cluster, cluster), with
+    the k clusters ranked by representative, over n * k and k * k bins.
+    Only where n * k exceeds 4 bins per directed edge (k near n, as from
+    singletons) does `np.unique` group the keys instead; both add each
+    key's costs in input order, so the sums do not depend on the grouping.
+    The lifted pairs a node's removal disconnects are cached per cluster
+    member set and recomputed, by one depth-first pass for the
+    articulation nodes and one component labelling per articulation node,
+    only for the clusters the previous move changed.
     """
     if initial.num_nodes != instance.num_nodes:
         raise ValueError("initial partition does not cover the instance nodes")
     n = instance.num_nodes
-    both = np.concatenate([instance.edges, instance.lifted_edges])
+    u, v, c, m = instance.columns
     # Each edge from both endpoints, its two directions adjacent, so every
     # per-key sum adds a node's costs in E-then-F order.
-    tail = np.column_stack([both["u"], both["v"]]).ravel()
-    head = np.column_stack([both["v"], both["u"]]).ravel()
-    cost = np.repeat(both["c"], 2)
-    regular = np.repeat(np.arange(len(both)) < instance.num_edges, 2)
+    tail, head = np.empty(2 * len(c), dtype=np.int64), np.empty(2 * len(c), dtype=np.int64)
+    tail[0::2] = head[1::2] = u
+    tail[1::2] = head[0::2] = v
+    cost = np.empty(2 * len(c))
+    cost[0::2] = cost[1::2] = c
+    regular = np.zeros(2 * len(c), dtype=bool)
+    regular[:2 * m] = True
 
     # Split any block that is not connected in G; the true objective is
     # unchanged because such lifted pairs were already charged as cut.
     labels = _cluster_labels(instance, initial.component_of)
-    obj = _sequential_sum(both["c"][labels[both["u"]] != labels[both["v"]]])
+    obj = _sequential_sum(c[labels[u] != labels[v]])
     if trace is not None:
         trace.append(obj)
     cache: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
@@ -513,8 +543,8 @@ def solve_kl(
         # its removal disconnects, then its edges into the cluster.
         leaving = np.zeros(n)
         kept = {}
-        lifted_label = labels[instance.lifted_edges["u"]]
-        inside = lifted_label == labels[instance.lifted_edges["v"]]
+        lifted_label = labels[u[m:]]
+        inside = lifted_label == labels[v[m:]]
         clusters = np.bincount(lifted_label[inside], minlength=n)
         for cluster in np.flatnonzero(clusters).tolist():
             members = np.flatnonzero(labels == cluster)
@@ -567,9 +597,8 @@ def solve_kl(
         if trace is not None:
             trace.append(obj)
 
-    partition = Partition.from_labels(labels)
-    final = objective(instance, partition_to_labeling(instance, partition))
-    return partition, final
+    # `_cluster_labels` splits blocks into their components in G
+    return Partition.from_labels(labels), _block_objective(instance, labels)
 
 
 # ---------------------------------------------------------------------------

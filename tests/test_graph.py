@@ -22,6 +22,7 @@ from liftedtrack.graph import (
     frame_pairs,
     iou,
     labeling_to_partition,
+    repeated_pairs,
 )
 
 
@@ -285,6 +286,98 @@ class TestDerivedInstances:
         costs[0] = 9.0
         assert costed.edges["c"].tolist() == [2.0]
         assert costed.lifted_edges["c"].tolist() == [3.0]
+
+
+class TestColumns:
+    """`columns`: E then F as contiguous read-only arrays, one set per instance."""
+
+    @staticmethod
+    def _assert_columns(instance):
+        u, v, c, num_edges = instance.columns
+        both = np.concatenate([instance.edges, instance.lifted_edges])
+        assert num_edges == instance.num_edges
+        for column, name in ((u, "u"), (v, "v"), (c, "c")):
+            assert column.dtype == EDGE_DTYPE[name]
+            assert column.flags.c_contiguous and not column.flags.writeable
+            # bit for bit, so a -0.0 cost stays -0.0
+            assert column.view(np.int64).tolist() == both[name].view(np.int64).tolist()
+        assert instance.columns is instance.columns
+
+    def test_equal_the_concatenation(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            inst = random_instance(rng, max_nodes=12, edge_prob=float(rng.uniform(0, 1)),
+                                   lifted_frac=float(rng.uniform(0, 1)))
+            self._assert_columns(inst)
+        self._assert_columns(MulticutInstance(0, ()))
+        self._assert_columns(MulticutInstance(2, (), ((0, 1, -0.0),)))
+
+    def test_read_only(self):
+        inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 2.0),))
+        for column in inst.columns[:3]:
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_new_for_every_derived_instance(self):
+        inst = MulticutInstance(4, ((0, 1, 1.0), (1, 2, -1.0), (2, 3, 0.5)),
+                                ((0, 2, 2.0), (0, 3, -2.0), (1, 3, 3.0)))
+        before = [column.tolist() for column in inst.columns[:3]]
+        derived = [
+            inst.keep_lifted([True, False, True]),
+            inst.with_costs([4.0, 5.0, 6.0], [7.0, 8.0, 9.0]),
+            dataclasses.replace(inst, edges=((0, 1, 1.0), (2, 3, 2.5))),
+            dataclasses.replace(inst, lifted_edges=()),
+        ]
+        for other in derived:
+            self._assert_columns(other)
+            assert all(mine is not theirs
+                       for mine, theirs in zip(other.columns, inst.columns[:3]))
+        assert derived[0].columns.u.tolist() == [0, 1, 2, 0, 1]
+        assert derived[1].columns.c.tolist() == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        assert derived[2].columns.u.tolist() == [0, 2, 0, 0, 1]
+        assert [column.tolist() for column in inst.columns[:3]] == before
+
+
+class TestRepeatedPairs:
+    """One key sort gives `np.lexsort`'s order and repeats on every input."""
+
+    @staticmethod
+    def _reference(u, v):
+        order = np.lexsort((v, u))
+        seen, repeat = set(), []
+        for pair in zip(np.asarray(u).tolist(), np.asarray(v).tolist()):
+            repeat.append(pair in seen)
+            seen.add(pair)
+        return order.tolist(), repeat
+
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(18)
+        # ids near 0, near one of +-2**62 (a key with a large offset), near
+        # both (a key past int64, sorted by lexsort) and spread over int64
+        centres = ([0], [2**62], [-2**62], [2**62, -2**62], [0, 2**62])
+        for trial in range(600):
+            size = int(rng.integers(0, 40))
+            centre = centres[trial % len(centres)]
+            u, v = (rng.choice(centre, size=size) + rng.integers(-3, 4, size=size)
+                    for _ in range(2))
+            if trial % 7 == 6:
+                u = rng.integers(-2**63, 2**63 - 1, size=size, dtype=np.int64)
+            if trial % 11 == 10:
+                u, v = u.astype(np.int32), v.astype(np.float64)
+            order, repeat = repeated_pairs(u, v)
+            want = self._reference(u, v)
+            assert (order.tolist(), repeat.tolist()) == want, (u, v)
+
+    def test_ids_near_2_62_in_an_instance(self):
+        # out-of-range ids are sorted with the rest, and named as today
+        big = 2**62
+        for rows, lifted in (
+            ([(0, 1, 1.0), (big, big + 1, 1.0)], [(0, 1, 2.0)]),
+            ([(-big, 1, 1.0), (0, 1, 1.0)], [(-big, 1, 2.0), (big, big + 3, 1.0)]),
+            ([(0, 2, 1.0), (1, 2, 1.0)], [(0, 2, 2.0), (-big, -big + 1, 1.0)]),
+        ):
+            want = pair_rows_outcome(reference_instance_rows, 3, rows, lifted)
+            assert pair_rows_outcome(stored_instance_rows, 3, rows, lifted) == want
 
 
 def fuzzed_instance_input(rng):

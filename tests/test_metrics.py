@@ -7,9 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from liftedtrack.graph import RowError, box_iou, iou
+from liftedtrack.graph import BBox, RowError, box_iou, iou
 from liftedtrack.metrics import MotReport, evaluate_clear_mot
 from liftedtrack.motio import MotRecord
+from liftedtrack.pipeline import Track, TrackSet
 from metrics_reference import reference_evaluate_clear_mot
 
 
@@ -295,3 +296,56 @@ class TestMatchesReference:
                 kinds.add(want[2].split(" ")[0])
         assert kinds == {"ok", "ok-empty-hypothesis", "ok-switch", "positive",
                          "ground-truth", "hypothesis"}
+
+
+def fuzzed_track_set(rnd):
+    """A `TrackSet` of runs over frames 1-8, boxes on a coarse grid, with
+    distinct ids that are rarely below 1."""
+    ids = rnd.sample(range(-1, 12), rnd.randint(0, 6))
+    tracks = []
+    for tid in ids:
+        first = rnd.randint(1, 8)
+        tracks.append(Track(tid, {f: BBox(rnd.randint(0, 8) * 5.0, rnd.randint(0, 8) * 5.0,
+                                          10.0, rnd.choice([10.0, 15.0]))
+                                  for f in range(first, rnd.randint(first, 8) + 1)}))
+    rnd.shuffle(tracks)
+    return TrackSet(tuple(tracks))
+
+
+class TestTrackSets:
+    """A track set is scored from its boxes as its records are scored."""
+
+    def test_fuzzed_track_sets_on_either_side(self):
+        rnd = random.Random(43)
+        kinds = set()
+        for _ in range(600):
+            gt, hyp = fuzzed_sequence(rnd)
+            tracks = fuzzed_track_set(rnd)
+            records = tracks.to_mot_records()
+            threshold = rnd.choice([0.3, 0.5, 0.8])
+            for got, want in (
+                (lambda: evaluate_clear_mot(gt, tracks, threshold),
+                 lambda: evaluate_clear_mot(gt, records, threshold)),
+                (lambda: evaluate_clear_mot(tracks, hyp, threshold),
+                 lambda: evaluate_clear_mot(records, hyp, threshold)),
+            ):
+                want = outcome(want)
+                assert outcome(got) == want, (gt, hyp, tracks)
+                kinds.add(want[0] if want[0] == "ok" else next(
+                    k for k in ("empty", "positive", "both give") if k in want[2]))
+        assert kinds == {"ok", "empty", "positive", "both give"}
+
+    def test_ids_and_frames_near_2_62(self):
+        # (frame, id) keys with a large offset on the ground-truth side, and
+        # past int64 on the hypothesis side
+        big = 2**62
+        gt = [rec(big + f, tid, left=5.0 * f)
+              for f in range(1, 4) for tid in (big, big + 1)]
+        hyp = [rec(big + f, tid, left=5.0 * f + 1.0)
+               for f in range(1, 4) for tid in (-big, 1, big - 1)]
+        want = reference_evaluate_clear_mot(gt, hyp, 0.5)
+        assert evaluate_clear_mot(gt, hyp) == want
+        twice = hyp + [rec(big + 2, -big)]
+        message = f"hypothesis records 3 and 9 both give id {-big}"
+        with pytest.raises(RowError, match=message):
+            evaluate_clear_mot(gt, twice)

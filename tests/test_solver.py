@@ -18,7 +18,8 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from helpers import UnionFind, random_instance, random_labeling, random_partition
+from helpers import (UnionFind, planted_instance, random_instance, random_labeling,
+                     random_partition)
 from gaec_reference import reference_solve_gaec
 from kl_reference import reference_solve_kl
 from liftedtrack.graph import (
@@ -309,6 +310,14 @@ class TestPartitionLabelingRoundtrip:
         lab = partition_to_labeling(inst, Partition((0, 1, 0)))
         assert lab.labels.tolist() == [1, 1, 1]
 
+    def test_block_not_connected_in_g_cuts_its_lifted_pair(self):
+        # One block {0, 1, 2}, but no regular edge reaches node 2: the lifted
+        # pair (0, 2) is cut although the block test would join it.
+        inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 5.0),))
+        lab = partition_to_labeling(inst, Partition((0, 0, 0)))
+        assert lab.labels.tolist() == [0, 1]
+        assert objective(inst, lab) == 5.0
+
     def test_roundtrip_from_connected_partitions(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
@@ -325,6 +334,36 @@ class TestPartitionLabelingRoundtrip:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             partition_to_labeling(TRIANGLE, Partition((0, 1)))
+
+
+class TestReturnedObjectives:
+    """Both solvers return `objective` of `partition_to_labeling` of their
+    partition bit for bit, although they compute it from their own labels."""
+
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).view(np.int64)
+
+    def test_bit_equal_to_the_labeling_objective(self):
+        rng = np.random.default_rng(84)
+        inside = between = 0
+        for case in range(120):
+            # normal costs over hundreds of pairs, so sums round differently
+            # when they are added in another order
+            inst = planted_instance(rng, max_nodes=60,
+                                    edge_prob=float(rng.uniform(0.1, 0.5)),
+                                    lifted_frac=0.4, mu=float(rng.uniform(0.0, 2.0)))
+            gaec, gaec_value = solve_gaec(inst)
+            start = gaec if case % 2 else random_partition(rng, inst.num_nodes)
+            kl, kl_value = solve_kl(inst, start)
+            for part, value in ((gaec, gaec_value), (kl, kl_value)):
+                want = objective(inst, partition_to_labeling(inst, part))
+                assert self._bits(value) == self._bits(want), case
+                block = part.component_of
+                same = block[inst.lifted_edges["u"]] == block[inst.lifted_edges["v"]]
+                inside += int(same.sum())
+                between += int((~same).sum())
+        assert inside > 1000 and between > 1000
 
 
 # ---------------------------------------------------------------------------

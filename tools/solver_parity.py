@@ -18,11 +18,16 @@ with GAEC and then KL from GAEC's partition, in a process with its own
 `src/`. That is repeated three times, the two trees' processes
 alternating (REV, working tree, REV, ...) so that a drift in machine
 speed falls on both; each tree's three results must be equal, and the
-fastest seconds of each solver are kept. The script prints one row per
-scene with the graph sizes, each tree's GAEC and KL seconds (REV ->
+fastest seconds of each solver are kept. In the same process each tree
+also recomputes every objective that GAEC and KL return as
+`objective(instance, partition_to_labeling(instance, partition))`, and
+the two must be the same float bit for bit. The script prints one row
+per scene with the graph sizes, each tree's GAEC and KL seconds (REV ->
 working tree), the first differing instance line (`==` when the files
-are equal) and the first difference in partition, trace or objective
-(`==` when there is none), and exits 1 if any scene differs.
+are equal), the first difference in partition, trace or objective
+between the trees, and the first returned objective that differs from
+its recomputation (each `==` when there is none), and exits 1 if any
+scene differs.
 """
 
 import argparse
@@ -85,7 +90,8 @@ def _solve(instance_dir: Path, out: Path) -> None:
     """Solve every scene's instance once with this process's liftedtrack; dump
     JSON with the results and each solver's seconds."""
     import liftedtrack
-    from liftedtrack.solver import read_instance, solve_gaec, solve_kl
+    from liftedtrack.solver import (objective, partition_to_labeling, read_instance,
+                                    solve_gaec, solve_kl)
 
     results = {"liftedtrack": liftedtrack.__file__}
     for name in SCENES:
@@ -96,9 +102,16 @@ def _solve(instance_dir: Path, out: Path) -> None:
         middle = time.perf_counter()
         kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
         end = time.perf_counter()
+        recomputed = [(solver, value, objective(instance, partition_to_labeling(
+            instance, partition))) for solver, partition, value
+            in (("gaec", gaec, gaec_value), ("kl", kl, kl_value))]
         results[name] = {
             "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
             "kl": [kl.component_of.tolist(), kl_trace, kl_value],
+            # float.hex tells apart values that == does not, as -0.0 and 0.0
+            "objective": next((f"{solver} {value!r} returned, {again!r} recomputed"
+                               for solver, value, again in recomputed
+                               if value.hex() != again.hex()), ""),
             "seconds": [middle - start, end - middle],
         }
     out.write_text(json.dumps(results))
@@ -212,17 +225,23 @@ def main(argv=None) -> int:
                 _check_import(tree, runs[tree][-1]["liftedtrack"])
         theirs, ours = _best_of(runs[other]), _best_of(runs[ROOT])
 
+    versus = f"GAEC+KL vs {args.against}"
     print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} {'KL s':<15} "
-          f"{'instance':<9} {'GAEC+KL vs ' + args.against}")
+          f"{'instance':<9} {versus} objective")
     differ = False
     for name in SCENES:
         seconds = [f"{then:.3f} -> {now:.3f}"
                    for then, now in zip(theirs[name]["seconds"], ours[name]["seconds"])]
         diff = _first_difference(ours[name], theirs[name])
-        differ |= bool(diff or instance_diff[name])
+        # each tree's own returned-against-recomputed check, REV's first
+        check = "; ".join(f"{tag}: {result[name]['objective']}"
+                          for tag, result in ((args.against, theirs), ("tree", ours))
+                          if result[name]["objective"])
+        differ |= bool(diff or instance_diff[name] or check)
         n, m, k = sizes[name]
         print(f"{name:<14} {n:>5} {m:>6} {k:>5}  {seconds[0]:<15} {seconds[1]:<15} "
-              f"{instance_diff[name] or '==':<9} {diff or '=='}")
+              f"{instance_diff[name] or '==':<9} {diff or '==':<{len(versus)}} "
+              f"{check or '=='}")
     return 1 if differ else 0
 
 
