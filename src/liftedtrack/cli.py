@@ -162,7 +162,7 @@ def _cmd_track(args) -> int:
     tracks = run_tracking(detections, table, model, models, config)
     out = Path(args.out) if args.out else workdir / TRACKS
     write_mot(tracks, out)
-    print(f"{len(tracks.tracks)} tracks -> {out}")
+    print(f"{tracks.num_tracks} tracks -> {out}")
     return 0
 
 

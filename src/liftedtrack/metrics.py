@@ -7,7 +7,6 @@ a ground-truth trajectory is matched to a different hypothesis id than
 its last known partner. MOTP is reported as mean IoU over matches.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -15,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph import RowError, box_iou, repeated_pairs
-from .motio import as_records
+from .motio import mot_columns
 
 
 @dataclass(frozen=True)
@@ -49,30 +48,11 @@ class MotReport:
 
 
 def _side_arrays(source):
-    """The (frames, ids, (n, 4) boxes) of one side, in record order.
-
-    A track set (anything with `tracks`, each with a `track_id` and a frame
-    -> box mapping `boxes`) is read from its boxes straight into arrays,
-    put in the (frame, id) order of its `to_mot_records`; records, or
-    anything else `as_records` takes, are read one record at a time.
-    """
-    if hasattr(source, "tracks"):
-        tracks = source.tracks
-        frames = np.fromiter(itertools.chain.from_iterable(t.boxes for t in tracks),
-                             dtype=np.int64)
-        ids = np.repeat(np.array([t.track_id for t in tracks], dtype=np.int64),
-                        [len(t.boxes) for t in tracks])
-        boxes = [(b.left, b.top, b.width, b.height)
-                 for t in tracks for b in t.boxes.values()]
-        order = repeated_pairs(frames, ids)[0]
-    else:
-        records = as_records(source)
-        frames = np.array([rec.frame for rec in records])
-        ids = np.array([rec.track_id for rec in records])
-        boxes = [(rec.left, rec.top, rec.width, rec.height) for rec in records]
-        order = slice(None)
-    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-    return frames[order], ids[order], boxes[order]
+    """The (frames, ids, (n, 4) boxes) of one side, in record order: the
+    columns of `mot_columns`, so a track set gives its own columns, in the
+    (frame, id) order of its `to_mot_records`, without building records."""
+    frames, ids, fields = mot_columns(source)
+    return frames, ids, fields[:, :4]
 
 
 def _sorted_side(frames, ids, boxes, name: str, offset: int):

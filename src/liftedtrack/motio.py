@@ -3,6 +3,10 @@
 Records follow the standard CSV layout "frame,id,left,top,width,height,
 conf,x,y,z". Values are written back with the shortest exact decimal form
 so that canonical files survive a read/write roundtrip byte for byte.
+Records are checked once as columns: `read_mot` builds its records from
+the rows its array check accepted, `records_to_detections` checks the
+records' columns before it builds detections, and `write_mot` formats
+columns (`mot_columns`), each distinct value once.
 The working directory's tables (MOT files, match tables and multicut
 instances) have two readers. `read_table` parses a whole file of plain
 numbers in one `np.loadtxt` pass; `parse_lines`, the line reader, is the
@@ -11,7 +15,10 @@ a table reader falls back to it whenever the array pass refuses a file.
 """
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +34,8 @@ _MOT_DTYPE = np.dtype([("frame", np.int64), ("track_id", np.int64),
 # they refuse: it skips \x1c-\x1f around a number. A carriage return ends a
 # line only for `parse_lines`.
 _NUMBER_BYTES = b"0123456789+-.eE \t\n"
+# What `records_to_detections` reads of a record
+_DETECTION_FIELDS = operator.attrgetter("frame", "left", "top", "width", "height", "conf")
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,23 @@ def _fmt(value: float) -> str:
     if value.is_integer():
         return str(int(value))
     return repr(value)
+
+
+def _format_column(values: np.ndarray) -> List[str]:
+    """`_fmt` of each value of a 1-D float64 array, each distinct value
+    formatted once. `np.unique` merges only values `_fmt` spells alike:
+    -0.0 with 0.0, and NaNs."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(list(map(_fmt, distinct.tolist())), dtype=object)[inverse].tolist()
+
+
+def _unchecked(cls, fields: List[dict]) -> list:
+    """One `cls` instance holding each dict of `fields` as its attributes,
+    built without running its checks: only for values that an array check
+    has already accepted."""
+    objects = list(map(object.__new__, repeat(cls, len(fields))))
+    deque(map(object.__setattr__, objects, repeat("__dict__"), fields), maxlen=0)
+    return objects
 
 
 def numbered_lines(path) -> Iterator[Tuple[int, str]]:
@@ -150,12 +176,7 @@ def read_mot(path) -> List[MotRecord]:
     rows = read_table(path, _MOT_DTYPE, sep=",")
     if rows is None or not _valid_mot_rows(rows):
         return parse_lines(path, _mot_record, _FIELDS, sep=",")[1]
-    return [
-        MotRecord(frame, track_id, *fields[:5], world=tuple(fields[5:]))
-        for frame, track_id, fields in zip(rows["frame"].tolist(),
-                                           rows["track_id"].tolist(),
-                                           rows["fields"].tolist())
-    ]
+    return _records_from_rows(rows)
 
 
 def _valid_mot_rows(rows: np.ndarray) -> bool:
@@ -165,6 +186,18 @@ def _valid_mot_rows(rows: np.ndarray) -> bool:
                 and np.isfinite(fields).all())
 
 
+def _records_from_rows(rows: np.ndarray) -> List[MotRecord]:
+    """The records of rows that `_valid_mot_rows` accepted, `==` to
+    `MotRecord(...)` of their values, without running its checks again."""
+    return _unchecked(MotRecord, [
+        {"frame": frame, "track_id": track_id, "left": left, "top": top,
+         "width": width, "height": height, "conf": conf, "world": (x, y, z)}
+        for frame, track_id, (left, top, width, height, conf, x, y, z)
+        in zip(rows["frame"].tolist(), rows["track_id"].tolist(),
+               rows["fields"].tolist())
+    ])
+
+
 def as_records(source) -> List[MotRecord]:
     """Records from a record sequence or from anything exposing to_mot_records."""
     if hasattr(source, "to_mot_records"):
@@ -172,38 +205,55 @@ def as_records(source) -> List[MotRecord]:
     return list(source)
 
 
+def mot_columns(source) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (frames, ids, (n, 8) float64 fields) of a source, in record order.
+
+    The fields are left, top, width, height, conf and the three world
+    values. Anything exposing `mot_columns` gives its own columns; records
+    (or anything `as_records` takes) are read one record at a time, and
+    their frames and ids keep numpy's inferred dtype.
+    """
+    if hasattr(source, "mot_columns"):
+        return source.mot_columns()
+    records = as_records(source)
+    frames = np.array([rec.frame for rec in records])
+    ids = np.array([rec.track_id for rec in records])
+    fields = np.array([(rec.left, rec.top, rec.width, rec.height, rec.conf, *rec.world)
+                       for rec in records], dtype=np.float64)
+    return frames, ids, fields.reshape(-1, _FIELDS - 2)
+
+
 def write_mot(source, path):
-    """Write records (or anything exposing to_mot_records) as MOT CSV."""
+    """Write records (or anything `mot_columns` takes) as MOT CSV."""
+    frames, ids, fields = mot_columns(source)
+    columns = [map(str, frames.tolist()), map(str, ids.tolist())]
+    columns += [_format_column(column) for column in fields.T]
     with open(path, "w", encoding="ascii") as fh:
-        for rec in as_records(source):
-            fields = [
-                str(rec.frame),
-                str(rec.track_id),
-                _fmt(rec.left),
-                _fmt(rec.top),
-                _fmt(rec.width),
-                _fmt(rec.height),
-                _fmt(rec.conf),
-                _fmt(rec.world[0]),
-                _fmt(rec.world[1]),
-                _fmt(rec.world[2]),
-            ]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines([",".join(row) + "\n" for row in zip(*columns)])
 
 
 def records_to_detections(records: Sequence[MotRecord], images=None) -> List[Detection]:
-    """Detections from records, optionally attaching one image per record."""
+    """Detections from records, optionally attaching one image per record.
+
+    The `Detection` and `BBox` checks run once over the records' columns;
+    if a record fails them, the checked constructors raise its error.
+    """
     if images is not None and len(images) != len(records):
         raise ValueError(f"{len(images)} images for {len(records)} records")
-    return [
-        Detection(
-            frame=rec.frame,
-            box=rec.box,
-            score=rec.conf,
-            image=None if images is None else np.asarray(images[i], dtype=float),
-        )
-        for i, rec in enumerate(records)
-    ]
+    images = ([None] * len(records) if images is None
+              else [np.asarray(image, dtype=float) for image in images])
+    rows = list(map(_DETECTION_FIELDS, records))
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    if not ((columns[:, 0] >= 1).all() and np.isfinite(columns[:, 1:]).all()
+            and (columns[:, 3:5] > 0).all()):
+        return [Detection(rec.frame, rec.box, rec.conf, image)
+                for rec, image in zip(records, images)]
+    boxes = _unchecked(BBox, [{"left": left, "top": top, "width": width, "height": height}
+                              for _, left, top, width, height, _ in rows])
+    return _unchecked(Detection, [
+        {"frame": row[0], "box": box, "score": row[5], "image": image}
+        for row, box, image in zip(rows, boxes, images)
+    ])
 
 
 def save_patches(path, images):

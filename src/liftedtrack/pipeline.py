@@ -10,6 +10,7 @@ solver partitions it, and clusters become interpolated tracks.
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from .graph import (
     checked_frame_gaps,
     first_flagged,
     pair_components,
+    repeated_pairs,
 )
 from .metrics import MotReport, evaluate_clear_mot
 from .motio import MotRecord, numbered_lines
@@ -86,26 +88,92 @@ class Track:
         return max(self.boxes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackSet:
-    tracks: Tuple[Track, ...]
+    """Track boxes as read-only columns, one row per box in (frame, id) order.
+
+    `frames` and `track_ids` are int64 and `boxes` is (k, 4) float64 left,
+    top, width, height. The constructor takes the rows in any order and
+    checks them once as arrays: frames from 1, finite boxes of positive
+    size, one box per (frame, id), and contiguous frames per id. `tracks`,
+    one `Track` per id, is built on first use.
+    """
+
+    frames: np.ndarray = ()
+    track_ids: np.ndarray = ()
+    boxes: np.ndarray = ()
 
     def __post_init__(self):
-        ids = [t.track_id for t in self.tracks]
+        frames = np.array(self.frames, dtype=np.int64).reshape(-1)
+        ids = np.array(self.track_ids, dtype=np.int64).reshape(len(frames))
+        boxes = np.array(self.boxes, dtype=np.float64).reshape(len(frames), 4)
+        by_track, repeat = repeated_pairs(ids, frames)
+        flagged = first_flagged([
+            (frames < 1, "frame below 1"),
+            (~np.isfinite(boxes).all(axis=1), "non-finite box"),
+            ((boxes[:, 2:] <= 0).any(axis=1), "box without positive size"),
+            (repeat, "second box in one frame"),
+        ])
+        if flagged is not None:
+            i, fault = flagged
+            raise ValueError(f"track {ids[i]} frame {frames[i]}: {fault}")
+        seen, owner = frames[by_track], ids[by_track]
+        skip = np.flatnonzero((owner[1:] == owner[:-1]) & (np.diff(seen) != 1))
+        if skip.size:
+            j = skip[0]
+            raise ValueError(f"track {owner[j]} frames not contiguous: "
+                             f"{seen[j]} then {seen[j + 1]}")
+        order = repeated_pairs(frames, ids)[0]
+        for name, column in (("frames", frames), ("track_ids", ids), ("boxes", boxes)):
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_tracks(cls, tracks: Sequence[Track]) -> "TrackSet":
+        ids = [t.track_id for t in tracks]
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate track ids {ids}")
+        boxes = [(b.left, b.top, b.width, b.height)
+                 for t in tracks for b in t.boxes.values()]
+        return cls([f for t in tracks for f in t.boxes],
+                   np.repeat(ids, [len(t.boxes) for t in tracks]), boxes)
+
+    def __eq__(self, other):
+        if not isinstance(other, TrackSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("frames", "track_ids", "boxes"))
+
+    @property
+    def num_tracks(self) -> int:
+        return len(np.unique(self.track_ids))
+
+    @cached_property
+    def tracks(self) -> Tuple[Track, ...]:
+        """One `Track` per id, in id order."""
+        order = repeated_pairs(self.track_ids, self.frames)[0]
+        ids, starts = np.unique(self.track_ids[order], return_index=True)
+        frames, boxes = self.frames[order].tolist(), self.boxes[order].tolist()
+        starts = starts.tolist()
+        return tuple(
+            Track(track_id, {f: BBox(*box) for f, box in
+                             zip(frames[start:stop], boxes[start:stop])})
+            for track_id, start, stop in zip(ids.tolist(), starts,
+                                             starts[1:] + [len(frames)])
+        )
+
+    def mot_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (frames, ids, (k, 8) fields) of `to_mot_records`, as arrays."""
+        k = len(self.frames)
+        fields = np.column_stack([self.boxes, np.ones(k), np.full((k, 3), -1.0)])
+        return self.frames, self.track_ids, fields
 
     def to_mot_records(self) -> List[MotRecord]:
-        records = []
-        for track in sorted(self.tracks, key=lambda t: t.track_id):
-            for frame in sorted(track.boxes):
-                box = track.boxes[frame]
-                records.append(
-                    MotRecord(frame, track.track_id, box.left, box.top,
-                              box.width, box.height, 1.0)
-                )
-        records.sort(key=lambda r: (r.frame, r.track_id))
-        return records
+        return [MotRecord(frame, track_id, *box, 1.0)
+                for frame, track_id, box in zip(self.frames.tolist(),
+                                                self.track_ids.tolist(),
+                                                self.boxes.tolist())]
 
 
 @dataclass(frozen=True)
@@ -385,7 +453,7 @@ def track_latents(detections: Sequence[Detection], table: MatchTable,
     stage "graph", before the lifted gate reads them.
     """
     if not detections:
-        return TrackSet(())
+        return TrackSet()
     nearby, lifted_model = affinity_models
     with _stage("graph"):
         _check_latents(latents, len(detections))
@@ -411,7 +479,8 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
     lexsort over (cluster, frame, -score, id). Tracks are numbered by first
     frame, then by the detection chosen there. Missing interior frames are
     filled by linear interpolation of the four box coordinates; there is
-    no extrapolation beyond the cluster's frame range.
+    no extrapolation beyond the cluster's frame range. The interpolated
+    boxes go into the `TrackSet` columns without a per-frame object.
     """
     labels = partition.component_of
     frames = np.array([det.frame for det in detections], dtype=np.int64)
@@ -425,7 +494,7 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
     runs = np.split(best, starts[1:]) if len(best) else []
     runs.sort(key=lambda run: (frames[run[0]], run[0]))
 
-    tracks = []
+    columns = []
     for track_id, chosen in enumerate(runs, start=1):
         coords = np.array(
             [[box.left, box.top, box.width, box.height]
@@ -435,11 +504,9 @@ def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
         filled = np.column_stack(
             [np.interp(full, frames[chosen], coords[:, k]) for k in range(4)]
         )
-        boxes = {
-            int(f): BBox(*filled[i]) for i, f in enumerate(full)
-        }
-        tracks.append(Track(track_id=track_id, boxes=boxes))
-    return TrackSet(tuple(tracks))
+        columns.append((full, np.full(len(full), track_id), filled))
+    # (frames, ids, boxes) of every track; no tracks give an empty set
+    return TrackSet(*(np.concatenate(column) for column in zip(*columns)))
 
 
 def ablation_embeddings(detections: Sequence[Detection],

@@ -74,4 +74,4 @@ def reference_clusters_to_tracks(detections: Sequence[Detection],
             int(f): BBox(*filled[i]) for i, f in enumerate(full)
         }
         tracks.append(Track(track_id=track_id, boxes=boxes))
-    return TrackSet(tuple(tracks))
+    return TrackSet.from_tracks(tracks)

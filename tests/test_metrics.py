@@ -309,7 +309,7 @@ def fuzzed_track_set(rnd):
                                           10.0, rnd.choice([10.0, 15.0]))
                                   for f in range(first, rnd.randint(first, 8) + 1)}))
     rnd.shuffle(tracks)
-    return TrackSet(tuple(tracks))
+    return TrackSet.from_tracks(tracks)
 
 
 class TestTrackSets:

@@ -1,5 +1,6 @@
 """Tests for MOT CSV parsing, byte-exact roundtrips, and patch storage."""
 
+import re
 import zipfile
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 
 from liftedtrack.graph import BBox
 from liftedtrack.motio import (
+    _MOT_DTYPE,
     MotRecord,
+    _records_from_rows,
+    _unchecked,
+    _valid_mot_rows,
     load_patches,
     read_mot,
     records_to_detections,
@@ -45,6 +50,76 @@ class TestMotRecord:
         with pytest.raises(ValueError, match="finite"):
             MotRecord(frame=1, track_id=1, left=np.nan, top=0, width=5, height=5,
                       conf=1)
+
+
+# Values for the row-check fuzz: edges of each check and non-finite floats
+ROW_INTS = (0, 1, 2, -1, 2**62, 2**63 - 1, -2**63)
+ROW_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.5, -2.5, 1e308, float("nan"),
+              float("inf"), -float("inf"))
+
+
+def fuzzed_rows(rng, n):
+    """`n` MOT rows, each int and float field drawn from the edge values."""
+    rows = np.zeros(n, dtype=_MOT_DTYPE)
+    rows["frame"] = rng.choice(np.array(ROW_INTS), n)
+    rows["track_id"] = rng.choice(np.array(ROW_INTS), n)
+    fields = rng.choice(np.array(ROW_FLOATS), (n, 8))
+    # most fields ordinary, so that most rows pass and each check is hit alone
+    ordinary = rng.random((n, 8)) < 0.8
+    fields[ordinary] = rng.uniform(1, 9, ordinary.sum())
+    rows["fields"] = fields
+    return rows
+
+
+def checked_record(frame, track_id, fields):
+    """("ok", MotRecord(...)) of a row's values, or ("error", None)."""
+    try:
+        return "ok", MotRecord(frame, track_id, *fields[:5], world=tuple(fields[5:]))
+    except ValueError:
+        return "error", None
+
+
+class TestRowChecks:
+    """The array check of `read_mot` accepts the rows `MotRecord` accepts, and
+    the records it builds from them are those `MotRecord(...)` builds."""
+
+    def test_fuzzed_rows(self):
+        rng = np.random.default_rng(61)
+        rows = fuzzed_rows(rng, 3000)
+        accepted = 0
+        for row, (frame, track_id, fields) in zip(rows, rows.tolist()):
+            kind, want = checked_record(frame, track_id, fields.tolist())
+            assert _valid_mot_rows(row[None]) == (kind == "ok"), row
+            if kind == "error":
+                continue
+            accepted += 1
+            got, = _records_from_rows(row[None])
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            for name in ("frame", "track_id", "left", "top", "width", "height", "conf"):
+                assert type(getattr(got, name)) is type(getattr(want, name))
+            assert type(got.world) is tuple and len(got.world) == 3
+            assert all(type(value) is float for value in got.world)
+        assert 500 < accepted < 2500
+
+    def test_every_field_rejects_non_finite(self):
+        for k in range(8):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                rows = np.zeros(2, dtype=_MOT_DTYPE)
+                rows["frame"], rows["fields"] = 1, 1.0
+                rows["fields"][1, k] = bad
+                assert _valid_mot_rows(rows[:1]) and not _valid_mot_rows(rows)
+                assert checked_record(1, 0, rows["fields"][1].tolist())[0] == "error"
+
+    def test_table_accepted_when_every_row_is(self):
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            rows = fuzzed_rows(rng, int(rng.integers(1, 6)))
+            want = all(checked_record(*row[:2], row[2].tolist())[0] == "ok"
+                       for row in rows.tolist())
+            assert _valid_mot_rows(rows) == want
+            if want:
+                assert _records_from_rows(rows) == [
+                    checked_record(*row[:2], row[2].tolist())[1] for row in rows.tolist()]
 
 
 class TestReadWrite:
@@ -123,6 +198,20 @@ class TestDetectionsAndPatches:
         images = np.arange(2 * 3 * 4 * 4, dtype=float).reshape(2, 3, 4, 4)
         dets = records_to_detections(records, images=images)
         assert np.array_equal(dets[1].image, images[1])
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"frame": 0}, "Detection.frame must be >= 1, got 0"),
+        ({"conf": np.inf}, "Detection.score must be finite"),
+        ({"top": np.nan}, "BBox.top must be finite, got nan"),
+        ({"height": -0.0}, "BBox requires positive size, got 3.0 x -0.0"),
+    ])
+    def test_column_check_raises_the_record_error(self, fault, message):
+        # records built past MotRecord's checks, as only an array check may
+        fields = dict(frame=1, track_id=-1, left=0.0, top=0.0, width=3.0,
+                      height=4.0, conf=1.0, world=(-1.0, -1.0, -1.0))
+        records = _unchecked(MotRecord, [fields, {**fields, **fault}])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            records_to_detections(records)
 
     def test_image_count_mismatch_rejected(self):
         records = [

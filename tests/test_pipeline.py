@@ -245,7 +245,7 @@ class TestTrackTypes:
     def test_trackset_rejects_duplicate_ids(self):
         track = Track(track_id=1, boxes={1: BBox(0, 0, 1, 1)})
         with pytest.raises(ValueError, match="duplicate"):
-            TrackSet((track, track))
+            TrackSet.from_tracks((track, track))
 
 
 class TestConfigIO:
