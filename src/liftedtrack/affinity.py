@@ -457,15 +457,16 @@ def assemble_costs(
         )
     frames = np.array([det.frame for det in detections])
 
-    def costed(group, model):
-        cross = frames[group["u"]] != frames[group["v"]]
-        u, v = group["u"][cross], group["v"][cross]
+    def costed(u, v, model):
+        cross = frames[u] != frames[v]
+        u, v = u[cross], v[cross]
         iou_dm = table.values_at(u, v)
         d_ae = latent_distances(latents, u, v)
-        p_same = np.full(len(group), PROB_EPS)
+        p_same = np.full(len(cross), PROB_EPS)
         p_same[cross] = predict_p_same(model, feature_matrix(iou_dm, d_ae,
                                                              model.feature_config))
         return edge_cost(p_same)
 
-    return instance.with_costs(costed(instance.edges, model_nearby),
-                               costed(instance.lifted_edges, model_lifted))
+    u, v, _, m = instance.columns
+    return instance.with_costs(costed(u[:m], v[:m], model_nearby),
+                               costed(u[m:], v[m:], model_lifted))

@@ -180,10 +180,16 @@ class MulticutInstance:
     were already checked, and check only what they change.
 
     `columns` holds the same pairs once more as contiguous E-then-F
-    columns, built on an instance's first use of them: the constructor's
-    checks, `objective` and both solvers read them, so none of them
-    concatenates E and F again. Every instance builds its own, the derived
-    ones and those of `dataclasses.replace` included.
+    columns, built on an instance's first use of them. Outside this class
+    the library reads pairs only through them, so no reader concatenates E
+    and F again or knows the two-array layout. Every instance builds its
+    own, the derived ones and those of `dataclasses.replace` included.
+
+    Only this class reads `edges` and `lifted_edges`: the constructor,
+    `columns`, `keep_lifted`, `with_costs`, `==` and the two counts. They
+    stay the stored fields because the benchmark harness derives instances
+    with `dataclasses.replace(instance, edges=...)` and reads `edges` as
+    triples.
     """
 
     num_nodes: int
@@ -238,18 +244,25 @@ class MulticutInstance:
         return instance
 
     def keep_lifted(self, mask) -> "MulticutInstance":
-        """The instance with only the lifted edges that the boolean `mask` selects."""
-        lifted = self.lifted_edges[np.asarray(mask, dtype=bool)]
+        """The instance with only the lifted edges that the boolean `mask`,
+        one entry per lifted edge, selects."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.num_lifted,):
+            raise ValueError(f"mask of shape {mask.shape} for {self.num_lifted} lifted edges")
+        lifted = self.lifted_edges[mask]
         lifted.flags.writeable = False
         return self._derived(self.num_nodes, self.edges, lifted)
 
     def with_costs(self, edge_costs, lifted_costs) -> "MulticutInstance":
-        """The same pairs, in the same order, with new costs for E and for F.
+        """The same pairs, in the same order, with new costs for E and for F:
+        one per edge of each set.
 
         A non-finite cost is named as the constructor names it.
         """
         groups = []
         for group, costs in ((self.edges, edge_costs), (self.lifted_edges, lifted_costs)):
+            if np.shape(costs) != group.shape:
+                raise ValueError(f"costs of shape {np.shape(costs)} for {len(group)} pairs")
             groups.append(group.copy())
             groups[-1]["c"] = costs
             groups[-1].flags.writeable = False
@@ -428,16 +441,6 @@ def pair_components(num_nodes: int, u, v) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
-def component_labels(instance: MulticutInstance, joined) -> np.ndarray:
-    """Component id per node of the regular edges that the mask `joined` selects.
-
-    `joined` is a boolean mask over E; lifted edges never connect nodes.
-    Two nodes share an id exactly when a path of selected edges links them.
-    """
-    edges = instance.edges[np.asarray(joined, dtype=bool)]
-    return pair_components(instance.num_nodes, edges["u"], edges["v"])
-
-
 def labeling_to_partition(
     instance: MulticutInstance, labeling: EdgeLabeling
 ) -> Partition:
@@ -446,5 +449,6 @@ def labeling_to_partition(
     Lifted edges never merge components.
     """
     labeling.validate_for(instance)
-    joined = labeling.labels[:instance.num_edges] == 0
-    return Partition.from_labels(component_labels(instance, joined))
+    u, v, _, m = instance.columns
+    joined = np.flatnonzero(labeling.labels[:m] == 0)
+    return Partition.from_labels(pair_components(instance.num_nodes, u[joined], v[joined]))

@@ -425,8 +425,8 @@ def _gate_lifted(instance, latents, percentile):
     """Keep only lifted pairs with latent distance below the percentile."""
     if not instance.num_lifted:
         return instance
-    lifted = instance.lifted_edges
-    dists = latent_distances(latents, lifted["u"], lifted["v"])
+    u, v, _, m = instance.columns
+    dists = latent_distances(latents, u[m:], v[m:])
     return instance.keep_lifted(dists < np.percentile(dists, percentile))
 
 

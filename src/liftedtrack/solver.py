@@ -24,7 +24,6 @@ from .graph import (
     MulticutInstance,
     Partition,
     RowError,
-    component_labels,
     pair_components,
 )
 from .motio import parse_lines
@@ -86,20 +85,20 @@ def is_feasible(
     check subsumes the cycle, path, and cut inequality systems.
     """
     labeling.validate_for(instance)
-    m = instance.num_edges
-    comp = component_labels(instance, labeling.labels[:m] == 0)
+    u, v, _, m = instance.columns
+    labels = labeling.labels
+    joined = np.flatnonzero(labels[:m] == 0)
+    comp = pair_components(instance.num_nodes, u[joined], v[joined])
     violations: List[Violation] = []
-    for group, labels, lifted in ((instance.edges, labeling.labels[:m], False),
-                                  (instance.lifted_edges, labeling.labels[m:], True)):
-        connected = comp[group["u"]] == comp[group["v"]]
+    # one pass over E then F, so E's violations come first
+    for i in np.flatnonzero((comp[u] == comp[v]) == (labels == 1)).tolist():
+        a, b, label, lifted = int(u[i]), int(v[i]), int(labels[i]), i >= m
         kind = "lifted " if lifted else ""
-        for i in np.flatnonzero(connected == (labels == 1)).tolist():
-            u, v, label = int(group["u"][i]), int(group["v"][i]), int(labels[i])
-            reason = ("is cut although its endpoints stay connected through join edges"
-                      if label else
-                      "is joined although no join path connects its endpoints")
-            violations.append(
-                Violation((u, v), lifted, label, f"{kind}edge ({u}, {v}) {reason}"))
+        reason = ("is cut although its endpoints stay connected through join edges"
+                  if label else
+                  "is joined although no join path connects its endpoints")
+        violations.append(
+            Violation((a, b), lifted, label, f"{kind}edge ({a}, {b}) {reason}"))
     return FeasibilityReport(not violations, tuple(violations))
 
 
@@ -118,16 +117,11 @@ def partition_to_labeling(
             f"partition covers {partition.num_nodes} nodes, "
             f"instance has {instance.num_nodes}"
         )
+    u, v, _, m = instance.columns
     block = partition.component_of
-    cut = block[instance.edges["u"]] != block[instance.edges["v"]]
-    comp = component_labels(instance, ~cut)
-    lifted_cut = comp[instance.lifted_edges["u"]] != comp[instance.lifted_edges["v"]]
-    return EdgeLabeling(np.concatenate([cut, lifted_cut]))
-
-
-def _columns(edges: np.ndarray) -> Tuple[list, list, list]:
-    """Endpoints and costs as Python lists, for the per-edge solver loops."""
-    return edges["u"].tolist(), edges["v"].tolist(), edges["c"].tolist()
+    cut = block[u[:m]] != block[v[:m]]
+    comp = pair_components(instance.num_nodes, u[:m][~cut], v[:m][~cut])
+    return EdgeLabeling(np.concatenate([cut, comp[u[m:]] != comp[v[m:]]]))
 
 
 def _incidence(num_nodes: int, u: np.ndarray, v: np.ndarray) -> List[np.ndarray]:
@@ -175,8 +169,9 @@ def _partition_table(n: int) -> np.ndarray:
     return rows
 
 
-def _join_components(table: np.ndarray, edges) -> np.ndarray:
-    """Per row, connected-component labels of the within-block regular subgraph.
+def _join_components(table: np.ndarray, eu: list, ev: list) -> np.ndarray:
+    """Per row, connected-component labels of the within-block subgraph of
+    the regular edges (eu[i], ev[i]).
 
     Min-label propagation along regular edges restricted to same-block
     endpoints; component labels end up as the smallest member node id, so
@@ -184,7 +179,6 @@ def _join_components(table: np.ndarray, edges) -> np.ndarray:
     """
     n_rows, n = table.shape
     comp = np.tile(np.arange(n, dtype=np.int8), (n_rows, 1))
-    eu, ev, _ = _columns(edges)
     masks = [(u, v, table[:, u] == table[:, v]) for u, v in zip(eu, ev)]
     changed = True
     while changed:
@@ -207,10 +201,12 @@ def _join_components(table: np.ndarray, edges) -> np.ndarray:
 def solve_bruteforce(instance: MulticutInstance) -> Tuple[Partition, float]:
     """Globally optimal partition by enumerating every set partition.
 
-    Lifted edges are charged through join-subgraph connectivity, so blocks
-    that are not connected in G pay for the lifted pairs they fail to link.
-    Among optimal partitions, returns the one that corresponds to a feasible
-    labeling with the lexicographically smallest assignment vector.
+    Candidates are the partitions whose blocks are connected in G: they are
+    exactly those that feasible labelings induce, and on them a lifted pair
+    is linked by a join path exactly when its endpoints share a block. So
+    every pair of E and F is charged by the block test. Among optimal
+    partitions, returns the one with the lexicographically smallest
+    assignment vector.
     """
     n = instance.num_nodes
     if n > BRUTEFORCE_MAX_NODES:
@@ -221,18 +217,16 @@ def solve_bruteforce(instance: MulticutInstance) -> Tuple[Partition, float]:
         return Partition(()), 0.0
     table = _partition_table(n)
     obj = np.zeros(len(table))
-    comp = _join_components(table, instance.edges)
+    u, v, c = (column.tolist() for column in instance.columns[:3])
     # one vector update per edge, in E then F order, over every partition
-    for labels, edges in ((table, instance.edges), (comp, instance.lifted_edges)):
-        eu, ev, ec = _columns(edges)
-        for k, c in enumerate(ec):
-            obj += c * (labels[:, eu[k]] != labels[:, ev[k]])
-    # Rows whose blocks are G-connected are exactly those a labeling can
-    # induce; the optimum is always attained on one of them.
-    stable = np.ones(len(table), dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            stable &= ~((table[:, u] == table[:, v]) & (comp[:, u] != comp[:, v]))
+    for a, b, cost in zip(u, v, c):
+        obj += cost * (table[:, a] != table[:, b])
+    # No join component spans two blocks, so a row's blocks are connected
+    # in G when it has as many components, each labelled by its smallest
+    # node, as blocks.
+    m = instance.num_edges
+    comp = _join_components(table, u[:m], v[:m])
+    stable = (comp == np.arange(n)).sum(axis=1) == table.max(axis=1) + 1
     best = float(np.min(np.where(stable, obj, np.inf)))
     idx = int(np.argmax(stable & (obj == best)))
     return Partition(table[idx]), best
@@ -608,9 +602,8 @@ def solve_kl(
 
 def write_instance(instance: MulticutInstance, path) -> None:
     lines = [f"{instance.num_nodes} {instance.num_edges} {instance.num_lifted}"]
-    for edges in (instance.edges, instance.lifted_edges):
-        # Python floats, so that {!r} prints the shortest round-trip repr
-        lines += map("{} {} {!r}".format, *_columns(edges))
+    # Python floats, so that {!r} prints the shortest round-trip repr
+    lines += map("{} {} {!r}".format, *(column.tolist() for column in instance.columns[:3]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

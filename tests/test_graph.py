@@ -18,10 +18,10 @@ from liftedtrack.graph import (
     Partition,
     box_iou,
     build_graph,
-    component_labels,
     frame_pairs,
     iou,
     labeling_to_partition,
+    pair_components,
     repeated_pairs,
 )
 
@@ -278,6 +278,28 @@ class TestDerivedInstances:
             assert self._rows(lambda: inst) == before
             failures += isinstance(want, tuple)
         assert 50 < failures < 250
+
+    def test_with_costs_rejects_costs_of_the_wrong_length(self):
+        inst = MulticutInstance(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)),
+                                ((0, 3, 1.0),))
+        for edge_costs, lifted_costs, message in (
+                ([5.0], [7.0], r"\(1,\) for 3 pairs"),
+                (2.5, 7.0, r"\(\) for 3 pairs"),
+                ([1.0, 2.0, 3.0, 4.0], [7.0], r"\(4,\) for 3 pairs"),
+                ([[1.0, 2.0, 3.0]], [7.0], r"\(1, 3\) for 3 pairs"),
+                ([1.0, 2.0, 3.0], 7.0, r"\(\) for 1 pairs"),
+                ([1.0, 2.0, 3.0], [], r"\(0,\) for 1 pairs")):
+            with pytest.raises(ValueError, match=f"^costs of shape {message}$"):
+                inst.with_costs(edge_costs, lifted_costs)
+        costed = inst.with_costs((1.0, 2.0, 3.0), [7.0])
+        assert costed.columns.c.tolist() == [1.0, 2.0, 3.0, 7.0]
+
+    def test_keep_lifted_rejects_a_mask_of_the_wrong_length(self):
+        inst = MulticutInstance(4, ((0, 1, 1.0),), ((0, 2, 1.0), (0, 3, 1.0)))
+        for mask in ([True], [True, False, True], True, [[True, False]]):
+            with pytest.raises(ValueError, match=r"^mask of shape .* for 2 lifted edges$"):
+                inst.keep_lifted(mask)
+        assert inst.keep_lifted([False, True]).columns.u.tolist() == [0, 0]
 
     def test_with_costs_does_not_alias_the_costs(self):
         inst = MulticutInstance(3, ((0, 1, 1.0),), ((0, 2, 1.0),))
@@ -678,10 +700,18 @@ class TestLabelingToPartition:
 
 
 class TestComponentLabels:
+    """`pair_components` on the regular edges of `columns` that a mask selects."""
+
+    @staticmethod
+    def _joined_components(inst, joined):
+        u, v, _, m = inst.columns
+        joined = np.asarray(joined, dtype=bool)
+        return pair_components(inst.num_nodes, u[:m][joined], v[:m][joined])
+
     def test_only_selected_regular_edges_connect(self):
         inst = MulticutInstance(5, ((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)),
                                 ((0, 4, 1.0),))
-        comp = component_labels(inst, [True, False, True])
+        comp = self._joined_components(inst, [True, False, True])
         assert comp[0] == comp[1]
         assert len({comp[0], comp[2], comp[3]}) == 3
         assert comp[3] == comp[4]
@@ -698,6 +728,7 @@ class TestComponentLabels:
             for (u, v), join in zip(pairs, joined):
                 if join:
                     uf.union(u, v)
-            comp = component_labels(inst, joined)
-            assert Partition.from_labels(comp.tolist()) == Partition.from_labels(
-                [uf.find(x) for x in range(n)])
+            want = Partition.from_labels([uf.find(x) for x in range(n)])
+            comp = self._joined_components(inst, joined)
+            assert Partition.from_labels(comp.tolist()) == want
+            assert labeling_to_partition(inst, EdgeLabeling(~joined)) == want

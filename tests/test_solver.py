@@ -22,6 +22,13 @@ from helpers import (UnionFind, planted_instance, random_instance, random_labeli
                      random_partition)
 from gaec_reference import reference_solve_gaec
 from kl_reference import reference_solve_kl
+from labeling_reference import (
+    reference_is_feasible,
+    reference_labeling_to_partition,
+    reference_partition_to_labeling,
+    reference_solve_bruteforce,
+    reference_write_instance,
+)
 from liftedtrack.graph import (
     BBox,
     Detection,
@@ -216,6 +223,79 @@ class TestLabelingLayerMatchesDictReference:
                 got, ref = objective(inst, labeling), dict_objective(inst, labels)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
         assert saw_disconnected_block and saw_violation and saw_feasible
+
+
+@pytest.fixture(scope="module")
+def reader_cases():
+    """Random instances on 0-12 nodes, E and F each empty in some, pairs in
+    shuffled order and some costs -0.0, each with a random labeling, the
+    labeling of a random partition and that labeling with a few flips."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(0, 13))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.uniform(0.1, 0.6)]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        costs = np.where(rng.random(len(pairs)) < 0.1, -0.0, rng.normal(size=len(pairs)))
+        lifted = rng.random(len(pairs)) < rng.choice([0.0, 0.3, 1.0])
+        rows = [(u, v, c) for (u, v), c in zip(pairs, costs.tolist())]
+        inst = MulticutInstance(n, [r for r, f in zip(rows, lifted) if not f],
+                                [r for r, f in zip(rows, lifted) if f])
+        part = random_partition(rng, n) if n else Partition(())
+        induced = partition_to_labeling(inst, part)
+        flipped = induced.labels ^ (rng.random(len(induced.labels)) < 0.1)
+        cases.append((inst, part,
+                      (random_labeling(rng, inst), induced, EdgeLabeling(flipped))))
+    return cases
+
+
+class TestReadersMatchTwoGroupReference:
+    """The readers of the E-then-F `columns` give what the frozen two-group
+    versions in `labeling_reference` give, on every case of `reader_cases`."""
+
+    def test_feasibility_labelings_and_partitions(self, reader_cases):
+        saw = dict.fromkeys(("no nodes", "12 nodes", "no E", "no F", "block split in G",
+                             "E violation", "F violation", "E and F violations"), False)
+        for inst, part, labelings in reader_cases:
+            induced = partition_to_labeling(inst, part)
+            assert induced == reference_partition_to_labeling(inst, part)
+            for labeling in labelings:
+                report = is_feasible(inst, labeling)
+                assert report == reference_is_feasible(inst, labeling)
+                assert labeling_to_partition(inst, labeling) == \
+                    reference_labeling_to_partition(inst, labeling)
+                lifted = {violation.lifted for violation in report.violations}
+                saw["E violation"] |= False in lifted
+                saw["F violation"] |= True in lifted
+                saw["E and F violations"] |= len(lifted) == 2
+            saw["no nodes"] |= inst.num_nodes == 0
+            saw["12 nodes"] |= inst.num_nodes == 12
+            saw["no E"] |= inst.num_edges == 0 < inst.num_lifted
+            saw["no F"] |= inst.num_lifted == 0 < inst.num_edges
+            saw["block split in G"] |= (
+                labeling_to_partition(inst, induced).num_components > part.num_components)
+        assert all(saw.values()), saw
+
+    def test_bruteforce(self, reader_cases):
+        solved = 0
+        for inst, _, _ in reader_cases:
+            # Bell(9) = 21147 partitions; larger ones cost too much time here
+            if inst.num_nodes > 8:
+                continue
+            part, value = solve_bruteforce(inst)
+            want, want_value = reference_solve_bruteforce(inst)
+            assert part == want
+            assert value.hex() == want_value.hex()
+            solved += 1
+        assert solved > 100
+
+    def test_write_instance(self, tmp_path, reader_cases):
+        for inst, _, _ in reader_cases:
+            write_instance(inst, tmp_path / "ours.txt")
+            reference_write_instance(inst, tmp_path / "reference.txt")
+            assert (tmp_path / "ours.txt").read_bytes() == \
+                (tmp_path / "reference.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,20 @@ speed falls on both; each tree's three results must be equal, and the
 fastest seconds of each solver are kept. In the same process each tree
 also recomputes every objective that GAEC and KL return as
 `objective(instance, partition_to_labeling(instance, partition))`, and
-the two must be the same float bit for bit. The script prints one row
-per scene with the graph sizes, each tree's GAEC and KL seconds (REV ->
-working tree), the first differing instance line (`==` when the files
-are equal), the first difference in partition, trace or objective
-between the trees, and the first returned objective that differs from
-its recomputation (each `==` when there is none), and exits 1 if any
-scene differs.
+the two must be the same float bit for bit; it also keeps the SHA-256 of
+that labeling's bytes and its `is_feasible` verdict, which must be the
+same in both trees. The script prints one row per scene with the graph
+sizes, each tree's GAEC and KL seconds (REV -> working tree), the first
+differing instance line (`==` when the files are equal), the first
+difference in partition, trace or objective between the trees, the
+first difference in labeling digest or verdict between the trees, and
+the first returned objective that differs from its recomputation (each
+`==` when there is none), and exits 1 if any scene differs.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -45,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ("paper-100", "lifted-long", "dense-retrack", "benchmark-300", "dense-lifted")
 ARTEFACTS = ("partition", "trace", "objective")
+LABELING = ("labeling sha256", "feasible")
 REPEATS = 3
 
 
@@ -90,8 +94,8 @@ def _solve(instance_dir: Path, out: Path) -> None:
     """Solve every scene's instance once with this process's liftedtrack; dump
     JSON with the results and each solver's seconds."""
     import liftedtrack
-    from liftedtrack.solver import (objective, partition_to_labeling, read_instance,
-                                    solve_gaec, solve_kl)
+    from liftedtrack.solver import (is_feasible, objective, partition_to_labeling,
+                                    read_instance, solve_gaec, solve_kl)
 
     results = {"liftedtrack": liftedtrack.__file__}
     for name in SCENES:
@@ -102,9 +106,10 @@ def _solve(instance_dir: Path, out: Path) -> None:
         middle = time.perf_counter()
         kl, kl_value = solve_kl(instance, gaec, trace=kl_trace)
         end = time.perf_counter()
-        recomputed = [(solver, value, objective(instance, partition_to_labeling(
-            instance, partition))) for solver, partition, value
-            in (("gaec", gaec, gaec_value), ("kl", kl, kl_value))]
+        labelings = {"gaec": partition_to_labeling(instance, gaec),
+                     "kl": partition_to_labeling(instance, kl)}
+        recomputed = [(solver, value, objective(instance, labelings[solver]))
+                      for solver, value in (("gaec", gaec_value), ("kl", kl_value))]
         results[name] = {
             "gaec": [gaec.component_of.tolist(), gaec_trace, gaec_value],
             "kl": [kl.component_of.tolist(), kl_trace, kl_value],
@@ -112,6 +117,9 @@ def _solve(instance_dir: Path, out: Path) -> None:
             "objective": next((f"{solver} {value!r} returned, {again!r} recomputed"
                                for solver, value, again in recomputed
                                if value.hex() != again.hex()), ""),
+            "labeling": {solver: [hashlib.sha256(labeling.labels.tobytes()).hexdigest(),
+                                  bool(is_feasible(instance, labeling))]
+                         for solver, labeling in labelings.items()},
             "seconds": [middle - start, end - middle],
         }
     out.write_text(json.dumps(results))
@@ -160,10 +168,10 @@ def _instance_difference(ours: Path, theirs: Path) -> str:
     return f"line {i + 1}: {line(other)} -> {line(mine)}"
 
 
-def _first_difference(ours, theirs) -> str:
-    """'' when equal, else where the first solver output differs."""
+def _first_difference(ours, theirs, artefacts) -> str:
+    """'' when equal, else where the first of the solvers' `artefacts` differs."""
     for solver in ("gaec", "kl"):
-        for artefact, mine, other in zip(ARTEFACTS, ours[solver], theirs[solver]):
+        for artefact, mine, other in zip(artefacts, ours[solver], theirs[solver]):
             if mine == other:
                 continue
             if not isinstance(mine, list):
@@ -227,21 +235,23 @@ def main(argv=None) -> int:
 
     versus = f"GAEC+KL vs {args.against}"
     print(f"{'scene':<14} {'|V|':>5} {'|E|':>6} {'|F|':>5}  {'GAEC s':<15} {'KL s':<15} "
-          f"{'instance':<9} {versus} objective")
+          f"{'instance':<9} {versus} {'labeling':<9} objective")
     differ = False
     for name in SCENES:
         seconds = [f"{then:.3f} -> {now:.3f}"
                    for then, now in zip(theirs[name]["seconds"], ours[name]["seconds"])]
-        diff = _first_difference(ours[name], theirs[name])
+        diff = _first_difference(ours[name], theirs[name], ARTEFACTS)
+        labeling = _first_difference(ours[name]["labeling"], theirs[name]["labeling"],
+                                     LABELING)
         # each tree's own returned-against-recomputed check, REV's first
         check = "; ".join(f"{tag}: {result[name]['objective']}"
                           for tag, result in ((args.against, theirs), ("tree", ours))
                           if result[name]["objective"])
-        differ |= bool(diff or instance_diff[name] or check)
+        differ |= bool(diff or instance_diff[name] or labeling or check)
         n, m, k = sizes[name]
         print(f"{name:<14} {n:>5} {m:>6} {k:>5}  {seconds[0]:<15} {seconds[1]:<15} "
               f"{instance_diff[name] or '==':<9} {diff or '==':<{len(versus)}} "
-              f"{check or '=='}")
+              f"{labeling or '==':<9} {check or '=='}")
     return 1 if differ else 0
 
 
