@@ -40,6 +40,8 @@ PROB_EPS = 1e-6
 L2_WEIGHT = 1e-4
 FIT_TOL = 1e-9
 FIT_MAX_ITERS = 50
+# pairs per block of `latent_distances`
+_DISTANCE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -266,9 +268,23 @@ def _reject_non_finite(rows):
 
 
 def latent_distances(latents, u, v) -> np.ndarray:
-    """Euclidean distance d_ae between the latent codes of each pair (u[i], v[i])."""
+    """Euclidean distance d_ae between the latent codes of each pair (u[i], v[i]).
+
+    Pairs are taken in blocks of `_DISTANCE_BLOCK`, so each block's
+    differences stay in cache while they are squared and summed. Each
+    distance is the square root of its row's sum of squares, the sum that
+    `np.linalg.norm(latents[u] - latents[v], axis=1)` takes, bit for bit.
+    """
     latents = np.asarray(latents, dtype=float)
-    return np.linalg.norm(latents[u] - latents[v], axis=1)
+    u, v = np.asarray(u), np.asarray(v)
+    out = np.empty(len(u))
+    for lo in range(0, len(u), _DISTANCE_BLOCK):
+        hi = lo + _DISTANCE_BLOCK
+        diff = np.take(latents, u[lo:hi], axis=0)
+        diff -= np.take(latents, v[lo:hi], axis=0)
+        diff *= diff
+        np.sqrt(diff.sum(axis=1), out=out[lo:hi])
+    return out
 
 
 def _nll(beta, features, labels):

@@ -180,10 +180,12 @@ class MulticutInstance:
     were already checked, and check only what they change.
 
     `columns` holds the same pairs once more as contiguous E-then-F
-    columns, built on an instance's first use of them. Outside this class
-    the library reads pairs only through them, so no reader concatenates E
-    and F again or knows the two-array layout. Every instance builds its
-    own, the derived ones and those of `dataclasses.replace` included.
+    columns. Outside this class the library reads pairs only through them,
+    so no reader concatenates E and F again or knows the two-array layout.
+    The constructor, and so `dataclasses.replace`, builds them from the two
+    arrays; `keep_lifted` selects the source's rows, and `with_costs` takes
+    views of the source's endpoint columns and a new cost column. Every
+    instance holds its own column objects.
 
     Only this class reads `edges` and `lifted_edges`: the constructor,
     `columns`, `keep_lifted`, `with_costs`, `==` and the two counts. They
@@ -234,13 +236,18 @@ class MulticutInstance:
                                        c=float(c[i])), (i,))
 
     @classmethod
-    def _derived(cls, num_nodes, edges, lifted_edges) -> "MulticutInstance":
+    def _derived(cls, num_nodes, edges, lifted_edges, u, v, c) -> "MulticutInstance":
         """An instance on read-only rows of pairs that an instance checked,
-        built without the constructor's checks."""
+        built without the constructor's checks, whose `columns` are the
+        contiguous E-then-F columns `u`, `v` and `c` of those rows."""
         instance = object.__new__(cls)
         for name, value in (("num_nodes", num_nodes), ("edges", edges),
                             ("lifted_edges", lifted_edges)):
             object.__setattr__(instance, name, value)
+        for column in (u, v, c):
+            column.flags.writeable = False
+        # filled as the cached property would fill it on first use
+        instance.__dict__["columns"] = PairColumns(u, v, c, len(edges))
         return instance
 
     def keep_lifted(self, mask) -> "MulticutInstance":
@@ -249,9 +256,13 @@ class MulticutInstance:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.num_lifted,):
             raise ValueError(f"mask of shape {mask.shape} for {self.num_lifted} lifted edges")
-        lifted = self.lifted_edges[mask]
+        kept = np.flatnonzero(mask)
+        lifted = self.lifted_edges[kept]
         lifted.flags.writeable = False
-        return self._derived(self.num_nodes, self.edges, lifted)
+        m = self.num_edges
+        kept += m
+        return self._derived(self.num_nodes, self.edges, lifted, *(
+            np.concatenate([column[:m], column[kept]]) for column in self.columns[:3]))
 
     def with_costs(self, edge_costs, lifted_costs) -> "MulticutInstance":
         """The same pairs, in the same order, with new costs for E and for F:
@@ -259,15 +270,19 @@ class MulticutInstance:
 
         A non-finite cost is named as the constructor names it.
         """
+        u, v, _, m = self.columns
+        c = np.empty(len(u))
         groups = []
-        for group, costs in ((self.edges, edge_costs), (self.lifted_edges, lifted_costs)):
+        for group, costs, part in ((self.edges, edge_costs, c[:m]),
+                                   (self.lifted_edges, lifted_costs, c[m:])):
             if np.shape(costs) != group.shape:
                 raise ValueError(f"costs of shape {np.shape(costs)} for {len(group)} pairs")
+            part[:] = costs
             groups.append(group.copy())
-            groups[-1]["c"] = costs
+            groups[-1]["c"] = part
             groups[-1].flags.writeable = False
-        instance = self._derived(self.num_nodes, *groups)
-        instance._raise_first(((~np.isfinite(instance.columns.c), _NON_FINITE),))
+        instance = self._derived(self.num_nodes, *groups, u.view(), v.view(), c)
+        instance._raise_first(((~np.isfinite(c), _NON_FINITE),))
         return instance
 
     def __eq__(self, other):
@@ -392,7 +407,7 @@ def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
         first = np.repeat(np.arange(len(frames)), counts)
         offset = np.repeat(lo - np.cumsum(counts) + counts, counts)
         second = order[np.arange(counts.sum()) + offset]
-        pair = np.sort(np.column_stack([first, second]), axis=1)
+        pair = np.column_stack([np.minimum(first, second), np.maximum(first, second)])
         pairs.append(pair[first < second] if gap == 0 else pair)
     pairs = np.concatenate(pairs)
     return pairs[np.argsort(pairs[:, 0] * len(frames) + pairs[:, 1], kind="stable")]

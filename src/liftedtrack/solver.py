@@ -255,23 +255,33 @@ def solve_gaec(
 
     Cluster ids are node ids, and they are stable. Every live pair of
     adjacent clusters owns one row of a slot table: the xor of its two
-    cluster ids, its regular and lifted cost sums, and whether a regular
-    edge is among them. The table starts as the instance's E-then-F
-    `columns`, one row per pair. Both clusters hold the row's slot id in
-    their slot arrays, which one stable sort of all pair ends groups by
-    node, so a neighbour sees a contraction without being touched.
-    Contracting b into a, the side with more live slots, looks b's
-    neighbours up in a's: a row both sides share takes the sum of the two
-    (a's first, as a running `+=` adds) and b's duplicate dies; any other
-    row of b is relabelled to a. So a contraction costs O(deg a + deg b)
-    array work, where deg counts a slot array's entries, dead ones
-    included. Summed over all contractions, that was 5.4-6.8 (|E|+|F|) on
-    the 100-frame and the dense scenes of the benchmark and 12.6 (|E|+|F|)
-    on `benchmark_spec(300)`: a long track grows by one detection at a
-    time, and each step touches its whole neighbourhood. Each contraction
-    points b at a; a live row's endpoints are the clusters that its edge's
-    two nodes now lie in, so one is found along those pointers (halved on
-    the way) and the other is the row's xor with it.
+    cluster ids, its regular and lifted cost sums (the real and imaginary
+    parts of one complex number, so both merge in one add), and whether a
+    regular edge is among them. The table starts as the instance's
+    E-then-F `columns`, one row per pair. Both clusters hold the row's slot
+    id in their slot arrays, which one stable sort of all pair ends groups
+    by node, so a neighbour sees a contraction without being touched.
+
+    One cluster at a time is indexed: `pos` maps each of its neighbours to
+    their shared row. Contracting b into a, a is the indexed cluster when
+    that is one side of the pair. Otherwise a is the side with the longer
+    slot array, and it is indexed first: the old entries of `pos` are
+    cleared, and a's live slots are kept and scattered into it. Then b's
+    live rows are looked up in `pos`: a row both sides share takes the sum
+    of the two (a's first, as a running `+=` adds) and b's duplicate dies;
+    any other row of b is relabelled to a, written into `pos` and appended
+    to a's slot array as one more chunk. So a contraction reads b's slot
+    array, dead entries included, and on a's side only the rows it changes.
+    GAEC grows one track at a time, so the indexed cluster is a side of
+    almost every contraction, and a long track is indexed about once. On
+    the benchmark's scenes and on `benchmark_spec(N)` up to 1600 frames
+    the contractions read about 2 (|E|+|F|) slot entries from absorbed
+    sides and at most 0.07 (|E|+|F|) to index survivors; scanning the
+    survivor's whole slot array in every contraction read 3.4-44 (|E|+|F|)
+    there, growing with the track length. Each contraction points b at a;
+    a live row's endpoints are the clusters that its edge's two nodes now
+    lie in, so one is found along those pointers (halved on the way) and
+    the other is the row's xor with it.
 
     Each cluster's smallest node is kept apart from its id, so the tie
     rule does not depend on which side survives. A heap entry is a total
@@ -295,11 +305,18 @@ def solve_gaec(
     regular = np.arange(len(c)) < m
     # a row's endpoints: the cluster of its edge's u, and `ends` xor that
     ends = u ^ v
-    reg = np.where(regular, c, 0.0)
-    lif = np.where(regular, 0.0, c)
+    # regular cost sums in the real parts, lifted ones in the imaginary parts
+    sums = np.zeros(len(c), dtype=complex)
+    sums.real[:m] = c[:m]
+    sums.imag[m:] = c[m:]
     live = np.ones(len(c), dtype=bool)
-    slots = _incidence(n, u, v)
+    slots = [[rows] for rows in _incidence(n, u, v)]  # chunks of slot ids
+    length = [len(rows) for [rows] in slots]  # of each slot array
+    # pos[x] is the row between the indexed cluster and its neighbour x,
+    # for every x that is still a cluster; keyed holds the neighbours
+    # written since it was indexed
     pos = np.full(n, -1)
+    indexed, keyed = -1, []
     min_node = list(range(n))
     into = list(range(n))  # contracted cluster -> the one it went into
     obj = _sequential_sum(c)
@@ -307,7 +324,10 @@ def solve_gaec(
         trace.append(obj)
 
     def valid(negt, row):
-        return live.item(row) and reg.item(row) + lif.item(row) == -negt
+        if not live.item(row):
+            return False
+        total = sums.item(row)
+        return total.real + total.imag == -negt
 
     def cluster(node):
         while into[node] != node:
@@ -340,33 +360,47 @@ def solve_gaec(
         live[s] = False
         a = cluster(u.item(s))
         b = ends.item(s) ^ a
-        # slot arrays keep the rows that other contractions killed
-        sa, sb = slots[a], slots[b]
-        sa, sb = sa[live[sa]], sb[live[sb]]
-        # Contract b into a, the side with more neighbours.
-        if len(sa) < len(sb):
-            a, b, sa, sb = b, a, sb, sa
+        # Contract b into a: the indexed cluster if it is a side, else the
+        # side with the longer slot array, which is indexed from now on.
+        if b == indexed or (a != indexed and length[a] < length[b]):
+            a, b = b, a
+        if a != indexed:
+            if keyed:
+                pos[np.concatenate(keyed)] = -1
+            # slot arrays keep the rows that other contractions killed
+            sa = np.concatenate(slots[a])
+            sa = sa[live[sa]]
+            slots[a], length[a] = [sa], len(sa)
+            theirs = ends[sa] ^ a
+            pos[theirs] = sa
+            indexed, keyed = a, [theirs]
         into[b] = a
         min_node[a] = min(min_node[a], min_node[b])
         obj += negt
         if trace is not None:
             trace.append(obj)
-        theirs = ends[sa] ^ a
-        pos[theirs] = sa
-        hit = pos[ends[sb] ^ b]
-        pos[theirs] = -1
-        shared = hit >= 0
-        hit, dup, moved = hit[shared], sb[shared], sb[~shared]
-        reg[hit] += reg[dup]
-        lif[hit] += lif[dup]
-        regular[hit] |= regular[dup]
+        chunks = slots[b]
+        sb = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        sb = sb[live[sb]]
+        theirs = ends[sb] ^ b
+        found = pos[theirs]
+        shared = found >= 0
+        hit, dup = found[shared], sb[shared]
+        merged = sums[hit] + sums[dup]
+        sums[hit] = merged
+        joined = regular[hit] | regular[dup]
+        regular[hit] = joined
         live[dup] = False
-        ends[moved] ^= a ^ b
-        slots[a] = np.concatenate([sa, moved])
+        kept = ~shared
+        moved, theirs = sb[kept], theirs[kept]
+        ends[moved] = theirs ^ a
+        pos[theirs] = moved
+        slots[a].append(moved)
+        keyed.append(theirs)
+        length[a] += len(moved)
         slots[b] = None
-        hit = hit[regular[hit]]
-        total = reg[hit] + lif[hit]
-        up = total > 0.0
+        total = merged.real + merged.imag
+        up = (total > 0.0) & joined
         for item in zip((-total[up]).tolist(), hit[up].tolist()):
             heapq.heappush(heap, item)
 

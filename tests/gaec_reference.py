@@ -1,7 +1,7 @@
 """Frozen union-find copy of greedy additive edge contraction, kept as its reference.
 
 Test-only differential reference: `tests/test_solver.py` runs it next to
-`liftedtrack.solver.solve_gaec`, the small-to-large contraction, and
+`liftedtrack.solver.solve_gaec`, the indexed-cluster contraction, and
 requires `==` partitions, traces and returned objectives. Here the
 surviving cluster is always the one with the smaller min node, ids are
 union-find roots, and after every contraction each of the survivor's

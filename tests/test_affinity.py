@@ -33,6 +33,7 @@ from liftedtrack.affinity import (
     generate_labels,
     iou_match_table,
     latent_codes,
+    latent_distances,
     predict_p_same,
     read_match_table,
     write_match_table,
@@ -321,6 +322,24 @@ class TestFeatureVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite.*row 1"):
             feature_matrix([0.5, 0.5], [1.0, math.inf], NEARBY_FEATURES)
+
+
+class TestLatentDistances:
+    """Blocked distances equal the one-shot `np.linalg.norm`, bit for bit."""
+
+    def test_matches_one_shot_norm(self):
+        rng = np.random.default_rng(31)
+        block = affinity._DISTANCE_BLOCK
+        # empty, one pair, the last pair of a block, the first of the next,
+        # and several blocks
+        for size in (0, 1, block, block + 1, 3 * block + 17):
+            for dim in (1, 16, 32):
+                latents = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-3, 4)
+                u, v = rng.integers(0, 50, size=(2, size))
+                got = latent_distances(latents, u, v)
+                expected = np.linalg.norm(latents[u] - latents[v], axis=1)
+                assert got.shape == expected.shape == (size,)
+                assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestFitLogistic:

@@ -669,6 +669,23 @@ class TestFramePairs:
             assert pairs.shape == (len(expected), 2)
             assert pairs.tolist() == expected
 
+    def test_fuzz_with_gap_zero_against_double_loop(self):
+        # every draw asks for gap 0, so same-frame pairs, whose two ends come
+        # out of the bucket in either order, are canonicalised in each one
+        rng = np.random.default_rng(14)
+        for _ in range(150):
+            frames = rng.integers(1, 9, size=int(rng.integers(0, 45)))
+            gaps = [0, *rng.integers(1, 9, size=int(rng.integers(0, 4))).tolist()]
+            expected = [
+                [i, j]
+                for i in range(len(frames))
+                for j in range(i + 1, len(frames))
+                if abs(int(frames[j]) - int(frames[i])) in gaps
+            ]
+            pairs = frame_pairs(frames, gaps)
+            assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+            assert pairs.tolist() == expected
+
     def test_gap_zero_pairs_each_frame_bucket(self):
         assert frame_pairs([2, 1, 2, 2], [0]).tolist() == [[0, 2], [0, 3], [2, 3]]
 

@@ -11,6 +11,7 @@ Python and charges lifted edges through BFS connectivity, independently of
 the vectorized implementation under test.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -622,6 +623,45 @@ def _scene_instance(rng, planted):
     return MulticutInstance(graph.num_nodes, *costed)
 
 
+def _planted_track_instance(rng):
+    """k chains of one detection per frame, over frame gaps 1..g.
+
+    A pair of one chain has a strong cost (4 to 9), a pair of two chains
+    a weak or negative one (-4 to 1), and same-frame pairs are repelled
+    (-5). Pairs up to three frames beyond g are lifted with probability
+    one half, at costs of the same two kinds. Costs are small integers, so
+    totals tie, and each zero gets a random sign. Node ids are shuffled,
+    so a chain's ids are not in frame order.
+    """
+    k, frames, g = (int(x) for x in rng.integers((1, 3, 1), (6, 16, 4)))
+    node = rng.permutation(k * frames).reshape(frames, k)
+    edges, lifted = [], []
+    for f1, f2 in itertools.combinations(range(frames), 2):
+        gap = f2 - f1
+        if gap > g + 3:
+            continue
+        for t1, t2 in itertools.product(range(k), repeat=2):
+            same = t1 == t2
+            cost = float(rng.integers(4, 10) if same else rng.integers(-4, 2))
+            if cost == 0.0 and rng.random() < 0.5:
+                cost = -0.0
+            pair = (*sorted((int(node[f1, t1]), int(node[f2, t2]))), cost)
+            if gap <= g:
+                edges.append(pair)
+            elif rng.random() < 0.5:
+                lifted.append(pair)
+    for f in range(frames):
+        for t1, t2 in itertools.combinations(range(k), 2):
+            edges.append((*sorted((int(node[f, t1]), int(node[f, t2]))), -5.0))
+    return MulticutInstance(k * frames, tuple(edges), tuple(lifted))
+
+
+def _chain(first, nodes, costs):
+    """Regular edges joining consecutive `nodes` at `costs`, in one list with
+    the node ids offset by `first`."""
+    return [(first + a, first + b, float(c)) for a, b, c in zip(nodes, nodes[1:], costs)]
+
+
 def _gaec_cases():
     """Normal, integer-cost and hub instances with lifted edges, a few large."""
     rng = np.random.default_rng(71)
@@ -637,7 +677,7 @@ def _gaec_cases():
 
 
 class TestGaecMatchesReference:
-    """Small-to-large GAEC against the frozen union-find contraction."""
+    """Indexed-cluster GAEC against the frozen union-find contraction."""
 
     def test_partitions_traces_and_objectives_equal(self):
         contractions = 0
@@ -697,6 +737,64 @@ class TestGaecMatchesReference:
         assert got_trace == ref_trace
         assert np.diff(got_trace).tolist() == [-10.0, -2.0]
         assert got_value == ref_value
+
+
+    @staticmethod
+    def _assert_matches_reference(inst):
+        ref_trace, got_trace = [], []
+        ref_part, ref_value = reference_solve_gaec(inst, trace=ref_trace)
+        got_part, got_value = solve_gaec(inst, trace=got_trace)
+        assert got_part == ref_part
+        assert got_trace == ref_trace
+        assert got_value == ref_value
+        return got_part, got_trace
+
+    def test_planted_tracks(self):
+        # GAEC grows one chain at a time, so the cluster it indexes is a
+        # side of most contractions, and it indexes another one when a
+        # chain is complete or two chains are joined
+        rng = np.random.default_rng(76)
+        contractions = 0
+        for _ in range(150):
+            _, trace = self._assert_matches_reference(_planted_track_instance(rng))
+            contractions += len(trace) - 1
+        assert contractions > 2000
+
+    @pytest.mark.parametrize("length", [3, 4, 9])
+    def test_two_tracks_grown_in_turn(self, length):
+        # Chains A (nodes 0..length-1) and B (the next length nodes) take
+        # contractions in turn, at totals 100, 99, 98, ...: the indexed
+        # cluster switches at every contraction. A and B are repelled
+        # frame by frame (-3), so their rows merge as both grow, and an
+        # attracting lifted pair joins A's head with B's tail.
+        steps = np.arange(100, 100 - 2 * (length - 1), -1)
+        nodes = list(range(length))
+        edges = (_chain(0, nodes, steps[0::2]) + _chain(length, nodes, steps[1::2])
+                 + [(i, length + i, -3.0) for i in range(length)])
+        lifted = [(0, 2 * length - 1, 1.0)]
+        _, trace = self._assert_matches_reference(
+            MulticutInstance(2 * length, tuple(edges), tuple(lifted)))
+        assert np.diff(trace).tolist() == [-float(t) for t in steps]
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_indexed_side_absorbs_a_longer_one(self, long_first):
+        # Chain A of 8 nodes grows first (totals 50-44), then chain B of
+        # 2 nodes (40), which is indexed from then on. The bridge (30)
+        # joins B with A: B, the indexed and smaller side, survives and
+        # takes A's rows, among them its row to node x, which every node
+        # of A repels (-1 each). Node y then joins through B (20) and
+        # brings its row to x (10): it must merge with the moved row, so
+        # x is taken in at 10 - 8 = 2.
+        a, b = (list(range(8)), [8, 9]) if long_first else (list(range(2, 10)), [0, 1])
+        x, y = 10, 11
+        edges = (_chain(0, a, range(50, 43, -1)) + _chain(0, b, [40])
+                 + [(a[-1], b[0], 30.0), (b[1], y, 20.0), (x, y, 10.0)]
+                 + [(i, x, -1.0) for i in a])
+        edges = [(min(p, q), max(p, q), c) for p, q, c in edges]
+        part, trace = self._assert_matches_reference(MulticutInstance(12, tuple(edges)))
+        assert np.diff(trace).tolist() == [-50.0, -49.0, -48.0, -47.0, -46.0, -45.0,
+                                           -44.0, -40.0, -30.0, -20.0, -2.0]
+        assert part.num_components == 1
 
 
 # ---------------------------------------------------------------------------

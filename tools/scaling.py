@@ -11,21 +11,24 @@ default config otherwise. Each stage is timed by wrapping its name in
 the call.
 
 Each scene is set up once (synth, pregroup, train, encode, fit, each
-timed once), and then tracked and scored 3 times on the same inputs;
-every stage of those runs (graph, gate, costs, gaec, kl, tracks, eval,
-and the encode that `run_tracking` asks for again, a key check that
-finds the set-up's codes) is the fastest of its 3 times. Encode shows
-the set-up's time plus that fastest check.
+timed once), and then tracked and scored on the same inputs at least 3
+times, and until those runs have taken at least 0.2 s together, so a
+small scene's stages are not timed over one slow stretch of a shared
+machine. Every stage of those runs (graph, gate, costs, gaec, kl,
+tracks, eval, and the encode that `run_tracking` asks for again, a key
+check that finds the set-up's codes) is the fastest of its times.
+Encode shows the set-up's time plus that fastest check.
 
 It prints one column per N: the graph that GAEC solves (|V|, |E|+|F|
-after the lifted gate), KL's improving moves, and each stage's seconds.
-The last column is each stage's log-log slope between the two largest
+after the lifted gate), KL's improving moves, the tracking runs timed,
+each stage's seconds, and GAEC's microseconds per pair of E and F. The
+last column is each stage's log-log slope between the two largest
 scenes against |V|+|E|+|F|: about 1 for a stage linear in the graph,
 above 1 for a superlinear one. The set-up stages come from one run, so
 one that takes well under a second can read twice its time from one run
 to the next; a slope there is a hint to measure again, not a verdict.
-It takes about 16 s (2 CPUs, Python 3.11, numpy 2.4), most of it
-training.
+The last line is the probe's wall time: about 13 s (2 CPUs, Python
+3.11, numpy 2.4), most of it training.
 """
 
 import dataclasses
@@ -43,7 +46,9 @@ from liftedtrack.synth import benchmark_spec, synth_sequence  # noqa: E402
 FRAMES = (100, 200, 400, 800)
 DATA_SEED = 0
 EPOCHS = 4
-REPEATS = 3
+# tracking runs per scene: at least this many, taking at least this long
+MIN_RUNS = 3
+MIN_RUN_SECONDS = 0.2
 # stage -> the name in `liftedtrack.pipeline` that runs it
 WRAPPED = {
     "pregroup": "pregroup",
@@ -72,7 +77,7 @@ def _timed(seconds: dict, stage: str, func):
 
 def run_scene(num_frames: int, config: PipelineConfig) -> dict:
     """Stage seconds and graph counts of one in-memory set-up on
-    `num_frames` and the fastest of its `REPEATS` tracking runs."""
+    `num_frames` and the fastest of its tracking runs."""
     seconds, counts = {}, {}
     kl = pipeline.solve_kl
 
@@ -100,7 +105,8 @@ def run_scene(num_frames: int, config: PipelineConfig) -> dict:
         models = pipeline.fit_affinity_models(detections, table, latents, config)
         setup = dict(seconds)
         runs = []
-        for _ in range(REPEATS):
+        start = time.perf_counter()
+        while len(runs) < MIN_RUNS or time.perf_counter() - start < MIN_RUN_SECONDS:
             seconds.clear()
             tracks = pipeline.run_tracking(detections, table, model, models, config)
             _timed(seconds, "eval", metrics.evaluate_clear_mot)(result.gt, tracks)
@@ -110,7 +116,7 @@ def run_scene(num_frames: int, config: PipelineConfig) -> dict:
             setattr(pipeline, name, func)
     fastest = {stage: min(run[stage] for run in runs) for stage in runs[0]}
     total = {stage: setup.get(stage, 0.0) + fastest.get(stage, 0.0) for stage in STAGES}
-    return dict(seconds=total, **counts)
+    return dict(seconds=total, runs=len(runs), **counts)
 
 
 def slope(small: float, large: float, size_small: int, size_large: int) -> float:
@@ -119,19 +125,24 @@ def slope(small: float, large: float, size_small: int, size_large: int) -> float
 
 
 def main() -> int:
+    start = time.perf_counter()
     config = dataclasses.replace(PipelineConfig(), epochs=EPOCHS)
     runs = [run_scene(n, config) for n in FRAMES]
     sizes = [run["nodes"] + run["pairs"] for run in runs]
     width = 13
     print(f"{'N (frames)':<12}" + "".join(f"{n:>{width}}" for n in FRAMES)
           + f"{'slope':>{width}}")
-    for key, label in (("nodes", "|V|"), ("pairs", "|E|+|F|"), ("kl moves", "KL moves")):
+    for key, label in (("nodes", "|V|"), ("pairs", "|E|+|F|"), ("kl moves", "KL moves"),
+                       ("runs", "runs")):
         print(f"{label:<12}" + "".join(f"{run[key]:>{width}}" for run in runs))
     for stage in STAGES:
         times = [run["seconds"][stage] for run in runs]
         growth = slope(times[-2], times[-1], sizes[-2], sizes[-1])
         print(f"{stage + ' s':<12}" + "".join(f"{t:>{width}.4f}" for t in times)
               + f"{growth:>{width}.2f}")
+    per_pair = [run["seconds"]["gaec"] / run["pairs"] * 1e6 for run in runs]
+    print(f"{'gaec us/pair':<12}" + "".join(f"{t:>{width}.3f}" for t in per_pair))
+    print(f"wall {time.perf_counter() - start:.1f} s")
     return 0
 
 
