@@ -44,20 +44,6 @@ FIT_MAX_ITERS = 50
 _DISTANCE_BLOCK = 2048
 
 
-@dataclass(frozen=True)
-class AffinityConfig:
-    """Overlap thresholds bounding the self-labeling dead zone."""
-
-    t_low: float = 0.1
-    t_high: float = 0.7
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_low < self.t_high <= 1.0):
-            raise ValueError(
-                f"need 0 <= t_low < t_high <= 1, got {self.t_low}, {self.t_high}"
-            )
-
-
 # One row per scored pair: canonical detection ids u < v and the overlap.
 MATCH_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("value", np.float64)])
 
@@ -226,15 +212,23 @@ def read_match_table(path, detections: Sequence[Detection]) -> MatchTable:
         raise ValueError(f"{path}:{where}: {exc}") from exc
 
 
-def generate_labels(table: MatchTable, config: AffinityConfig = AffinityConfig()):
+def check_thresholds(t_low: float, t_high: float) -> None:
+    """Reject overlap thresholds outside 0 <= t_low < t_high <= 1."""
+    if not (0.0 <= t_low < t_high <= 1.0):
+        raise ValueError(f"need 0 <= t_low < t_high <= 1, got {t_low}, {t_high}")
+
+
+def generate_labels(table: MatchTable, t_low: float, t_high: float):
     """Self-label extreme-overlap rows; the [t_low, t_high] dead zone is skipped.
 
-    Returns the labelled rows of `table.rows` and their labels: 1 (same)
-    above t_high, 0 (different) below t_low.
+    The thresholds must pass `check_thresholds`. Returns the labelled rows
+    of `table.rows` and their labels: 1 (same) above t_high, 0 (different)
+    below t_low.
     """
+    check_thresholds(t_low, t_high)
     value = table.rows["value"]
-    rows = table.rows[(value > config.t_high) | (value < config.t_low)]
-    return rows, (rows["value"] > config.t_high).astype(np.int64)
+    rows = table.rows[(value > t_high) | (value < t_low)]
+    return rows, (rows["value"] > t_high).astype(np.int64)
 
 
 def check_feature_config(feature_config: Tuple[str, ...]) -> None:

@@ -25,6 +25,9 @@ from .layers import (
 # memory of the stacked batch and of every layer's activations.
 LATENT_CHUNK = 64
 
+# Side of every convolution's square kernel
+KERNEL_SIZE = 3
+
 # Checkpoint entries beside the tensors: the codes of the images a model
 # was saved with, and the `codes_key` of the model and those images.
 CODES = "__codes__"
@@ -55,7 +58,6 @@ class ArchConfig:
     input_shape: Tuple[int, int, int] = (3, 16, 16)
     conv_channels: Tuple[int, ...] = (8, 16)
     latent_dim: int = 16
-    kernel_size: int = 3
     batchnorm: bool = False
 
     def __post_init__(self):
@@ -97,14 +99,13 @@ class AutoEncoder:
     code can enumerate them uniformly.
     """
 
-    def __init__(self, config: ArchConfig, seed: int = 0):
+    def __init__(self, config: ArchConfig, seed: int):
         self.config = config
         self.seed = checked_seed(seed)
         self.epoch = 0
         # (codes_key, codes) of the last `codes` call or the checkpoint; see `codes`
         self.stored_codes = None
         rng = np.random.default_rng(self.seed)
-        k = config.kernel_size
         c_in, _, _ = config.input_shape
         bc, bh, bw = config.bottleneck_shape
         bottleneck = bc * bh * bw
@@ -112,7 +113,7 @@ class AutoEncoder:
         enc: List[Layer] = []
         prev = c_in
         for ch in config.conv_channels:
-            enc.append(Conv2D(prev, ch, k, rng, bias=not config.batchnorm))
+            enc.append(Conv2D(prev, ch, KERNEL_SIZE, rng, bias=not config.batchnorm))
             if config.batchnorm:
                 enc.append(BatchNorm(ch))
             enc.append(ReLU())
@@ -128,7 +129,8 @@ class AutoEncoder:
         for i, ch in enumerate(channels_out):
             last = i == len(channels_out) - 1
             dec.append(Upsample2x())
-            dec.append(Conv2D(prev, ch, k, rng, bias=last or not config.batchnorm))
+            dec.append(Conv2D(prev, ch, KERNEL_SIZE, rng,
+                              bias=last or not config.batchnorm))
             if not last:
                 if config.batchnorm:
                     dec.append(BatchNorm(ch))
@@ -297,7 +299,9 @@ class AutoEncoder:
         cancels such a bias in training, but inference subtracts running
         means that include it, so dropping it silently would change codes.
         Stored codes and their key, when the file has both, become
-        `stored_codes`; a file without them loads as before.
+        `stored_codes`; a file without them loads as before. A `kernel_size`
+        in the config, which files saved before it became KERNEL_SIZE hold,
+        is not read.
         """
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -307,7 +311,6 @@ class AutoEncoder:
             input_shape=tuple(meta["input_shape"]),
             conv_channels=tuple(meta["conv_channels"]),
             latent_dim=meta["latent_dim"],
-            kernel_size=meta["kernel_size"],
             batchnorm=meta["batchnorm"],
         )
         model = cls(config, seed=meta["seed"])

@@ -38,7 +38,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Schedule knobs for `train`.
+    """Schedule knobs for `train`, with no defaults of their own: the
+    pipeline's come from `PipelineConfig.training_config`.
 
     `lambda_schedule` is a tuple of (epoch, lam) steps; lam at epoch t is
     the value of the last step with epoch <= t (0.0 before the first).
@@ -46,9 +47,9 @@ class TrainingConfig:
     """
 
     epochs: int
-    learning_rate: float = 1e-3
-    lambda_schedule: Tuple[Tuple[int, float], ...] = ((0, 0.0),)
-    seed: int = 0
+    learning_rate: float
+    lambda_schedule: Tuple[Tuple[int, float], ...]
+    seed: int
 
     def __post_init__(self):
         if not is_integer(self.epochs):
@@ -61,6 +62,9 @@ class TrainingConfig:
                              f"got {self.learning_rate!r}")
         prev = -1
         for epoch, lam in self.lambda_schedule:
+            if not is_integer(epoch):
+                raise ValueError(f"lambda_schedule epochs must be integers, "
+                                 f"got {epoch!r}")
             if epoch <= prev:
                 raise ValueError("lambda_schedule epochs must strictly increase")
             if not 0.0 <= lam <= 1.0:

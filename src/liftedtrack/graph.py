@@ -11,6 +11,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .embedding.model import is_integer
+
 Edge = Tuple[int, int]
 # One row per edge: canonical endpoints u < v and the real cost c.
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("c", np.float64)])
@@ -414,16 +416,20 @@ def frame_pairs(frames: Sequence[int], gaps: Iterable[int]) -> np.ndarray:
 
 
 def checked_frame_gaps(max_frame_gap: int, lifted_gaps: Iterable[int]) -> List[int]:
-    """The distinct lifted gaps in ascending order, after checking that
-    max_frame_gap is at least 1 and that every lifted gap exceeds it."""
+    """The distinct lifted gaps in ascending order, as ints, after checking
+    that max_frame_gap and every lifted gap are integers (bool is not),
+    that max_frame_gap is at least 1 and that every lifted gap exceeds it."""
+    if not is_integer(max_frame_gap):
+        raise ValueError(f"max_frame_gap must be an integer, got {max_frame_gap!r}")
     if max_frame_gap < 1:
         raise ValueError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
-    gaps = sorted(set(int(g) for g in lifted_gaps))
+    gaps = list(lifted_gaps)
     for g in gaps:
-        if g <= max_frame_gap:
-            raise ValueError(
-                f"lifted gap {g} must exceed max_frame_gap {max_frame_gap}"
-            )
+        if not is_integer(g):
+            raise ValueError(f"lifted_gaps must hold integers, got {g!r}")
+    gaps = sorted(set(map(int, gaps)))
+    if gaps and gaps[0] <= max_frame_gap:
+        raise ValueError(f"lifted gap {gaps[0]} must exceed max_frame_gap {max_frame_gap}")
     return gaps
 
 

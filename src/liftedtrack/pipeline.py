@@ -18,11 +18,11 @@ import numpy as np
 from .affinity import (
     LIFTED_FEATURES,
     NEARBY_FEATURES,
-    AffinityConfig,
     AffinityModel,
     MatchTable,
     assemble_costs,
     check_feature_config,
+    check_thresholds,
     detection_patches,
     fit_affinity_model,
     generate_labels,
@@ -197,15 +197,17 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.pregroup_threshold < 1:
             raise ValueError(f"bad pregroup threshold {self.pregroup_threshold}")
-        if self.pregroup_max_gap < 1:
-            raise ValueError(f"bad pregroup_max_gap {self.pregroup_max_gap}")
-        if self.min_cluster_size < 1:
-            raise ValueError(f"bad min_cluster_size {self.min_cluster_size}")
+        for name in ("pregroup_max_gap", "min_cluster_size"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"bad {name} {value}")
         if self.seed < 0:
             raise ValueError(f"bad seed {self.seed}")
         if not 0 <= self.lifted_percentile <= 100:
             raise ValueError(f"bad lifted percentile {self.lifted_percentile}")
-        AffinityConfig(self.t_low, self.t_high)
+        check_thresholds(self.t_low, self.t_high)
         check_feature_config(self.nearby_features)
         checked_frame_gaps(self.max_frame_gap, self.lifted_gaps)
         self.training_config()
@@ -304,7 +306,8 @@ def _check_latents(latents, num_detections: int) -> None:
 
 @_stage("pregroup")
 def pregroup(detections: Sequence[Detection], table: MatchTable,
-             threshold: float = 0.7, max_gap: int = 3) -> List[List[int]]:
+             threshold: float = PipelineConfig.pregroup_threshold,
+             max_gap: int = PipelineConfig.pregroup_max_gap) -> List[List[int]]:
     """Group detections whose overlap score exceeds the threshold.
 
     Edges are considered between frames at distance 1..max_gap; per frame
@@ -413,7 +416,7 @@ def fit_affinity_models(detections: Sequence[Detection], table: MatchTable,
     with _stage("fit"):
         _check_table(table, len(detections))
         _check_latents(latents, len(detections))
-        rows, labels = generate_labels(table, AffinityConfig(config.t_low, config.t_high))
+        rows, labels = generate_labels(table, config.t_low, config.t_high)
         raw = np.column_stack([rows["value"],
                                latent_distances(latents, rows["u"], rows["v"])])
         nearby = fit_affinity_model(raw, labels, config.nearby_features)
@@ -471,7 +474,8 @@ def track_latents(detections: Sequence[Detection], table: MatchTable,
 
 
 def clusters_to_tracks(detections: Sequence[Detection], partition: Partition,
-                       min_cluster_size: int = 5) -> TrackSet:
+                       min_cluster_size: int = PipelineConfig.min_cluster_size
+                       ) -> TrackSet:
     """Clusters to tracks: size filter, per-frame best box, interpolation.
 
     Clusters below min_cluster_size members are dropped. Per frame the

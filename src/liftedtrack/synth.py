@@ -19,27 +19,28 @@ from .affinity import MatchTable, iou_match_table
 from .graph import BBox, Detection
 from .motio import MotRecord
 
+# Every identity's box (width, height) in pixels, the period in frames of
+# the sinusoidal part of its path, and the (channels, height, width) of
+# every rendered patch
+BOX_SIZE = (24.0, 24.0)
+SINE_PERIOD = 30.0
+PATCH_SHAPE = (3, 16, 16)
+
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One moving identity: path, size, occlusions, and appearance knob."""
+    """One moving identity: path, occlusions, and appearance knob."""
 
     track_id: int
     start: Tuple[float, float]
     velocity: Tuple[float, float]
-    size: Tuple[float, float] = (24.0, 24.0)
     sine_amplitude: float = 0.0
-    sine_period: float = 24.0
     occlusions: Tuple[Tuple[int, int], ...] = ()
     appearance: Optional[float] = None
 
     def __post_init__(self):
         if self.track_id < 1:
             raise ValueError(f"track_id must be >= 1, got {self.track_id}")
-        if min(self.size) <= 0:
-            raise ValueError(f"size must be positive, got {self.size}")
-        if self.sine_period <= 0:
-            raise ValueError(f"sine_period must be positive, got {self.sine_period}")
         for first, last in self.occlusions:
             if first > last or first < 1:
                 raise ValueError(f"bad occlusion window [{first}, {last}]")
@@ -52,21 +53,19 @@ class IdentitySpec:
         left = self.start[0] + self.velocity[0] * t
         top = self.start[1] + self.velocity[1] * t
         if self.sine_amplitude:
-            top += self.sine_amplitude * math.sin(2.0 * math.pi * t / self.sine_period)
-        return BBox(left, top, self.size[0], self.size[1])
+            top += self.sine_amplitude * math.sin(2.0 * math.pi * t / SINE_PERIOD)
+        return BBox(left, top, *BOX_SIZE)
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
     identities: Tuple[IdentitySpec, ...]
     num_frames: int
-    patch_shape: Tuple[int, int, int] = (3, 16, 16)
     box_noise: float = 0.0
     score_noise: float = 0.0
     pixel_noise: float = 0.0
     brightness_range: Tuple[float, float] = (1.0, 1.0)
     brightness_period: float = 0.0
-    match_gap: int = 5
 
     def __post_init__(self):
         if self.num_frames < 1:
@@ -76,8 +75,6 @@ class SequenceSpec:
         ids = [ident.track_id for ident in self.identities]
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate track ids in {ids}")
-        if len(self.patch_shape) != 3 or self.patch_shape[0] != 3:
-            raise ValueError(f"patch_shape must be (3, h, w), got {self.patch_shape}")
         lo, hi = self.brightness_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad brightness range ({lo}, {hi})")
@@ -93,9 +90,9 @@ class SynthResult:
     table: MatchTable
 
 
-def _base_patch(appearance: float, shape) -> np.ndarray:
+def _base_patch(appearance: float) -> np.ndarray:
     """Identity-specific texture: hue from the appearance knob, fixed stripes."""
-    _, h, w = shape
+    _, h, w = PATCH_SHAPE
     hue = (0.11 + appearance) % 1.0
     color = np.array(colorsys.hsv_to_rgb(hue, 0.85, 1.0))
     yy, xx = np.mgrid[0:h, 0:w]
@@ -105,7 +102,7 @@ def _base_patch(appearance: float, shape) -> np.ndarray:
     return color[:, None, None] * (0.3 + 0.7 * stripes)[None]
 
 
-def synth_sequence(spec: SequenceSpec, seed: int = 0) -> SynthResult:
+def synth_sequence(spec: SequenceSpec, seed: int) -> SynthResult:
     """Render the sequence: ground truth, noisy detections, patches, matches."""
     rng = np.random.default_rng(seed)
     bases = []
@@ -113,7 +110,7 @@ def synth_sequence(spec: SequenceSpec, seed: int = 0) -> SynthResult:
         appearance = ident.appearance
         if appearance is None:
             appearance = (i * 0.61803398875) % 1.0
-        bases.append(_base_patch(appearance, spec.patch_shape))
+        bases.append(_base_patch(appearance))
 
     gt = []
     detections = []
@@ -147,15 +144,14 @@ def synth_sequence(spec: SequenceSpec, seed: int = 0) -> SynthResult:
                          box.width, box.height)
             patch = brightness * bases[i]
             if spec.pixel_noise:
-                patch = patch + spec.pixel_noise * rng.standard_normal(spec.patch_shape)
+                patch = patch + spec.pixel_noise * rng.standard_normal(PATCH_SHAPE)
             patch = np.clip(patch, 0.0, 2.0)
             detections.append(Detection(frame=frame, box=noisy, score=score,
                                         image=patch))
             images.append(patch)
 
-    table = iou_match_table(detections, max_frame_gap=spec.match_gap)
-    stacked = (np.array(images) if images
-               else np.zeros((0, *spec.patch_shape)))
+    table = iou_match_table(detections)
+    stacked = np.array(images) if images else np.zeros((0, *PATCH_SHAPE))
     return SynthResult(tuple(gt), tuple(detections), stacked, table)
 
 
@@ -168,7 +164,7 @@ BRIGHTNESS_PERIOD = 24.0
 CROSSING_SLOPE = 1.6
 
 
-def benchmark_spec(num_frames: int = 100) -> SequenceSpec:
+def benchmark_spec(num_frames: int) -> SequenceSpec:
     """Five-identity occlusion benchmark.
 
     Identities 2/3 and 4/5 swap lanes during shared occlusion windows, so
@@ -188,7 +184,7 @@ def benchmark_spec(num_frames: int = 100) -> SequenceSpec:
     )
     plain = IdentitySpec(
         track_id=1, start=(10.0, 10.0), velocity=(1.0, 0.0),
-        sine_amplitude=2.0, sine_period=30.0,
+        sine_amplitude=2.0,
         occlusions=((50, 52),), appearance=0.08,
     )
     return SequenceSpec(

@@ -60,7 +60,7 @@ def benchmark_runs():
     config = PipelineConfig()
     runs = {}
     for seed in (0, 1, 2):
-        result = synth_sequence(benchmark_spec(), seed=seed)
+        result = synth_sequence(benchmark_spec(100), seed=seed)
         tracklets = pregroup(result.detections, result.table,
                              threshold=config.pregroup_threshold,
                              max_gap=config.pregroup_max_gap)

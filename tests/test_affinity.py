@@ -7,6 +7,7 @@ own optimizer.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from liftedtrack.affinity import (
     MATCH_DTYPE,
     NEARBY_FEATURES,
     PROB_EPS,
-    AffinityConfig,
     AffinityModel,
     MatchTable,
     assemble_costs,
+    check_thresholds,
     edge_cost,
     feature_matrix,
     fit_affinity_model,
@@ -40,6 +41,7 @@ from liftedtrack.affinity import (
 )
 from liftedtrack.embedding import LATENT_CHUNK, ArchConfig, AutoEncoder
 from liftedtrack.graph import BBox, Detection, build_graph, iou
+from liftedtrack.pipeline import PipelineConfig
 from liftedtrack.solver import solve_bruteforce
 
 
@@ -260,17 +262,17 @@ class TestMatchTableMatchesReference:
 class TestGenerateLabels:
     def test_threshold_examples(self):
         table = MatchTable([(0, 1, 0.9), (0, 2, 0.05), (1, 2, 0.4)])
-        rows, labels = generate_labels(table)
+        rows, labels = generate_labels(table, 0.1, 0.7)
         assert rows.tolist() == [(0, 1, 0.9), (0, 2, 0.05)]
         assert labels.tolist() == [1, 0]
 
     def test_boundaries_belong_to_dead_zone(self):
         table = MatchTable([(0, 1, 0.7), (0, 2, 0.1)])
-        rows, labels = generate_labels(table)
+        rows, labels = generate_labels(table, 0.1, 0.7)
         assert len(rows) == len(labels) == 0
 
     def test_never_labels_dead_zone(self):
-        cfg = AffinityConfig()
+        t_low, t_high = PipelineConfig.t_low, PipelineConfig.t_high
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(2, 12))
@@ -280,18 +282,23 @@ class TestGenerateLabels:
                     if rng.random() < 0.5:
                         triples.append((a, b, float(rng.random())))
             table = MatchTable(triples)
-            rows, labels = generate_labels(table, cfg)
+            rows, labels = generate_labels(table, t_low, t_high)
             want = [(a, b, value) for a, b, value in triples
-                    if value > cfg.t_high or value < cfg.t_low]
+                    if value > t_high or value < t_low]
             assert rows.tolist() == want
             for (_, _, value), label in zip(want, labels.tolist()):
-                assert label == (1 if value > cfg.t_high else 0)
+                assert label == (1 if value > t_high else 0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AffinityConfig(t_low=0.7, t_high=0.1)
-        with pytest.raises(ValueError):
-            AffinityConfig(t_low=-0.1, t_high=0.7)
+        # one rule backs the thresholds of the labels and of the pipeline
+        for t_low, t_high in ((0.7, 0.1), (-0.1, 0.7), (0.5, 0.5), (0.1, 1.5)):
+            message = re.escape(f"need 0 <= t_low < t_high <= 1, got {t_low}, {t_high}")
+            with pytest.raises(ValueError, match=message):
+                check_thresholds(t_low, t_high)
+            with pytest.raises(ValueError, match=message):
+                generate_labels(MatchTable([(0, 1, 0.9)]), t_low, t_high)
+            with pytest.raises(ValueError, match=message):
+                PipelineConfig(t_low=t_low, t_high=t_high)
 
 
 class TestFeatureVector:
@@ -453,7 +460,7 @@ class TestFitLogistic:
         # labels induced by the thresholds force a positive overlap slope
         rng = np.random.default_rng(15)
         table = MatchTable([(0, i + 1, float(v)) for i, v in enumerate(rng.random(60))])
-        rows, labels = generate_labels(table)
+        rows, labels = generate_labels(table, 0.1, 0.7)
         raw = [(value, 0.0) for value in rows["value"]]
         model = fit_affinity_model(raw, labels, ("bias", "iou_dm"))
         grid = predict_p_same(model, feature_matrix(np.linspace(0, 1, 11), 0.0,

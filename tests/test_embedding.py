@@ -6,6 +6,7 @@ differences.
 """
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -181,7 +182,8 @@ class TestConvMatchesReference:
             for _ in range(count)
         ]
         labels = [i % 3 for i in range(len(dets))]
-        config = TrainingConfig(epochs=3, lambda_schedule=((0, 0.0), (1, 0.9)), seed=4)
+        config = TrainingConfig(epochs=3, learning_rate=1e-3,
+                                lambda_schedule=((0, 0.0), (1, 0.9)), seed=4)
         model = AutoEncoder(arch, seed=3)
         ref = AutoEncoder(arch, seed=3)
         for _, layer in ref.layer_items():
@@ -297,7 +299,8 @@ def _assert_training_matches_reference(cls, ref_cls):
     dets = list(result.detections)
     tracklets = pregroup(dets, result.table)
     labels = tracklet_labels(tracklets, len(dets))
-    config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.0), (1, 0.95)))
+    config = TrainingConfig(epochs=2, learning_rate=1e-3,
+                            lambda_schedule=((0, 0.0), (1, 0.95)), seed=0)
     arch = ArchConfig(input_shape=dets[0].image.shape)
     model, ref = AutoEncoder(arch, seed=0), AutoEncoder(arch, seed=0)
     for _, layer in ref.layer_items():
@@ -664,6 +667,31 @@ class TestStoredCodes:
         assert encodes == [len(dets)]
         assert np.array_equal(codes, model.encode_all([det.image for det in dets]))
 
+    def test_checkpoint_with_kernel_size_loads(self, tmp_path, encodes):
+        # files saved while the kernel side was an ArchConfig field carry
+        # it in their config, and must load to the same model and codes
+        dets = self._detections()
+        model, path = self._saved(tmp_path, images=[det.image for det in dets])
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        assert "kernel_size" not in meta
+        meta["kernel_size"] = 3
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        back = AutoEncoder.load(path)
+        assert back.config == model.config
+        assert (back.seed, back.epoch) == (model.seed, model.epoch)
+        for (_, _, arr), (_, _, arr2) in zip(model.parameter_items(),
+                                             back.parameter_items()):
+            assert np.array_equal(arr, arr2)
+        assert back.stored_codes[0] == model.stored_codes[0]
+        assert np.array_equal(back.stored_codes[1], model.stored_codes[1])
+        del encodes[:]
+        codes = latent_codes(back, dets)
+        assert encodes == []
+        assert np.array_equal(codes, model.stored_codes[1])
+
     def test_load_names_unknown_tensor_beside_codes(self, tmp_path):
         dets = self._detections()
         _, path = self._saved(tmp_path, images=[det.image for det in dets])
@@ -745,7 +773,8 @@ class TestCodesInMemory:
         images = np.stack([det.image for det in dets])
         frames = np.arange(len(dets)) // 4
         labels = np.arange(len(dets)) // 8
-        config = TrainingConfig(epochs=2, lambda_schedule=((0, 0.5),), seed=3)
+        config = TrainingConfig(epochs=2, learning_rate=1e-3,
+                                lambda_schedule=((0, 0.5),), seed=3)
         del encodes[:], keys[:]
         train(model, images, frames, labels, config)
         # `compute_centroids` encodes once per epoch, outside the cache
@@ -924,7 +953,8 @@ class TestTrain:
         rng = np.random.default_rng(26)
         dets = _toy_dataset(rng, frames=4)
         model = AutoEncoder(SMALL, seed=1)
-        config = TrainingConfig(epochs=200, learning_rate=1e-3, seed=2)
+        config = TrainingConfig(epochs=200, learning_rate=1e-3,
+                                lambda_schedule=((0, 0.0),), seed=2)
         _, trace = train(model, *arrays(dets), [0, 1, 2, 3], config)
         assert trace[-1].reconstruction < trace[0].reconstruction
         assert len(trace) == 200
@@ -948,7 +978,8 @@ class TestTrain:
     def test_fixed_seed_reproduces_trace(self):
         rng = np.random.default_rng(28)
         dets = _toy_dataset(rng, frames=3)
-        config = TrainingConfig(epochs=5, seed=9)
+        config = TrainingConfig(epochs=5, learning_rate=1e-3,
+                                lambda_schedule=((0, 0.0),), seed=9)
         _, t1 = train(AutoEncoder(SMALL, seed=5), *arrays(dets), [0, 1, 2], config)
         _, t2 = train(AutoEncoder(SMALL, seed=5), *arrays(dets), [0, 1, 2], config)
         assert t1 == t2
@@ -957,7 +988,8 @@ class TestTrain:
         rng = np.random.default_rng(29)
         dets = _toy_dataset(rng, frames=2)
         model = AutoEncoder(SMALL, seed=6)
-        config = TrainingConfig(epochs=50, learning_rate=1e6, seed=7)
+        config = TrainingConfig(epochs=50, learning_rate=1e6,
+                                lambda_schedule=((0, 0.0),), seed=7)
         # the absurd learning rate overflows by design
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             train(model, *arrays(dets), [0, 1], config)
@@ -967,7 +999,8 @@ class TestTrain:
         rng = np.random.default_rng(30)
         dets = _toy_dataset(rng, frames=1)
         model = AutoEncoder(SMALL, seed=6)
-        config = TrainingConfig(epochs=1, learning_rate=1e308)
+        config = TrainingConfig(epochs=1, learning_rate=1e308,
+                                lambda_schedule=((0, 0.0),), seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             TrainingDiverged,
             match=r"non-finite parameter W in \('enc', 0\) after epoch 0",
@@ -976,14 +1009,19 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainingConfig(epochs=0)
+            TrainingConfig(epochs=0, learning_rate=1e-3, lambda_schedule=((0, 0.0),),
+                           seed=0)
         with pytest.raises(ValueError):
-            TrainingConfig(epochs=1, learning_rate=0.0)
+            TrainingConfig(epochs=1, learning_rate=0.0, lambda_schedule=((0, 0.0),),
+                           seed=0)
         with pytest.raises(ValueError):
-            TrainingConfig(epochs=1, lambda_schedule=((0, 1.5),))
+            TrainingConfig(epochs=1, learning_rate=1e-3, lambda_schedule=((0, 1.5),),
+                           seed=0)
         with pytest.raises(ValueError):
-            TrainingConfig(epochs=1, lambda_schedule=((3, 0.5), (1, 0.9)))
-        cfg = TrainingConfig(epochs=10, lambda_schedule=((2, 0.5),))
+            TrainingConfig(epochs=1, learning_rate=1e-3,
+                           lambda_schedule=((3, 0.5), (1, 0.9)), seed=0)
+        cfg = TrainingConfig(epochs=10, learning_rate=1e-3,
+                             lambda_schedule=((2, 0.5),), seed=0)
         assert cfg.lambda_at(0) == 0.0
         assert cfg.lambda_at(2) == 0.5
         assert cfg.learning_rate_at(10) == pytest.approx(1e-4)
@@ -995,14 +1033,21 @@ class TestTrain:
         (dict(epochs=1, seed=-1), "seed must be a non-negative integer, got -1"),
         (dict(epochs=1, seed=1.5), "seed must be a non-negative integer, got 1.5"),
         (dict(epochs=1, seed=False), "seed must be a non-negative integer, got False"),
+        (dict(epochs=1, lambda_schedule=((0.5, 0.1),)),
+         "lambda_schedule epochs must be integers, got 0.5"),
+        (dict(epochs=1, lambda_schedule=((0, 0.0), (True, 0.5))),
+         "lambda_schedule epochs must be integers, got True"),
     ])
     def test_config_names_a_bad_epoch_count_or_seed(self, kwargs, message):
         # these used to construct, and `train` failed later in numpy or range
+        kwargs = dict(dict(learning_rate=1e-3, lambda_schedule=((0, 0.0),), seed=0),
+                      **kwargs)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainingConfig(**kwargs)
 
     def test_config_takes_numpy_integers(self):
-        cfg = TrainingConfig(epochs=np.int64(2), seed=np.int32(3))
+        cfg = TrainingConfig(epochs=np.int64(2), learning_rate=1e-3,
+                             lambda_schedule=((np.int64(0), 0.0),), seed=np.int32(3))
         model = AutoEncoder(SMALL, seed=np.int64(3))
         assert model.seed == 3 and type(model.seed) is int
         train(model, *arrays(_toy_dataset(np.random.default_rng(0), frames=1)), [0], cfg)
@@ -1049,7 +1094,8 @@ class TestTrainingMatchesReference:
                              ids=["scrambled", "scene"])
     def test_training_and_centroids_equal(self, make):
         arch, dets, labels = make()
-        config = TrainingConfig(epochs=3, lambda_schedule=((0, 0.0), (1, 0.9)), seed=3)
+        config = TrainingConfig(epochs=3, learning_rate=1e-3,
+                                lambda_schedule=((0, 0.0), (1, 0.9)), seed=3)
         model, ref = AutoEncoder(arch, seed=1), AutoEncoder(arch, seed=1)
         _, trace = train(model, *arrays(dets), labels, config)
         _, ref_trace = training_reference.reference_train(ref, dets, labels, config)

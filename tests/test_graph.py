@@ -1,6 +1,7 @@
 """Domain type and graph construction tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -614,6 +615,23 @@ class TestBuildGraph:
             build_graph(_one_per_frame(3), max_frame_gap=0)
         with pytest.raises(ValueError):
             build_graph(_one_per_frame(3), max_frame_gap=2, lifted_gaps=[2])
+
+    @pytest.mark.parametrize("max_frame_gap, lifted_gaps, message", [
+        (2.5, (), "max_frame_gap must be an integer, got 2.5"),
+        (True, (), "max_frame_gap must be an integer, got True"),
+        (1, (2.9,), "lifted_gaps must hold integers, got 2.9"),
+        (1, (10, 20.0), "lifted_gaps must hold integers, got 20.0"),
+        (1, (True,), "lifted_gaps must hold integers, got True"),
+    ], ids=["fractional-gap", "bool-gap", "fractional-lifted", "float-lifted",
+            "bool-lifted"])
+    def test_rejects_non_integer_gaps(self, max_frame_gap, lifted_gaps, message):
+        # truncating 2.9 would build gap 2, another graph than the one asked for
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_graph(_one_per_frame(3), max_frame_gap, lifted_gaps)
+
+    def test_takes_numpy_integer_gaps(self):
+        inst = build_graph(_one_per_frame(12), np.int64(1), (np.int32(10),))
+        assert {(u, v) for u, v, _ in inst.lifted_edges} == {(0, 10), (1, 11)}
 
     def test_no_pair_in_both_sets_random(self):
         rng = np.random.default_rng(11)

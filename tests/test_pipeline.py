@@ -1,6 +1,7 @@
 """Tests for pre-grouping, track conversion, and pipeline configuration."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,28 @@ class TestConfigIO:
             PipelineConfig(epochs=0)
         with pytest.raises(ValueError, match="strictly increase"):
             dataclasses.replace(PipelineConfig(), lambda_schedule=((3, 0.5), (1, 0.9)))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(max_frame_gap=2.5), "max_frame_gap must be an integer, got 2.5"),
+        (dict(max_frame_gap=True), "max_frame_gap must be an integer, got True"),
+        (dict(max_frame_gap=1, lifted_gaps=(2.9,)),
+         "lifted_gaps must hold integers, got 2.9"),
+        (dict(lifted_gaps=(False, 10)), "lifted_gaps must hold integers, got False"),
+        (dict(pregroup_max_gap=2.0), "pregroup_max_gap must be an integer, got 2.0"),
+        (dict(pregroup_max_gap=True), "pregroup_max_gap must be an integer, got True"),
+        (dict(min_cluster_size=4.5), "min_cluster_size must be an integer, got 4.5"),
+        (dict(min_cluster_size=True), "min_cluster_size must be an integer, got True"),
+        (dict(lambda_schedule=((0, 0.0), (7.5, 0.9))),
+         "lambda_schedule epochs must be integers, got 7.5"),
+    ], ids=["fractional-frame-gap", "bool-frame-gap", "fractional-lifted-gap",
+            "bool-lifted-gap", "float-pregroup-gap", "bool-pregroup-gap",
+            "fractional-cluster-size", "bool-cluster-size", "fractional-lambda-epoch"])
+    def test_counts_and_gaps_must_be_integers(self, fields, message):
+        # the config is checked once, so a bad value is named here and not
+        # truncated (lifted gap 2.9 would build gap 2) or met as a TypeError
+        # inside a later stage
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**fields)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
